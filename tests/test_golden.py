@@ -1,0 +1,49 @@
+"""Golden CLI output: the sha256 of what ``cli.main`` prints for fixed argv.
+
+The digests pin the seeded sample streams (starts, erasures, codebooks,
+per-trial statistics) and every rendered number, so a refactor that is
+meant to keep output byte-identical is checked against them.  Regenerate a
+digest only in a change that means to alter that output, and say so.
+"""
+
+import hashlib
+
+import pytest
+
+from ssesim.cli import main
+
+GOLDEN = {
+    # Both views of a channel use pin the start and erasure streams.
+    "simulate --n 48 --length 8 --reads 5 --delta 0.2 --seed 7 --view full":
+        "c5be379feabde3b436eaba7ddc76a4eba3dc40c1a0bbce36bde8f1278e3f798f",
+    "simulate --n 500 --length 40 --reads 30 --delta 0.3 --seed 99 --view full":
+        "402cb886cab4f373155a11cb9a3e3c2d84c112d6255e943db39c8e8b694032c9",
+    "concentration --n 4096 --lbar 2 --coverage 2 --delta 0.2 --trials 8"
+    " --seed 3 --threads 2":
+        "411cbd8a14fb213d5fa3ba5897bf5c5c464b3876f19acebe54a09362aee85478",
+    "concentration --n 4096 --lbar 2 --coverage 2 --delta 0.2 --trials 8"
+    " --seed 3 --threads 2 --format csv":
+        "2ef700acd29f54ea6861676a9be5ac5af916145452d3211a20261dbd68470d18",
+    "decode-demo --n 24 --length 6 --reads 5 --delta 0.1 --codebook-size 6"
+    " --seed 6":
+        "96a560b7fdef445df67210ec73fddd5b1dbe8086d1a881625161d75c50de2800",
+    # Suffix-size and coverage thresholds both prune: 14 of 1668 island
+    # sets survive.
+    "decode-demo --n 24 --length 6 --reads 5 --delta 0.1 --codebook-size 6"
+    " --seed 6 --epsilon 0.5":
+        "c704b85c1d4fe78fee7b7ee8fb2f0c2ed8bbefc5c1ab4bdf269d353daaa096a3",
+    # At coverage 4.2 overclaimed chains exceed three times the visible
+    # coverage target, so the coverage test alone prunes (1350 of 4705).
+    "decode-demo --n 10 --length 7 --reads 6 --delta 0.0 --codebook-size 6"
+    " --seed 2 --epsilon 2 --omega-mode all-tuples":
+        "5b6fa5c2f9fe007316e7db573cf8242ebafae2e3f0ad814d5285f9f773be5f0e",
+    "gtau-table --n 1024 --lbar 2 --coverage 2 --delta 0.2":
+        "5db3b014b8ad7f126c96889c56bc5528f80d17b0637a5eaf6445a9e917c6e1c3",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_cli_output_is_byte_identical(capsys, argv):
+    assert main(argv.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
