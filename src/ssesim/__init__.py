@@ -24,12 +24,11 @@ from .channel import (
     ChannelParams,
     Read,
     Truth,
-    apply_erasures,
     child_seed,
+    cyclic_gaps,
     generate_codebook,
     random_codebook,
     random_codeword,
-    sample_reads,
     stage_rng,
     transmit,
     transmit_codeword,
@@ -38,8 +37,6 @@ from .decoder import (
     DecodeResult,
     DecoderConfig,
     SearchSpaceError,
-    filter_islands,
-    is_typical_tuple,
     oracle_decode,
     typicality_decode,
 )

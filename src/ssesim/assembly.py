@@ -19,8 +19,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channel import ChannelOutput
-from .tritstring import MergeError, TritString, _splice, fold_cyclic, merge
+from .channel import ChannelOutput, cyclic_gaps
+from .tritstring import MergeError, TritString, _splice, fold_cyclic
 
 __all__ = [
     "MergeFailure",
@@ -127,14 +127,7 @@ def true_ordering(output: ChannelOutput) -> TrueOrdering:
     starts = np.asarray(output.truth.starts, dtype=np.int64)
     order = np.argsort(starts, kind="stable")
     k = len(order)
-    sorted_starts = starts[order]
-    gaps = np.empty(k, dtype=np.int64)
-    if k == 1:
-        gaps[0] = n
-    else:
-        gaps[:-1] = sorted_starts[1:] - sorted_starts[:-1]
-        gaps[-1] = sorted_starts[0] + n - sorted_starts[-1]
-    overlaps = np.maximum(0, L - gaps)
+    overlaps = np.maximum(0, L - cyclic_gaps(starts[order], n))
     symbols = output.decoder_view()
     omega = tuple(
         symbols[int(order[i])].suffix(int(overlaps[i])).size if overlaps[i] else 0
@@ -169,18 +162,19 @@ def _assemble(
     k = len(zeta)
     strict = check_sizes is not None
 
+    def check_size(l: int, idx: int) -> None:
+        read = reads[zeta[idx]]
+        got = read.suffix(l).size if l <= read.length else -1
+        if l > read.length or got != check_sizes[idx]:
+            raise MergeFailure(
+                idx, f"suffix of length {l} has size {got}, claimed {check_sizes[idx]}"
+            )
+
     def join(u: TritString, v: TritString, l: int, idx: int) -> TritString:
+        # A claim pairs every positive overlap with a positive size, so a
+        # passed size check already shows the merging suffix is visible.
         if strict:
-            read = reads[zeta[idx]]
-            got = read.suffix(min(l, read.length)).size if l <= read.length else -1
-            if l > read.length or got != check_sizes[idx]:
-                raise MergeFailure(
-                    idx, f"suffix of length {l} has size {got}, claimed {check_sizes[idx]}"
-                )
-            try:
-                return merge(u, v, l)
-            except MergeError as e:
-                raise MergeFailure(idx, str(e)) from e
+            check_size(l, idx)
         try:
             return _splice(u, v, l)
         except MergeError as e:
@@ -195,13 +189,7 @@ def _assemble(
             chain = join(chain, reads[zeta[i + 1]], merge_overlap[i], i)
         closing = merge_overlap[k - 1]
         if strict:
-            read = reads[zeta[k - 1]]
-            got = read.suffix(min(closing, read.length)).size if closing <= read.length else -1
-            if closing > read.length or got != check_sizes[k - 1]:
-                raise MergeFailure(
-                    k - 1,
-                    f"suffix of length {closing} has size {got}, claimed {check_sizes[k - 1]}",
-                )
+            check_size(closing, k - 1)
         try:
             island = fold_cyclic(chain, closing)
         except MergeError as e:

@@ -40,8 +40,7 @@ __all__ = [
     "random_codeword",
     "generate_codebook",
     "random_codebook",
-    "sample_reads",
-    "apply_erasures",
+    "cyclic_gaps",
     "transmit_codeword",
     "transmit",
 ]
@@ -324,6 +323,12 @@ def _sample_starts(params: ChannelParams, seed) -> np.ndarray:
     return rng.integers(0, params.n, size=params.K)
 
 
+def cyclic_gaps(sorted_starts: np.ndarray, n: int) -> np.ndarray:
+    """Forward distance from each sorted start to the next one, the last
+    wrapping round to the first.  A single start gets the gap ``n``."""
+    return np.diff(sorted_starts, append=sorted_starts[0] + n)
+
+
 def _gather_reads(x_arr: np.ndarray, starts0: np.ndarray, L: int, n: int) -> np.ndarray:
     idx = (starts0[:, None] + np.arange(L)[None, :]) % n
     return x_arr[idx]
@@ -334,48 +339,13 @@ def _erasure_mask(params: ChannelParams, seed) -> np.ndarray:
     return rng.random((params.K, params.L)) >= float(params.delta)
 
 
-def sample_reads(x: TritString, params: ChannelParams, seed) -> list[Read]:
-    """K pre-erasure reads of x at uniform cyclic starts (with replacement)."""
-    if x.length != params.n:
-        raise DomainError(f"codeword length {x.length} != n={params.n}")
-    if x.size != params.n:
-        raise DomainError("channel input must be a fully visible binary string")
-    x_arr = _to_array(x)
-    starts0 = _sample_starts(params, seed)
-    clean = _gather_reads(x_arr, starts0, params.L, params.n)
-    ones = np.ones(params.L, dtype=bool)
-    return [
-        Read(symbols=_pack_row(clean[i], ones), start=int(starts0[i]) + 1)
-        for i in range(params.K)
-    ]
-
-
-def apply_erasures(reads: list[Read], delta: float, seed) -> list[Read]:
-    """Erase every symbol independently with probability delta."""
-    if not 0 <= delta <= 1:
-        raise DomainError(f"delta must lie in [0, 1], got {delta}")
-    if not reads:
-        return []
-    L = reads[0].symbols.length
-    if any(r.symbols.length != L for r in reads):
-        raise DomainError("reads must share one length")
-    rng = stage_rng(seed, STAGE_ERASURES)
-    keep = rng.random((len(reads), L)) >= float(delta)
-    out = []
-    for i, r in enumerate(reads):
-        vals = _to_array(r.symbols)
-        known = _known_array(r.symbols) & keep[i]
-        out.append(Read(symbols=_pack_row(vals, known), start=r.start))
-    return out
-
-
 def transmit_codeword(
     x: TritString, params: ChannelParams, seed, message: int | None = None
 ) -> ChannelOutput:
-    """One full channel use of the codeword ``x``.
-
-    Equivalent to ``apply_erasures(sample_reads(x, params, seed), delta, seed)``
-    with the same master seed; the two stages draw from separate substreams.
+    """One full channel use of the codeword ``x``: K reads at uniform cyclic
+    starts (with replacement), then every read symbol erased independently
+    with probability delta.  Starts and erasures draw from separate
+    substreams of ``seed``.
     """
     if x.length != params.n:
         raise DomainError(f"codeword length {x.length} != n={params.n}")

@@ -72,6 +72,19 @@ def parse_grid(text: str) -> list[float]:
     return vals
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
+
+
 def _emit(text: str, path: str | None) -> None:
     if not text.endswith("\n"):
         text += "\n"
@@ -183,7 +196,7 @@ def _build_parser() -> _Parser:
 
     p = subs.add_parser("simulate", help="one seeded channel transmission")
     _add_geometry(p)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--view", choices=("full", "decoder"), default="full")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_simulate)
@@ -191,10 +204,10 @@ def _build_parser() -> _Parser:
     p = subs.add_parser("concentration", help="Monte Carlo law checks")
     _add_geometry(p)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--mz-tau", type=float, action="append", metavar="TAU")
-    p.add_argument("--mz-per-trial", type=int, default=2)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--mz-per-trial", type=_int_at_least(1), default=2)
+    p.add_argument("--threads", type=_int_at_least(1), default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_concentration)
@@ -205,7 +218,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--reads", type=int, required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--codebook-size", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--epsilon", type=float, default=math.inf)
     p.add_argument(
         "--omega-mode", choices=("typical-only", "all-tuples"), default="typical-only"

@@ -10,8 +10,8 @@ discarded.
 
 ``typicality_decode`` enumerates all assemblable claims (the first read is
 pinned to position zero, which costs nothing by rotation invariance), keeps
-those whose suffix-size tuple and island coverage pass the configured
-thresholds, and collects every codeword compatible with all islands of some
+those whose suffix-size tuple and island coverage pass the two-sided tests
+of ``stats.TypicalityThresholds``, and collects every codeword compatible with all islands of some
 surviving claim.  A message is decoded only when exactly one codeword
 survives.  The search is exponential in the number of reads, so it refuses
 more than ``DecoderConfig.max_reads`` of them.
@@ -24,13 +24,12 @@ With thresholds disabled (``epsilon = inf``) the two agree exactly.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 from .channel import ChannelParams, Read
 from .errors import DomainError
-from .stats import expected_suffix_size_counts
+from .stats import typicality_thresholds
 from .tritstring import (
     TritString,
     compatible_substring_positions,
@@ -93,49 +92,6 @@ def _symbols(read) -> TritString:
     raise DomainError(f"expected Read or TritString; got {type(read).__name__}")
 
 
-def is_typical_tuple(
-    omega: Sequence[int], params: ChannelParams, epsilon: float
-) -> bool:
-    """Whether a suffix-size tuple passes the two-sided count thresholds.
-
-    The zero count must stay within a relative ``epsilon`` of ``K e^-c``
-    and each positive-size count within ``epsilon * n / log2(n)^2`` of its
-    expectation.  ``epsilon = inf`` accepts everything.
-    """
-    if len(omega) != params.K:
-        raise DomainError(
-            f"expected one entry per read ({params.K}); got {len(omega)}"
-        )
-    for w in omega:
-        if not 0 <= w <= params.L:
-            raise DomainError(f"suffix size {w!r} outside [0, {params.L}]")
-    if math.isinf(epsilon):
-        return True
-    counts = Counter(omega)
-    zero_ref = params.K * math.exp(-params.c)
-    if abs(counts.get(0, 0) - zero_ref) > epsilon * zero_ref:
-        return False
-    slack = epsilon * params.n / math.log2(params.n) ** 2
-    expected = expected_suffix_size_counts(params)
-    for s in range(1, params.L + 1):
-        if abs(counts.get(s, 0) - float(expected[s])) > slack:
-            return False
-    return True
-
-
-def _coverage_ok(visible: int, params: ChannelParams, epsilon: float) -> bool:
-    if math.isinf(epsilon):
-        return True
-    target = 1.0 - math.exp(-params.c * (1.0 - params.delta))
-    return abs(visible / params.n - target) <= epsilon * target
-
-
-def filter_islands(island_set, params: ChannelParams, epsilon: float) -> bool:
-    """Whether the island set's visible coverage is within a relative
-    ``epsilon`` of its expectation.  ``epsilon = inf`` accepts everything."""
-    return _coverage_ok(island_set.visible_symbols, params, epsilon)
-
-
 def _merge_options(u: TritString, v: TritString) -> tuple[tuple[int, int], ...]:
     """Feasible (overlap, raw suffix size) pairs for merging u onto v."""
     opts = []
@@ -184,6 +140,7 @@ def typicality_decode(
     check_omega = config.omega_mode == "typical-only" and not math.isinf(
         config.epsilon
     )
+    thresholds = typicality_thresholds(params, config.epsilon)
     # The search works on raw (bits, known, length) triples; TritString
     # construction is deferred to the few surviving island sets.
     trip = [(s.bits, s.known, s.length) for s in syms]
@@ -203,14 +160,14 @@ def typicality_decode(
     def record(islands: list[tuple[int, int, int]], omega: list[int]) -> None:
         nonlocal visited
         visited += 1
-        if check_omega and not is_typical_tuple(omega, params, config.epsilon):
+        if check_omega and not thresholds.typical_suffix_sizes(omega):
             return
         key = tuple(sorted(islands))
         if key in seen:
             return
         seen.add(key)
         visible = sum(k.bit_count() for _, k, _ in islands)
-        if not _coverage_ok(visible, params, config.epsilon):
+        if not thresholds.typical_coverage(visible):
             return
         survivors.append(islands)
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -35,6 +36,7 @@ from .channel import (
     ChannelOutput,
     ChannelParams,
     child_seed,
+    cyclic_gaps,
     random_codeword,
     stage_rng,
     transmit_codeword,
@@ -96,13 +98,8 @@ def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:
     """
     starts = np.asarray(starts, dtype=np.int64)
     k = len(starts)
-    if k == 1:
-        return np.array([n], dtype=np.int64)
     order = np.argsort(starts, kind="stable")
-    s = starts[order]
-    gaps = np.empty(k, dtype=np.int64)
-    gaps[:-1] = s[1:] - s[:-1]
-    gaps[-1] = s[0] + n - s[-1]
+    gaps = cyclic_gaps(starts[order], n)
     # A read sharing its start with any other read is at distance 0 from it.
     tied = np.zeros(k, dtype=bool)
     tied[:-1] = gaps[:-1] == 0
@@ -121,14 +118,7 @@ def chain_island_count(starts: np.ndarray, n: int, L: int) -> int:
     >= L: reads that wrap the whole circle (every gap < L) give 0, while
     ``assembly.true_islands`` reports them as one circular island.
     """
-    starts = np.asarray(starts, dtype=np.int64)
-    k = len(starts)
-    if k == 1:
-        return 1
-    s = np.sort(starts, kind="stable")
-    gaps = np.empty(k, dtype=np.int64)
-    gaps[:-1] = s[1:] - s[:-1]
-    gaps[-1] = s[0] + n - s[-1]
+    gaps = cyclic_gaps(np.sort(np.asarray(starts, dtype=np.int64)), n)
     return int(np.count_nonzero(gaps >= L))
 
 
@@ -207,11 +197,29 @@ def _expected_counts_cached(n: int, L: int, K: int, delta, exact: bool) -> tuple
     out = []
     for s in range(L + 1):
         total = Fraction(0) if exact else 0.0
+        comb = 1  # math.comb(l, s), carried along l by exact integer recurrence
         for l in range(s, L + 1):
-            pmf = math.comb(l, s) * (1 - keep) ** s * keep ** (l - s)
-            total += K * law[l] * pmf
+            total += K * law[l] * _binomial_pmf(comb, l, s, keep)
+            comb = comb * (l + 1) // (l + 1 - s)
         out.append(total)
     return tuple(out)
+
+
+def _binomial_pmf(comb: int, l: int, s: int, delta):
+    """P(Binomial(l, 1 - delta) = s) given ``comb`` = C(l, s).
+
+    Exact for a Fraction ``delta``.  For a float ``delta`` the plain product
+    is used wherever ``comb`` fits a float; beyond that (from l = 1030 at
+    s = l/2) the factors are combined in log space.
+    """
+    try:
+        return comb * (1 - delta) ** s * delta ** (l - s)
+    except OverflowError:
+        if not 0 < delta < 1:
+            # comb > 1 means 0 < s < l, so one factor is 0.
+            return 0.0
+        log_pmf = math.log(comb) + s * math.log1p(-delta) + (l - s) * math.log(delta)
+        return math.exp(log_pmf)
 
 
 def count_prefix_compatible(reads: Sequence[TritString], z: TritString) -> int:
@@ -251,21 +259,42 @@ def hoeffding_one_sided(N: int, p: float, x: float) -> float:
 
 @dataclass(frozen=True)
 class TypicalityThresholds:
-    """The four screening thresholds used by the typicality analysis."""
+    """The typicality thresholds: one-sided caps and the decoder's two-sided
+    tests, all built from the same reference values."""
 
     params: ChannelParams
     epsilon: float
 
+    @cached_property
+    def island_count_ref(self) -> float:
+        """K * exp(-c)."""
+        return self.params.K * math.exp(-self.params.c)
+
+    @cached_property
+    def visible_coverage_ref(self) -> float:
+        """1 - exp(-c(1 - delta))."""
+        c, d = self.params.c, float(self.params.delta)
+        return 1 - math.exp(-c * (1 - d))
+
+    @cached_property
+    def suffix_count_slack(self) -> float:
+        """eps * n / log2(n)^2."""
+        n = self.params.n
+        return self.epsilon * n / math.log2(n) ** 2
+
+    @cached_property
+    def _expected_counts(self) -> list:
+        return expected_suffix_size_counts(self.params)
+
     @property
     def island_count_cap(self) -> float:
         """(1 + eps) * K * exp(-c)."""
-        return (1 + self.epsilon) * self.params.K * math.exp(-self.params.c)
+        return (1 + self.epsilon) * self.island_count_ref
 
     @property
     def visible_coverage_floor(self) -> float:
         """(1 - eps) * (1 - exp(-c(1 - delta)))."""
-        c, d = self.params.c, float(self.params.delta)
-        return (1 - self.epsilon) * (1 - math.exp(-c * (1 - d)))
+        return (1 - self.epsilon) * self.visible_coverage_ref
 
     def prefix_match_cap(self, tau: float) -> float:
         """(1 + eps) * n^(1 - tau) for tau <= 1 - eps, else n^eps."""
@@ -276,9 +305,45 @@ class TypicalityThresholds:
 
     def suffix_count_cap(self, suffix_size: int) -> float:
         """Expected count at this size plus the eps * n / log2(n)^2 slack."""
-        n = self.params.n
-        slack = self.epsilon * n / math.log2(n) ** 2
-        return float(expected_suffix_size_count(self.params, suffix_size)) + slack
+        expected = expected_suffix_size_count(self.params, suffix_size)
+        return float(expected) + self.suffix_count_slack
+
+    def typical_suffix_sizes(self, omega: Sequence[int]) -> bool:
+        """Whether a suffix-size tuple passes the two-sided count thresholds.
+
+        The zero count must stay within a relative ``epsilon`` of ``K e^-c``
+        and each positive-size count within ``epsilon * n / log2(n)^2`` of its
+        expectation.  ``epsilon = inf`` accepts everything.
+        """
+        params = self.params
+        if len(omega) != params.K:
+            raise DomainError(
+                f"expected one entry per read ({params.K}); got {len(omega)}"
+            )
+        for w in omega:
+            if not 0 <= w <= params.L:
+                raise DomainError(f"suffix size {w!r} outside [0, {params.L}]")
+        if math.isinf(self.epsilon):
+            return True
+        counts = Counter(omega)
+        zero_ref = self.island_count_ref
+        if abs(counts.get(0, 0) - zero_ref) > self.epsilon * zero_ref:
+            return False
+        slack = self.suffix_count_slack
+        expected = self._expected_counts
+        for s in range(1, params.L + 1):
+            if abs(counts.get(s, 0) - float(expected[s])) > slack:
+                return False
+        return True
+
+    def typical_coverage(self, visible: int) -> bool:
+        """Whether ``visible`` unerased island symbols give a coverage within
+        a relative ``epsilon`` of its expectation.  ``epsilon = inf`` accepts
+        everything."""
+        if math.isinf(self.epsilon):
+            return True
+        target = self.visible_coverage_ref
+        return abs(visible / self.params.n - target) <= self.epsilon * target
 
 
 def typicality_thresholds(params: ChannelParams, epsilon: float) -> TypicalityThresholds:
@@ -518,6 +583,8 @@ def concentration_experiment(
         raise DomainError(f"trials must be >= 1, got {trials}")
     if params.n < 2:
         raise DomainError("concentration experiment needs n >= 2")
+    if mz_targets and mz_per_trial < 1:
+        raise DomainError(f"mz_per_trial must be >= 1, got {mz_per_trial}")
     log_n = math.log2(params.n)
     mz_sizes = []
     for tau in mz_targets:

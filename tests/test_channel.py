@@ -5,11 +5,9 @@ from scipy import stats as sps
 from ssesim.channel import (
     ChannelOutput,
     ChannelParams,
-    apply_erasures,
     generate_codebook,
     random_codebook,
     random_codeword,
-    sample_reads,
     transmit,
     transmit_codeword,
 )
@@ -54,15 +52,6 @@ def test_random_codeword_deterministic():
     assert a.size == a.length == 200
 
 
-def test_two_stage_composition_matches_transmit():
-    p = ChannelParams(n=500, L=40, K=30, delta=0.3)
-    x = random_codeword(p.n, 11)
-    combined = transmit_codeword(x, p, 99)
-    staged = apply_erasures(sample_reads(x, p, 99), p.delta, 99)
-    assert combined.decoder_view() == tuple(r.symbols for r in staged)
-    assert list(combined.truth.starts) == [r.start for r in staged]
-
-
 def test_reads_match_codeword_windows():
     p = ChannelParams(n=64, L=10, K=8, delta=0.4)
     x = random_codeword(p.n, 3)
@@ -94,20 +83,12 @@ def test_erasure_rate_three_sigma():
     assert abs(erased - total * p.delta) < 3 * sigma
 
 
-def test_apply_erasures_validation():
-    p = ChannelParams(n=20, L=5, K=2, delta=0.0)
-    reads = sample_reads(random_codeword(p.n, 1), p, 1)
-    with pytest.raises(DomainError):
-        apply_erasures(reads, 1.5, 1)
-    assert apply_erasures([], 0.5, 1) == []
-
-
 def test_sample_reads_rejects_partial_codeword():
     p = ChannelParams(n=4, L=2, K=1, delta=0.0)
     with pytest.raises(DomainError):
-        sample_reads(TritString.from_text("01*1"), p, 0)
+        transmit_codeword(TritString.from_text("01*1"), p, 0)
     with pytest.raises(DomainError):
-        sample_reads(TritString.from_text("011"), p, 0)
+        transmit_codeword(TritString.from_text("011"), p, 0)
 
 
 def test_generate_codebook_sizes():

@@ -51,6 +51,31 @@ def test_usage_errors(capsys):
     assert code == 64
 
 
+_SIM = ("--n", "64", "--delta", "0.1", "--length", "8", "--reads", "4")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("simulate", *_SIM, "--seed", "-1"),
+        ("concentration", *_SIM, "--trials", "2", "--seed", "-1"),
+        ("decode-demo", "--n", "24", "--length", "6", "--reads", "4",
+         "--delta", "0.0", "--codebook-size", "4", "--seed", "-1"),
+        ("concentration", *_SIM, "--trials", "2", "--seed", "1", "--threads", "0"),
+        ("concentration", *_SIM, "--trials", "2", "--seed", "1", "--threads", "-2"),
+        ("concentration", *_SIM, "--trials", "2", "--seed", "1", "--mz-per-trial", "0"),
+    ],
+    ids=["simulate-seed", "concentration-seed", "decode-demo-seed", "threads-0",
+         "threads-negative", "mz-per-trial-0"],
+)
+def test_bad_integer_inputs_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error: argument --" in err
+
+
 def test_domain_error_exit_code(capsys):
     code, _, err = run(
         capsys, "simulate", "--n", "64", "--delta", "1.5", "--length", "8",

@@ -7,12 +7,11 @@ from ssesim.channel import ChannelParams, random_codebook, transmit
 from ssesim.decoder import (
     DecoderConfig,
     SearchSpaceError,
-    filter_islands,
-    is_typical_tuple,
     oracle_decode,
     typicality_decode,
 )
 from ssesim.errors import DomainError
+from ssesim.stats import typicality_thresholds
 from ssesim.tritstring import TritString
 
 from conftest import make_output
@@ -45,18 +44,19 @@ def test_typical_tuple_hand_case():
     # 0.5 * 16 / 16 = 0.5.  The per-size windows then pin the histogram to
     # exactly one read each at sizes 2, 3, 4 and one unmerged read.
     p = ChannelParams(n=16, L=4, K=4, delta=0.0)
-    assert is_typical_tuple((0, 2, 3, 4), p, 0.5)
-    assert not is_typical_tuple((0, 0, 2, 3), p, 0.5)  # size-4 count short
-    assert not is_typical_tuple((0, 1, 2, 3), p, 0.5)  # size-1 count high
-    assert not is_typical_tuple((0, 0, 0, 0), p, 0.5)  # too many breaks
+    th = typicality_thresholds(p, 0.5)
+    assert th.typical_suffix_sizes((0, 2, 3, 4))
+    assert not th.typical_suffix_sizes((0, 0, 2, 3))  # size-4 count short
+    assert not th.typical_suffix_sizes((0, 1, 2, 3))  # size-1 count high
+    assert not th.typical_suffix_sizes((0, 0, 0, 0))  # too many breaks
     for omega in [(0, 2, 3, 4), (0, 0, 0, 0), (4, 4, 4, 4)]:
-        assert is_typical_tuple(omega, p, math.inf)
+        assert typicality_thresholds(p, math.inf).typical_suffix_sizes(omega)
     with pytest.raises(DomainError):
-        is_typical_tuple((0, 2, 3), p, 0.5)
+        th.typical_suffix_sizes((0, 2, 3))
     with pytest.raises(DomainError):
-        is_typical_tuple((0, 2, 3, 5), p, 0.5)
+        th.typical_suffix_sizes((0, 2, 3, 5))
     with pytest.raises(DomainError):
-        is_typical_tuple((0, 2, 3, -1), p, 0.5)
+        th.typical_suffix_sizes((0, 2, 3, -1))
 
 
 def test_filter_islands():
@@ -64,9 +64,10 @@ def test_filter_islands():
     islands = true_islands(out)
     assert islands.visible_symbols == 8
     p = out.params  # c = 1.5, visible-coverage target 1 - e^-1.5 ~ 0.777
-    assert filter_islands(islands, p, math.inf)
-    assert filter_islands(islands, p, 0.5)
-    assert not filter_islands(islands, p, 0.05)
+    visible = islands.visible_symbols
+    assert typicality_thresholds(p, math.inf).typical_coverage(visible)
+    assert typicality_thresholds(p, 0.5).typical_coverage(visible)
+    assert not typicality_thresholds(p, 0.05).typical_coverage(visible)
 
 
 def test_full_coverage_toy_decodes():

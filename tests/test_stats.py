@@ -86,6 +86,24 @@ def test_expected_counts_sum_to_k():
         assert math.isclose(a, float(b), rel_tol=1e-9)
 
 
+def test_expected_counts_past_float_range():
+    # C(l, s) exceeds the float range from l = 1030 at s = l/2.
+    n, L, K, delta = 100000, 1031, 10, 0.2
+    counts = expected_suffix_size_counts(ChannelParams(n=n, L=L, K=K, delta=delta))
+    assert all(math.isfinite(c) and c >= 0 for c in counts)
+    assert math.isclose(math.fsum(counts), K, rel_tol=1e-9)
+
+    def p_dist_ge(g):
+        return ((n - g) / n) ** (K - 1)
+
+    for s in (515, 825):  # C(l, s) overflows for some l at 515, never at 825
+        ref = K * math.fsum(
+            (p_dist_ge(L - l) - p_dist_ge(L - l + 1)) * binom.pmf(s, l, 1 - delta)
+            for l in range(s, L + 1)
+        )
+        assert math.isclose(counts[s], ref, rel_tol=1e-9)
+
+
 def test_expected_counts_match_enumeration():
     n, L, K = 6, 3, 2
     delta = Fraction(1, 2)
@@ -197,6 +215,8 @@ def test_concentration_rejects_bad_targets():
         concentration_experiment(p, 2, 1, mz_targets=(3.0,))
     with pytest.raises(DomainError):
         concentration_experiment(p, 0, 1)
+    with pytest.raises(DomainError):
+        concentration_experiment(p, 2, 1, mz_targets=(0.5,), mz_per_trial=0)
 
 
 def test_probe_impossible_when_everything_erased():
