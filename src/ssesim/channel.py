@@ -123,12 +123,18 @@ class ChannelParams:
         if L is None:
             if n < 2:
                 raise DomainError("lbar needs n >= 2")
-            L = round(lbar * math.log2(n))
+            L = _round_finite(lbar * math.log2(n), "lbar * log2(n)")
         if K is None:
             if L < 1:
                 raise DomainError(f"derived read length L={L} is not positive")
-            K = round(c * n / L)
+            K = _round_finite(c * n / L, "c * n / L")
         return cls(n=n, L=L, K=K, delta=delta)
+
+
+def _round_finite(x: float, what: str) -> int:
+    if not math.isfinite(x):
+        raise DomainError(f"{what} must be finite, got {x}")
+    return round(x)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ from .rates import rate_curve, rates_csv
 from .stats import concentration_experiment, expected_suffix_size_counts
 
 USAGE_ERROR = 64
+MAX_GRID_POINTS = 10**6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,7 +47,8 @@ def parse_grid(text: str) -> list[float]:
     """Parse "start:stop:step" into an inclusive grid, or a single float.
 
     The stop value is included when it lands within half a step of the
-    last point, so "0.05:5:0.05" really ends at 5.0.
+    last point, so "0.05:5:0.05" really ends at 5.0.  Bounds and step must
+    be finite, and a grid may hold at most ``MAX_GRID_POINTS`` points.
     """
     parts = text.split(":")
     try:
@@ -57,10 +59,14 @@ def parse_grid(text: str) -> list[float]:
         a, b, s = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: {exc}") from None
+    if not all(math.isfinite(v) for v in (a, b, s)):
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: values must be finite")
     if not s > 0:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: step must be positive")
     if b < a:
         raise argparse.ArgumentTypeError(f"bad grid {text!r}: stop below start")
+    if (b - a) / s >= MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(f"bad grid {text!r}: too many points")
     vals = []
     k = 0
     while True:
@@ -174,6 +180,8 @@ def _cmd_decode_demo(args) -> int:
 
 def _cmd_gtau_table(args) -> int:
     params = _params(args)
+    if params.n < 2:
+        raise DomainError("tau = s / log2(n) needs n >= 2")
     counts = expected_suffix_size_counts(params)
     log2n = math.log2(params.n)
     lines = ["suffix_size,tau,expected_count"]

@@ -11,13 +11,15 @@ discarded.
 ``typicality_decode`` enumerates all assemblable claims (the first read is
 pinned to position zero, which costs nothing by rotation invariance), keeps
 those whose suffix-size tuple and island coverage pass the two-sided tests
-of ``stats.TypicalityThresholds``, and collects every codeword compatible with all islands of some
-surviving claim.  A message is decoded only when exactly one codeword
-survives.  The search is exponential in the number of reads, so it refuses
-more than ``DecoderConfig.max_reads`` of them.
+of ``stats.TypicalityThresholds``, and keeps each codeword of
+``oracle_decode`` that cyclically holds every island of some surviving
+claim.  A message is decoded only when exactly one codeword survives.  The
+search is exponential in the number of reads, so it refuses more than
+``_HARD_READ_CAP`` (8) of them.
 
 ``oracle_decode`` is the information-theoretic reference: it keeps the
-codewords that contain every read individually as a compatible substring.
+codewords that contain every read individually as a compatible cyclic
+substring.
 With thresholds disabled (``epsilon = inf``) the two agree exactly.
 """
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .channel import ChannelParams, Read
@@ -32,6 +35,8 @@ from .errors import DomainError
 from .stats import typicality_thresholds
 from .tritstring import (
     TritString,
+    _fold,
+    _overlay,
     compatible_substring_positions,
     is_l_compatible,
 )
@@ -53,17 +58,11 @@ class DecoderConfig:
     """
 
     epsilon: float = math.inf
-    max_reads: int = _HARD_READ_CAP
     omega_mode: str = "typical-only"
-    cyclic: bool = True
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise DomainError(f"epsilon must be positive; got {self.epsilon!r}")
-        if not 1 <= self.max_reads <= _HARD_READ_CAP:
-            raise DomainError(
-                f"max_reads must lie in [1; {_HARD_READ_CAP}]; got {self.max_reads!r}"
-            )
         if self.omega_mode not in ("typical-only", "all-tuples"):
             raise DomainError(f"unknown omega_mode {self.omega_mode!r}")
 
@@ -104,15 +103,16 @@ def _merge_options(u: TritString, v: TritString) -> tuple[tuple[int, int], ...]:
     return tuple(opts)
 
 
-def oracle_decode(
-    codebook: Sequence[TritString], reads: Sequence, cyclic: bool = True
-) -> tuple[int, ...]:
+def oracle_decode(codebook: Sequence[TritString], reads: Sequence) -> tuple[int, ...]:
     """Codebook indices whose codeword contains every read as a compatible
-    substring.  The tightest test any decoder can apply per read alone."""
+    cyclic substring.  The tightest test any decoder can apply per read
+    alone."""
     syms = [_symbols(r) for r in reads]
     out = []
     for w, x in enumerate(codebook):
-        if all(compatible_substring_positions(s, x, cyclic=cyclic) for s in syms):
+        if any(len(s) > len(x) for s in syms):
+            raise DomainError(f"a read is longer than codeword {w}")
+        if all(compatible_substring_positions(s, x, cyclic=True) for s in syms):
             out.append(w)
     return tuple(out)
 
@@ -121,21 +121,23 @@ def typicality_decode(
     codebook: Sequence[TritString],
     reads: Sequence,
     params: ChannelParams,
-    config: DecoderConfig | None = None,
+    config: DecoderConfig = DecoderConfig(),
 ) -> DecodeResult:
     """Run the claim-enumeration decoder against a codebook."""
-    if config is None:
-        config = DecoderConfig()
     syms = [_symbols(r) for r in reads]
     K = len(syms)
     if K == 0:
         raise DomainError("cannot decode from zero reads")
-    if K > config.max_reads:
+    if K > _HARD_READ_CAP:
         raise SearchSpaceError(
-            f"{K} reads exceed the search cap of {config.max_reads}"
+            f"{K} reads exceed the search cap of {_HARD_READ_CAP} reads"
         )
     if K != params.K:
         raise DomainError(f"params expect {params.K} reads; got {K}")
+    if any(len(x) != params.n for x in codebook):
+        raise DomainError(f"params expect codewords of length n={params.n}")
+    if any(len(s) != params.L for s in syms):
+        raise DomainError(f"params expect reads of length L={params.L}")
 
     check_omega = config.omega_mode == "typical-only" and not math.isinf(
         config.epsilon
@@ -144,13 +146,10 @@ def typicality_decode(
     # The search works on raw (bits, known, length) triples; TritString
     # construction is deferred to the few surviving island sets.
     trip = [(s.bits, s.known, s.length) for s in syms]
-    opt_table: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
 
+    @cache
     def options(i: int, j: int) -> tuple[tuple[int, int], ...]:
-        key = (i, j)
-        if key not in opt_table:
-            opt_table[key] = _merge_options(syms[i], syms[j])
-        return opt_table[key]
+        return _merge_options(syms[i], syms[j])
 
     visited = 0
     seen: set[tuple] = set()
@@ -171,99 +170,63 @@ def typicality_decode(
             return
         survivors.append(islands)
 
-    n = params.n
-
     def close(last, acc, islands, omega) -> None:
         # Adjacency from the final position back to read 0.
         record(islands + [acc], omega + [0])
-        ab, ak, al = acc
         for l, w in options(last, 0):
-            off = al - l
-            mask = (1 << l) - 1
             if islands:
-                fb, fk, fl = islands[0]
-                if ((ab >> off) ^ fb) & (ak >> off) & fk & mask:
-                    continue
-                first = (ab | (fb << off), ak | (fk << off), off + fl)
-                record([first] + islands[1:], omega + [w])
-            elif off == n:
+                first = _overlay(acc, islands[0], l)
+                if first is not None:
+                    record([first] + islands[1:], omega + [w])
+            elif acc[2] - l == params.n:
                 # No break anywhere: wrapping the cycle exactly once means
                 # the chain advances exactly n.  A shorter period would
                 # claim the codeword repeats itself, which a window match
                 # cannot check, so such claims are discarded as impossible.
-                tb, tk = ab >> off, ak >> off
-                if (tb ^ ab) & tk & ak & mask:
-                    continue
-                head = (1 << off) - 1
-                record([((ab & head) | tb, (ak & head) | tk, off)], omega + [w])
+                ring = _fold(acc, l)
+                if ring is not None:
+                    record([ring], omega + [w])
 
     def walk(last, acc, islands, omega) -> None:
         if all(used):
             close(last, acc, islands, omega)
             return
-        ab, ak, al = acc
         for j in range(1, K):
             if used[j]:
                 continue
             used[j] = True
             walk(j, trip[j], islands + [acc], omega + [0])
-            vb, vk, vl = trip[j]
             for l, w in options(last, j):
-                off = al - l
-                if ((ab >> off) ^ vb) & (ak >> off) & vk & ((1 << l) - 1):
-                    continue
-                walk(j, (ab | (vb << off), ak | (vk << off), off + vl), islands, omega + [w])
+                merged = _overlay(acc, trip[j], l)
+                if merged is not None:
+                    walk(j, merged, islands, omega + [w])
             used[j] = False
 
     walk(0, trip[0], [], [])
 
-    # Codeword matching, cached per distinct island.  An island longer than
-    # a codeword (overclaimed chains can exceed n) matches nothing.
-    M = len(codebook)
-    lens = [len(x) for x in codebook]
-    if config.cyclic:
-        xb2 = [x.bits | (x.bits << len(x)) for x in codebook]
-        xk2 = [x.known | (x.known << len(x)) for x in codebook]
-    else:
-        xb2 = [x.bits for x in codebook]
-        xk2 = [x.known for x in codebook]
-    compat_cache: dict[tuple[int, int, int], frozenset[int]] = {}
+    # Codeword matching.  A merge only fills erasures where both reads
+    # agree, so every read is a compatible substring of its island (on a
+    # folded ring, at a position taken mod n).  A codeword that holds all
+    # islands of a claim therefore holds every read and is one of the
+    # oracle's; only those are tested.  An island longer than a codeword
+    # (overclaimed chains can exceed n) matches nothing.
+    @cache
+    def holds(t: tuple[int, int, int], w: int) -> bool:
+        x = codebook[w]
+        return t[2] <= len(x) and bool(
+            compatible_substring_positions(TritString(*t), x, cyclic=True)
+        )
 
-    def fits(b: int, k: int, ln: int, w: int) -> bool:
-        xb, xk = xb2[w], xk2[w]
-        limit = lens[w] if config.cyclic else lens[w] - ln + 1
-        for j in range(limit):
-            if not ((xb >> j) ^ b) & (xk >> j) & k:
-                return True
-        return False
-
-    def matching(t: tuple[int, int, int]) -> frozenset[int]:
-        got = compat_cache.get(t)
-        if got is None:
-            b, k, ln = t
-            got = frozenset(w for w in range(M) if ln <= lens[w] and fits(b, k, ln, w))
-            compat_cache[t] = got
-        return got
-
-    all_words = frozenset(range(M))
-    codewords: set[int] = set()
-    for islands in survivors:
-        live = all_words
-        for t in islands:
-            live &= matching(t)
-            if not live:
-                break
-        codewords |= live
-
-    ordered = tuple(sorted(codewords))
+    ordered = tuple(
+        w
+        for w in oracle_decode(codebook, syms)
+        if any(all(holds(t, w) for t in islands) for islands in survivors)
+    )
     message = ordered[0] if len(ordered) == 1 else None
-    text_cache: dict[tuple[int, int, int], str] = {}
 
+    @cache
     def text_of(t: tuple[int, int, int]) -> str:
-        got = text_cache.get(t)
-        if got is None:
-            got = text_cache[t] = TritString(bits=t[0], known=t[1], length=t[2]).text
-        return got
+        return TritString(*t).text
 
     island_texts = sorted(tuple(sorted(text_of(t) for t in islands)) for islands in survivors)
     return DecodeResult(

@@ -35,6 +35,7 @@ from .channel import (
     STAGE_TRIAL,
     ChannelOutput,
     ChannelParams,
+    _round_finite,
     child_seed,
     cyclic_gaps,
     random_codeword,
@@ -64,6 +65,16 @@ __all__ = [
 ]
 
 
+def _island_ratio_limit(c: float) -> float:
+    """e^-c, the n -> infinity islands per read at coverage depth c."""
+    return math.exp(-c)
+
+
+def _coverage_limit(c: float, delta: float = 0.0) -> float:
+    """1 - e^(-c(1 - delta)), the n -> infinity visible coverage fraction."""
+    return 1 - math.exp(-c * (1 - float(delta)))
+
+
 @dataclass(frozen=True)
 class CoverageReport:
     """Fraction of positions covered by any read (``phi``) and covered by an
@@ -83,12 +94,13 @@ def coverage(output: ChannelOutput) -> CoverageReport:
         raise ValueError("coverage needs the truth record")
     n, L = output.params.n, output.params.L
     starts0 = np.asarray(output.truth.starts, dtype=np.int64) - 1
+    # Each read covers the positions up to the next start, at most L of them.
+    gaps = cyclic_gaps(np.sort(starts0), n)
+    phi = int(np.minimum(gaps, L).sum()) / n
     idx = (starts0[:, None] + np.arange(L)[None, :]) % n
-    covered = np.zeros(n, dtype=bool)
-    covered[idx.ravel()] = True
     visible = np.zeros(n, dtype=bool)
     visible[idx[output.known]] = True
-    return CoverageReport(phi=float(covered.mean()), phi_v=float(visible.mean()))
+    return CoverageReport(phi=phi, phi_v=float(visible.mean()))
 
 
 def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:
@@ -268,13 +280,12 @@ class TypicalityThresholds:
     @cached_property
     def island_count_ref(self) -> float:
         """K * exp(-c)."""
-        return self.params.K * math.exp(-self.params.c)
+        return self.params.K * _island_ratio_limit(self.params.c)
 
     @cached_property
     def visible_coverage_ref(self) -> float:
         """1 - exp(-c(1 - delta))."""
-        c, d = self.params.c, float(self.params.delta)
-        return 1 - math.exp(-c * (1 - d))
+        return _coverage_limit(self.params.c, self.params.delta)
 
     @cached_property
     def suffix_count_slack(self) -> float:
@@ -415,7 +426,7 @@ class ConcentrationSummary:
     def island_ratio_ref(self) -> float:
         """The n -> infinity value e^-c of the island ratio.  Tied starts
         merge, so the finite-n mean exceeds it by about c/(2L)."""
-        return math.exp(-self.params.c)
+        return _island_ratio_limit(self.params.c)
 
     @property
     def phi_mean(self) -> float:
@@ -427,7 +438,7 @@ class ConcentrationSummary:
 
     @property
     def phi_ref(self) -> float:
-        return 1 - math.exp(-self.params.c)
+        return _coverage_limit(self.params.c)
 
     @property
     def phi_v_mean(self) -> float:
@@ -439,7 +450,7 @@ class ConcentrationSummary:
 
     @property
     def phi_v_ref(self) -> float:
-        return 1 - math.exp(-self.params.c * (1 - float(self.params.delta)))
+        return _coverage_limit(self.params.c, self.params.delta)
 
     @property
     def suffix_count_means(self) -> tuple[float, ...]:
@@ -588,7 +599,7 @@ def concentration_experiment(
     log_n = math.log2(params.n)
     mz_sizes = []
     for tau in mz_targets:
-        s = round(tau * log_n)
+        s = _round_finite(tau * log_n, f"target tau={tau} times log2(n)")
         if not 1 <= s <= params.L:
             raise DomainError(f"target tau={tau} maps to suffix size {s} outside [1, L]")
         mz_sizes.append(s)

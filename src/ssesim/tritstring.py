@@ -135,9 +135,8 @@ def is_l_compatible(u: TritString, v: TritString, l: int) -> bool:
     """
     if not 0 <= l <= min(u.length, v.length):
         raise ValueError(f"overlap {l} out of range [0, {min(u.length, v.length)}]")
-    m = _mask(l)
-    shift = u.length - l
-    return (((u.bits >> shift) ^ (v.bits & m)) & (u.known >> shift) & v.known & m) == 0
+    raw_u, raw_v = (u.bits, u.known, u.length), (v.bits, v.known, v.length)
+    return _overlay(raw_u, raw_v, l) is not None
 
 
 def compatible_substring_positions(
@@ -187,14 +186,10 @@ def _splice(u: TritString, v: TritString, l: int) -> TritString:
     # assembly checks the suffix's visible size itself.
     if not 1 <= l <= min(u.length, v.length):
         raise MergeError(f"overlap {l} out of range [1, {min(u.length, v.length)}]")
-    if not is_l_compatible(u, v, l):
+    s = _overlay((u.bits, u.known, u.length), (v.bits, v.known, v.length), l)
+    if s is None:
         raise MergeError(f"strings are not {l}-compatible")
-    off = u.length - l
-    return TritString(
-        u.bits | (v.bits << off),
-        u.known | (v.known << off),
-        u.length + v.length - l,
-    )
+    return TritString(*s)
 
 
 def fold_cyclic(u: TritString, l: int) -> TritString:
@@ -209,13 +204,29 @@ def fold_cyclic(u: TritString, l: int) -> TritString:
     period = u.length - l
     if l > period:
         raise MergeError(f"fold overlap {l} exceeds period {period}")
-    m = _mask(l)
-    tail_bits = u.bits >> period
-    tail_known = u.known >> period
-    if (tail_bits ^ (u.bits & m)) & tail_known & u.known & m:
+    s = _fold((u.bits, u.known, u.length), l)
+    if s is None:
         raise MergeError(f"cyclic closure is not {l}-compatible")
-    return TritString(
-        (u.bits & _mask(period)) | tail_bits,
-        (u.known & _mask(period)) | tail_known,
-        period,
-    )
+    return TritString(*s)
+
+
+def _overlay(u: tuple[int, int, int], v: tuple[int, int, int], l: int):
+    """Raw kernel on (bits, known, length) triples: ``v`` laid over the
+    l-suffix of ``u``, or None where they clash.  No range checks."""
+    (ub, uk, ul), (vb, vk, vl) = u, v
+    off = ul - l
+    if ((ub >> off) ^ vb) & (uk >> off) & vk & _mask(l):
+        return None
+    return ub | (vb << off), uk | (vk << off), off + vl
+
+
+def _fold(u: tuple[int, int, int], l: int):
+    """Raw kernel: ``u`` closed onto itself, its l-suffix laid over its
+    l-prefix, leaving one period; None where they clash.  No range checks."""
+    ub, uk, ul = u
+    period = ul - l
+    tb, tk = ub >> period, uk >> period
+    if (tb ^ ub) & tk & uk & _mask(l):
+        return None
+    head = _mask(period)
+    return (ub & head) | tb, (uk & head) | tk, period

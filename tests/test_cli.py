@@ -1,8 +1,12 @@
+import contextlib
 import csv
+import io
 import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ssesim.cli import main, parse_grid
 
@@ -22,7 +26,11 @@ def test_parse_grid():
     assert parse_grid("1:1:0.5") == [1.0]
 
 
-@pytest.mark.parametrize("bad", ["1:2", "a:b:c", "1:2:0", "1:2:-1", "2:1:0.5", ""])
+@pytest.mark.parametrize(
+    "bad",
+    ["1:2", "a:b:c", "1:2:0", "1:2:-1", "2:1:0.5", "", "0:inf:1", "nan:1:1",
+     "0:1:nan", "0:1e7:1", "-1e308:1e308:1"],
+)
 def test_parse_grid_rejects(bad):
     import argparse
 
@@ -196,3 +204,139 @@ def test_gtau_table(capsys):
     assert len(rows) == 7  # sizes 0..L
     assert math.isclose(sum(float(r["expected_count"]) for r in rows), 10.0)
     assert float(rows[3]["tau"]) == 3 / math.log2(64)
+
+
+# A small grammar of argument vectors.  Sizes stay at desk scale (n <= 256,
+# trials <= 2, reads <= 5, codebook <= 8, threads <= 4); numbers include the
+# non-finite, negative and malformed values a user can type.
+_SPECIAL = st.sampled_from(
+    ["nan", "inf", "-inf", "-0.0", "-1", "1.5", "1e308", "x", ""]
+)
+
+
+def _rarely(special, usual):
+    """``special`` one time in sixteen, else ``usual``."""
+    return st.integers(0, 15).flatmap(lambda k: special if k == 0 else usual)
+
+
+def _num(lo, hi):
+    return _rarely(_SPECIAL, st.floats(lo, hi).map(repr))
+
+
+def _int(lo, hi):
+    return _rarely(st.sampled_from(["1.5", "x", "-1"]), st.integers(lo, hi).map(str))
+
+
+def _flags(pairs):
+    """Concatenate (flag, value) pairs, each drawn or left out."""
+    drawn = [st.one_of(st.just(()), v.map(lambda x, f=f: (f, x))) for f, v in pairs]
+    return st.tuples(*drawn)
+
+
+def _geometry(n_hi, length_hi, reads_hi):
+    return st.tuples(
+        _int(1, n_hi).map(lambda v: ("--n", v)),
+        _num(0.0, 1.0).map(lambda v: ("--delta", v)),
+        st.one_of(
+            _int(1, length_hi).map(lambda v: ("--length", v)),
+            _num(0.0, 8.0).map(lambda v: ("--lbar", v)),
+        ),
+        st.one_of(
+            _int(1, reads_hi).map(lambda v: ("--reads", v)),
+            _num(0.0, 3.0).map(lambda v: ("--coverage", v)),
+        ),
+    )
+
+
+_GRID = st.one_of(
+    _num(-2.0, 6.0),
+    st.tuples(
+        _num(-2.0, 6.0),
+        _num(-2.0, 6.0),
+        st.sampled_from(["0.5", "1", "2.5", "1e-9", "0", "-1", "nan", "inf"]),
+    ).map(":".join),
+)
+
+_ARGV = st.one_of(
+    st.tuples(
+        st.just(("rate-curve",)),
+        _GRID.map(lambda g: ("--c-grid", g)),
+        _num(0.0, 4.0).map(lambda v: ("--lbar", v)),
+        st.lists(_num(0.0, 1.0).map(lambda v: ("--delta", v)), max_size=2).map(
+            lambda ds: sum(ds, ())
+        ),
+    ),
+    st.tuples(
+        st.just(("simulate",)),
+        _geometry(256, 64, 5),
+        _int(0, 2**32).map(lambda v: ("--seed", v)),
+        _flags([("--view", st.sampled_from(["full", "decoder", "x"]))]),
+    ),
+    st.tuples(
+        st.just(("concentration",)),
+        _geometry(256, 64, 5),
+        _int(1, 2).map(lambda v: ("--trials", v)),
+        _int(0, 2**32).map(lambda v: ("--seed", v)),
+        _flags(
+            [
+                ("--mz-tau", _num(0.0, 1.5)),
+                ("--mz-per-trial", _int(1, 3)),
+                ("--threads", _int(1, 4)),
+                ("--format", st.sampled_from(["json", "csv", "x"])),
+            ]
+        ),
+    ),
+    st.tuples(
+        st.just(("decode-demo",)),
+        _int(1, 256).map(lambda v: ("--n", v)),
+        _int(1, 8).map(lambda v: ("--length", v)),
+        _int(1, 5).map(lambda v: ("--reads", v)),
+        _num(0.0, 1.0).map(lambda v: ("--delta", v)),
+        _int(1, 8).map(lambda v: ("--codebook-size", v)),
+        _int(0, 2**32).map(lambda v: ("--seed", v)),
+        _flags(
+            [
+                ("--epsilon", _num(0.0, 4.0)),
+                ("--omega-mode", st.sampled_from(["typical-only", "all-tuples", "x"])),
+            ]
+        ),
+    ),
+    st.tuples(st.just(("gtau-table",)), _geometry(256, 256, 5)),
+)
+
+
+def _flatten(parts):
+    out = []
+    for part in parts:
+        if isinstance(part, tuple):
+            out.extend(_flatten(part))
+        else:
+            out.append(part)
+    return out
+
+
+_C = ("--n", "64", "--delta", "0.1", "--length", "8")
+_L = ("--n", "64", "--delta", "0.1", "--reads", "4")
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_ARGV.map(_flatten))
+@example(["simulate", *_C, "--coverage", "nan", "--seed", "1"])
+@example(["simulate", *_C, "--coverage", "inf", "--seed", "1"])
+@example(["simulate", *_L, "--lbar", "nan", "--seed", "1"])
+@example(["concentration", *_C, "--coverage", "nan", "--trials", "1", "--seed", "1"])
+@example(["concentration", *_C, "--coverage", "inf", "--trials", "1", "--seed", "1"])
+@example(["concentration", *_L, "--lbar", "nan", "--trials", "1", "--seed", "1"])
+@example(["concentration", *_C, "--reads", "4", "--trials", "1", "--seed", "1",
+          "--mz-tau", "nan"])
+@example(["gtau-table", *_C, "--coverage", "nan"])
+@example(["gtau-table", *_C, "--coverage", "inf"])
+@example(["gtau-table", *_L, "--lbar", "nan"])
+@example(["gtau-table", "--n", "1", "--length", "1", "--reads", "1", "--delta", "0.1"])
+@example(["rate-curve", "--c-grid", "0:inf:1", "--lbar", "2"])
+def test_no_input_ends_in_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 64), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -32,10 +32,6 @@ def test_config_validation():
     with pytest.raises(DomainError):
         DecoderConfig(epsilon=-1.0)
     with pytest.raises(DomainError):
-        DecoderConfig(max_reads=0)
-    with pytest.raises(DomainError):
-        DecoderConfig(max_reads=9)
-    with pytest.raises(DomainError):
         DecoderConfig(omega_mode="sometimes")
 
 
@@ -97,11 +93,6 @@ def test_read_count_guards():
     p9 = ChannelParams(n=16, L=2, K=9, delta=0.0)
     with pytest.raises(SearchSpaceError):
         typicality_decode(codebook, ts(*["01"] * 9), p9)
-    p5 = ChannelParams(n=16, L=2, K=5, delta=0.0)
-    with pytest.raises(SearchSpaceError):
-        typicality_decode(
-            codebook, ts(*["01"] * 5), p5, DecoderConfig(max_reads=4)
-        )
     with pytest.raises(DomainError):
         typicality_decode(codebook, [], ChannelParams(n=16, L=2, K=1, delta=0.0))
     with pytest.raises(DomainError):
@@ -112,15 +103,42 @@ def test_read_count_guards():
         oracle_decode(codebook, ["01"])  # plain strings are not reads
 
 
-def test_linear_matching_mode():
+def test_matching_wraps_the_cycle():
     codebook = ts("0001")
     reads = ts("10")  # present only across the wrap of 0001
     p = ChannelParams(n=4, L=2, K=1, delta=0.0)
     assert typicality_decode(codebook, reads, p).message == 0
-    linear = typicality_decode(codebook, reads, p, DecoderConfig(cyclic=False))
-    assert linear.message is None
-    assert linear.candidate_codewords == ()
-    assert oracle_decode(codebook, reads, cyclic=False) == ()
+    assert oracle_decode(codebook, reads) == (0,)
+
+
+@pytest.mark.parametrize(
+    "decode",
+    [
+        # codewords shorter than n
+        lambda: typicality_decode(
+            ts("0110", "1111"), ts("01", "11", "10"), ChannelParams(16, 2, 3, 0.0)
+        ),
+        # reads shorter than L
+        lambda: typicality_decode(
+            ts("0110", "1111"), ts("01", "11"), ChannelParams(4, 4, 2, 0.0)
+        ),
+        # one codeword of the wrong length
+        lambda: typicality_decode(
+            ts("01101001", "0110"), ts("0110", "1001"), ChannelParams(8, 4, 2, 0.0)
+        ),
+        # one read of the wrong length
+        lambda: typicality_decode(
+            ts("01101001"), ts("0110", "100"), ChannelParams(8, 4, 2, 0.0)
+        ),
+        # the oracle: a read longer than a codeword
+        lambda: oracle_decode(ts("0110", "1111"), ts("01101")),
+    ],
+    ids=["short-codewords", "short-reads", "one-short-codeword", "one-short-read",
+         "oracle-long-read"],
+)
+def test_lengths_must_match(decode):
+    with pytest.raises(DomainError):
+        decode()
 
 
 def _toy_instance(seed, delta):
@@ -141,6 +159,37 @@ def test_matches_oracle_with_filters_off():
         assert w in oracle
         if result.message is not None:
             assert result.message == w
+
+
+def _naive_holds(island: str, word: str) -> bool:
+    """``island`` sits compatibly in some cyclic window of ``word``."""
+    if len(island) > len(word):
+        return False
+    hay = word + word
+    return any(
+        all(a == "*" or b == "*" or a == b for a, b in zip(island, hay[p:]))
+        for p in range(len(word))
+    )
+
+
+@pytest.mark.parametrize("omega_mode", ["typical-only", "all-tuples"])
+@pytest.mark.parametrize("epsilon", [0.5, 2.0])
+def test_finite_epsilon_candidates_hold_a_candidate_island_set(epsilon, omega_mode):
+    config = DecoderConfig(epsilon=epsilon, omega_mode=omega_mode)
+    for seed in range(12):
+        p, codebook, w, out = _toy_instance(seed, 0.1)
+        result = typicality_decode(codebook, out.reads, p, config)
+        words = [x.text for x in codebook]
+        islands = {t for texts in result.candidate_islands for t in texts}
+        holds = {
+            (t, v): _naive_holds(t, x) for t in islands for v, x in enumerate(words)
+        }
+        expected = {
+            v
+            for v in range(len(words))
+            if any(all(holds[t, v] for t in texts) for texts in result.candidate_islands)
+        }
+        assert set(result.candidate_codewords) == expected, seed
 
 
 def test_true_islands_among_candidates():

@@ -46,6 +46,15 @@ def test_coverage_identity_with_true_islands():
         assert islands.visible_symbols / p.n == rep.phi_v
 
 
+def test_coverage_phi_matches_window_gather():
+    # Small n makes tied starts and windows across the wrap common.
+    for seed in range(12):
+        p = ChannelParams(n=20, L=6, K=(1, 3, 9, 30)[seed % 4], delta=0.3)
+        out = transmit_codeword(random_codeword(p.n, seed), p, seed)
+        covered = {(s - 1 + j) % p.n for s in out.truth.starts for j in range(p.L)}
+        assert coverage(out).phi == len(covered) / p.n
+
+
 def test_forward_distances():
     d = forward_successor_distances(np.array([0, 3, 4]), 10)
     assert list(d) == [3, 1, 6]
