@@ -39,6 +39,22 @@ GOLDEN = {
         "5b6fa5c2f9fe007316e7db573cf8242ebafae2e3f0ad814d5285f9f773be5f0e",
     "gtau-table --n 1024 --lbar 2 --coverage 2 --delta 0.2":
         "5db3b014b8ad7f126c96889c56bc5528f80d17b0637a5eaf6445a9e917c6e1c3",
+    # Sizes the trial kernel works on in blocks: K*L = 1,088,000 read
+    # symbols for simulate and about 4.2M per concentration trial, so the
+    # erasure draw spans several blocks; the concentration runs also probe
+    # at two suffix sizes.
+    "simulate --n 8192 --length 64 --reads 17000 --delta 0.25 --seed 5 --view full":
+        "55d2fee60a6bffe718b4bcb43b08ece9ce738ffeb391582c384d17314c6bd808",
+    "concentration --n 2097152 --lbar 2 --coverage 2 --delta 0.2 --mz-tau 0.5"
+    " --mz-tau 0.85 --trials 2 --seed 11":
+        "fcebfd4e3b394ce0830777dbf857f0a7cf194ac5741db6a31326461120a25ef2",
+    "concentration --n 2097152 --lbar 2 --coverage 2 --delta 0.2 --mz-tau 0.5"
+    " --mz-tau 0.85 --trials 2 --seed 11 --format csv":
+        "9a5a7e21c2d406f544befffbe60393f7f3bab783ed942ce52b51488d7f203655",
+    # Windows of length 60 on a ring of 64 wrap almost the whole codeword.
+    "concentration --n 64 --length 60 --reads 5 --delta 0.3 --mz-tau 0.5"
+    " --trials 3 --seed 4":
+        "68ba51421fef87901fc3336139a3d03b830d667894ee014bf367785e72b2e2b6",
 }
 
 
