@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .tritstring import TritString
@@ -54,6 +55,12 @@ STAGE_TRIAL = 4
 STAGE_MZ = 5
 
 DEFAULT_CODEBOOK_CAP = 4096
+
+# Largest codeword length n, read-symbol count K*L or codebook size count*n
+# the channel builds arrays for; n = 1e8 at coverage 2 needs 2e8.
+_MAX_SYMBOLS = 2**30
+# Uniform floats per erasure draw; the mask is filled in blocks of whole rows.
+_ERASURE_BLOCK = 2**16
 
 
 def child_seed(seed, *path: int) -> np.random.SeedSequence:
@@ -198,12 +205,16 @@ class ChannelOutput:
 
     @property
     def pre_erasure_values(self) -> np.ndarray:
-        """(K, L) symbol array as it left the sampler, before erasures."""
+        """(K, L) symbol array as it left the sampler, before erasures.
+
+        A new gather of the codeword's windows on each access; the channel
+        keeps no copy of it.
+        """
         if self.truth is None:
             raise ValueError("pre-erasure reads need the truth record")
-        x_arr = _to_array(self.truth.codeword)
+        ext = _cyclic_extension(self.truth.codeword, self.params.L)
         starts0 = np.asarray(self.truth.starts, dtype=np.int64) - 1
-        clean = _gather_reads(x_arr, starts0, self.params.L, self.params.n)
+        clean = _gather_reads(ext, starts0, self.params.L)
         clean.setflags(write=False)
         return clean
 
@@ -280,10 +291,16 @@ def _pack_row(values: np.ndarray, known: np.ndarray) -> TritString:
     return TritString(_bits_from_array(vals), _bits_from_array(known), len(values))
 
 
+def _check_symbols(count: int, what: str) -> None:
+    if count > _MAX_SYMBOLS:
+        raise DomainError(f"{what} = {count} exceeds the limit of {_MAX_SYMBOLS} symbols")
+
+
 def random_codeword(n: int, seed) -> TritString:
     """Uniform binary codeword of length n."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
+    _check_symbols(n, "n")
     bits = stage_rng(seed, STAGE_CODEBOOK).integers(0, 2, size=n, dtype=np.uint8)
     return _pack_row(bits, np.ones(n, dtype=bool))
 
@@ -318,6 +335,7 @@ def random_codebook(
         raise DomainError(f"n must be >= 1, got {n}")
     if not 1 <= count <= cap:
         raise DomainError(f"codebook size {count} outside [1, {cap}]")
+    _check_symbols(count * n, "codebook size times n")
     rng = stage_rng(seed, STAGE_CODEBOOK)
     rows = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
     ones = np.ones(n, dtype=bool)
@@ -335,14 +353,34 @@ def cyclic_gaps(sorted_starts: np.ndarray, n: int) -> np.ndarray:
     return np.diff(sorted_starts, append=sorted_starts[0] + n)
 
 
-def _gather_reads(x_arr: np.ndarray, starts0: np.ndarray, L: int, n: int) -> np.ndarray:
-    idx = (starts0[:, None] + np.arange(L)[None, :]) % n
-    return x_arr[idx]
+def _cyclic_extension(x: TritString, L: int) -> np.ndarray:
+    """The symbols of ``x`` followed by its first L - 1, so that every cyclic
+    window of length L is a slice: ring position (p + j) mod n is index
+    p + j of this array for 0 <= p < n, 0 <= j < L."""
+    x_arr = _to_array(x)
+    return np.concatenate((x_arr, x_arr[: L - 1]))
+
+
+def _gather_reads(ext: np.ndarray, starts0: np.ndarray, L: int) -> np.ndarray:
+    """(K, L) uint8 copy of the windows at 0-based ``starts0`` of the
+    cyclic extension ``ext``; it builds no index array."""
+    return sliding_window_view(ext, L)[starts0]
 
 
 def _erasure_mask(params: ChannelParams, seed) -> np.ndarray:
+    """(K, L) bool mask of unerased symbols, ``random >= delta``.
+
+    The uniforms are drawn in blocks of whole rows.  The generator fills
+    arrays in row-major order, so the mask equals the one from a single
+    ``random((K, L))`` draw.
+    """
     rng = stage_rng(seed, STAGE_ERASURES)
-    return rng.random((params.K, params.L)) >= float(params.delta)
+    known = np.empty((params.K, params.L), dtype=bool)
+    rows = max(1, _ERASURE_BLOCK // params.L)
+    for i in range(0, params.K, rows):
+        block = known[i : i + rows]
+        np.greater_equal(rng.random(block.shape), float(params.delta), out=block)
+    return known
 
 
 def transmit_codeword(
@@ -357,11 +395,11 @@ def transmit_codeword(
         raise DomainError(f"codeword length {x.length} != n={params.n}")
     if x.size != params.n:
         raise DomainError("channel input must be a fully visible binary string")
-    x_arr = _to_array(x)
+    _check_symbols(params.K * params.L, "K * L")
     starts0 = _sample_starts(params, seed)
-    clean = _gather_reads(x_arr, starts0, params.L, params.n)
+    values = _gather_reads(_cyclic_extension(x, params.L), starts0, params.L)
     known = _erasure_mask(params, seed)
-    values = np.where(known, clean, 0).astype(np.uint8)
+    values &= known  # symbols are 0/1, so this zeroes the erased ones
     truth = Truth(message=message, codeword=x, starts=(starts0 + 1).astype(np.int64))
     return ChannelOutput(params=params, values=values, known=known, truth=truth)
 

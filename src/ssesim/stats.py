@@ -35,6 +35,7 @@ from .channel import (
     STAGE_TRIAL,
     ChannelOutput,
     ChannelParams,
+    _cyclic_extension,
     _round_finite,
     child_seed,
     cyclic_gaps,
@@ -97,10 +98,13 @@ def coverage(output: ChannelOutput) -> CoverageReport:
     # Each read covers the positions up to the next start, at most L of them.
     gaps = cyclic_gaps(np.sort(starts0), n)
     phi = int(np.minimum(gaps, L).sum()) / n
-    idx = (starts0[:, None] + np.arange(L)[None, :]) % n
-    visible = np.zeros(n, dtype=bool)
-    visible[idx[output.known]] = True
-    return CoverageReport(phi=phi, phi_v=float(visible.mean()))
+    # Mark unerased symbols one read column at a time on the unrolled ring,
+    # then fold the overhang past n back onto its start.
+    visible = np.zeros(n + L - 1, dtype=bool)
+    for j in range(L):
+        visible[starts0[output.known[:, j]] + j] = True
+    visible[: L - 1] |= visible[n:]
+    return CoverageReport(phi=phi, phi_v=int(np.count_nonzero(visible[:n])) / n)
 
 
 def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:
@@ -148,12 +152,11 @@ class SuffixSizeHistogram:
 def _suffix_sizes(output: ChannelOutput) -> np.ndarray:
     n, L = output.params.n, output.params.L
     dist = forward_successor_distances(output.truth.starts - 1, n)
-    overlaps = np.maximum(0, L - dist).astype(np.int64)
-    # revcum[i, j] = unerased count in the last (j+1) symbols of read i
-    revcum = np.cumsum(output.known[:, ::-1].astype(np.int64), axis=1)
-    col = np.clip(overlaps - 1, 0, None)[:, None]
-    sizes = np.take_along_axis(revcum, col, axis=1).ravel()
-    return np.where(overlaps > 0, sizes, 0)
+    overlaps = np.maximum(0, L - dist)
+    # Unerased symbols among the last ``overlap`` of each read.
+    tail = np.arange(L)[None, :] >= (L - overlaps)[:, None]
+    tail &= output.known
+    return np.count_nonzero(tail, axis=1)
 
 
 def suffix_size_histogram(output: ChannelOutput) -> SuffixSizeHistogram:
@@ -546,13 +549,16 @@ def _probe_z(
     )
 
 
-def _count_matches(clean_values, zv, zk) -> int:
+def _count_matches(ext: np.ndarray, starts0: np.ndarray, zv, zk) -> int:
     """Reads whose true window agrees with the probe's visible symbols.
 
-    Matching is against the pre-erasure windows: each read at an
-    independent start agrees with probability exactly 2**-size."""
-    conflict = (clean_values != zv[None, :]) & zk[None, :]
-    return int(np.count_nonzero(~conflict.any(axis=1)))
+    Matching is against the pre-erasure windows, read column by column from
+    the codeword's cyclic extension ``ext``: each read at an independent
+    start agrees with probability exactly 2**-size."""
+    agree = np.ones(len(starts0), dtype=bool)
+    for j in np.flatnonzero(zk):
+        agree &= ext[starts0 + j] == zv[j]
+    return int(np.count_nonzero(agree))
 
 
 def _run_trial(params: ChannelParams, seed: int, t: int, mz_sizes, mz_per_trial: int):
@@ -565,12 +571,13 @@ def _run_trial(params: ChannelParams, seed: int, t: int, mz_sizes, mz_per_trial:
     rng = stage_rng(trial, STAGE_MZ)
     mz_counts = []
     if mz_sizes:
-        clean = out.pre_erasure_values
+        ext = _cyclic_extension(x, params.L)
+        starts0 = out.truth.starts - 1
         for s in mz_sizes:
             counts = []
             for _ in range(mz_per_trial):
                 zv, zk = _probe_z(rng, out.values, out.known, s)
-                counts.append(_count_matches(clean, zv, zk))
+                counts.append(_count_matches(ext, starts0, zv, zk))
             mz_counts.append(tuple(counts))
     return islands, rep.phi, rep.phi_v, hist.counts, mz_counts
 

@@ -204,6 +204,10 @@ def test_gtau_table(capsys):
     assert len(rows) == 7  # sizes 0..L
     assert math.isclose(sum(float(r["expected_count"]) for r in rows), 10.0)
     assert float(rows[3]["tau"]) == 3 / math.log2(64)
+    # The table is formula-only, so K past the channel's symbol limit is fine.
+    code, out, _ = run(capsys, *argv[:-2], "--coverage", "1e12")
+    assert code == 0
+    assert len(out.splitlines()) == 8
 
 
 # A small grammar of argument vectors.  Sizes stay at desk scale (n <= 256,
@@ -334,6 +338,13 @@ _L = ("--n", "64", "--delta", "0.1", "--reads", "4")
 @example(["gtau-table", *_L, "--lbar", "nan"])
 @example(["gtau-table", "--n", "1", "--length", "1", "--reads", "1", "--delta", "0.1"])
 @example(["rate-curve", "--c-grid", "0:inf:1", "--lbar", "2"])
+# Sizes past the channel's symbol limit are refused before any allocation.
+@example(["simulate", *_C, "--reads", "100000000000", "--seed", "1"])
+@example(["simulate", "--n", "100000000000", "--length", "8", "--reads", "1",
+          "--delta", "0.1", "--seed", "1"])
+@example(["concentration", *_C, "--coverage", "1e12", "--trials", "1", "--seed", "1"])
+@example(["decode-demo", "--n", "100000000000", "--length", "8", "--reads", "3",
+          "--delta", "0.1", "--codebook-size", "2", "--seed", "1"])
 def test_no_input_ends_in_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,0 +1,135 @@
+"""The concentration trial's kernels against the whole-array formulas they
+replace, and the trial's memory bound.
+
+The references below build the (K, L) int64 window index, scatter
+``idx[known]`` and take a reversed ``cumsum``: the direct forms of the
+statistics, kept here only as the check.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from ssesim.channel import (
+    STAGE_ERASURES,
+    ChannelParams,
+    _cyclic_extension,
+    _erasure_mask,
+    _ERASURE_BLOCK,
+    _to_array,
+    random_codeword,
+    stage_rng,
+    transmit_codeword,
+)
+from ssesim.stats import (
+    _count_matches,
+    _run_trial,
+    _suffix_sizes,
+    coverage,
+    forward_successor_distances,
+)
+
+# (n, L, K, delta): tied starts and windows across the wrap are common at
+# these sizes; L = n, L = 1, K = 1 and delta at 0 and 1 are edge cases.
+CASES = [
+    (1, 1, 3, 0.5),
+    (2, 2, 5, 0.5),
+    (10, 10, 4, 0.3),
+    (10, 1, 7, 0.5),
+    (16, 5, 1, 0.2),
+    (20, 6, 30, 0.0),
+    (20, 6, 30, 1.0),
+    (50, 9, 40, 0.25),
+    (64, 60, 5, 0.3),
+]
+
+
+def _window_index(starts0, L, n):
+    return (starts0[:, None] + np.arange(L)[None, :]) % n
+
+
+def _reference_phi_v(out):
+    n, L = out.params.n, out.params.L
+    idx = _window_index(out.truth.starts - 1, L, n)
+    visible = np.zeros(n, dtype=bool)
+    visible[idx[out.known]] = True
+    return float(visible.mean())
+
+
+def _reference_suffix_sizes(out, distances):
+    L = out.params.L
+    overlaps = np.maximum(0, L - distances)
+    revcum = np.cumsum(out.known[:, ::-1].astype(np.int64), axis=1)
+    col = np.clip(overlaps - 1, 0, None)[:, None]
+    sizes = np.take_along_axis(revcum, col, axis=1).ravel()
+    return np.where(overlaps > 0, sizes, 0)
+
+
+def _reference_matches(clean, zv, zk):
+    conflict = (clean != zv[None, :]) & zk[None, :]
+    return int(np.count_nonzero(~conflict.any(axis=1)))
+
+
+@pytest.mark.parametrize("n,L,K,delta", CASES)
+def test_kernels_match_whole_array_formulas(n, L, K, delta):
+    for seed in range(6):
+        p = ChannelParams(n=n, L=L, K=K, delta=delta)
+        x = random_codeword(n, seed)
+        out = transmit_codeword(x, p, seed)
+        starts0 = out.truth.starts - 1
+        clean = _to_array(x)[_window_index(starts0, L, n)]
+        assert np.array_equal(out.pre_erasure_values, clean)
+        assert np.array_equal(out.values, np.where(out.known, clean, 0))
+        assert out.values.dtype == np.uint8
+
+        assert coverage(out).phi_v == _reference_phi_v(out)
+        dist = forward_successor_distances(starts0, n)
+        assert np.array_equal(_suffix_sizes(out), _reference_suffix_sizes(out, dist))
+
+        ext = _cyclic_extension(x, L)
+        rng = np.random.default_rng(seed)
+        probes = [np.zeros(L, dtype=bool), np.ones(L, dtype=bool)]
+        probes += [rng.random(L) < 0.5 for _ in range(4)]
+        for zk in probes:
+            zv = np.where(zk, rng.integers(0, 2, L), 0).astype(np.uint8)
+            assert _count_matches(ext, starts0, zv, zk) == _reference_matches(
+                clean, zv, zk
+            )
+
+
+@pytest.mark.parametrize(
+    "K,L",
+    [(5000, 47), (3 * _ERASURE_BLOCK // 40 + 7, 40), (2, _ERASURE_BLOCK + 3), (1, 3)],
+)
+def test_blocked_erasure_draw_equals_one_draw(K, L):
+    p = ChannelParams(n=max(L, 64), L=L, K=K, delta=0.3)
+    single = stage_rng(11, STAGE_ERASURES).random((K, L)) >= 0.3
+    assert np.array_equal(_erasure_mask(p, 11), single)
+
+
+def test_trial_memory_is_a_few_bytes_per_symbol():
+    """One trial at n = 2^20 (L = 40, K = 52,429) peaks at most at
+    4 bytes per read symbol plus 8 per codeword position.
+
+    The bound comes from what a trial has to hold.  The reads' ``values``
+    and ``known`` take 1 byte per read symbol each, and computing suffix
+    sizes adds one more 1-byte (K, L) mask: 3 K L.  Everything else is per
+    position or per read: the codeword as bytes, its cyclic extension and
+    the phi_v line (about 1 byte per position each), a fixed 512 KB block
+    of erasure uniforms, and a few int64 arrays of length K (starts, sort
+    order, gaps, distances) at 8 c / L = 0.4 bytes per position each.  So
+    4 K L + 8 n leaves a margin of K L plus about 4 n.  An int64 window
+    index or a float64 erasure draw over all K L symbols costs 8 bytes per
+    symbol alone and breaks it.  tracemalloc sees numpy's allocations, so
+    the peak is a count of bytes, not a timing.
+    """
+    p = ChannelParams.resolve(2**20, 0.2, lbar=2, c=2)
+    _run_trial(p, 7, 0, [10, 17], 2)  # first-call caches out of the count
+    tracemalloc.start()
+    try:
+        _run_trial(p, 7, 0, [10, 17], 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * p.K * p.L + 8 * p.n
