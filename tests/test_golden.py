@@ -55,6 +55,18 @@ GOLDEN = {
     "concentration --n 64 --length 60 --reads 5 --delta 0.3 --mz-tau 0.5"
     " --trials 3 --seed 4":
         "68ba51421fef87901fc3336139a3d03b830d667894ee014bf367785e72b2e2b6",
+    # Codeword matching on large codebooks: the decode-bigbook geometry
+    # (1024 codewords of length 32), then n and codebook size that are not
+    # multiples of 8, where 48 codewords hold every read.
+    "decode-demo --n 32 --length 8 --reads 4 --delta 0.1 --codebook-size 1024"
+    " --seed 17":
+        "20553cf343763918823a9c92e4880a21dddeb36c066961afb11148aad435963b",
+    "decode-demo --n 30 --length 7 --reads 5 --delta 0.2 --codebook-size 1000"
+    " --seed 3":
+        "ef7b632697ef940bc81500dd37aa8874140258b2b96ef2b7ba347f507fcabd51",
+    "decode-demo --n 30 --length 7 --reads 5 --delta 0.2 --codebook-size 1000"
+    " --seed 3 --epsilon 2":
+        "00b3d72e135b2b048d6191d296ea785a25cdba09a2c52fab6d7ec6e960b4351e",
 }
 
 
