@@ -291,6 +291,19 @@ def _pack_row(values: np.ndarray, known: np.ndarray) -> TritString:
     return TritString(_bits_from_array(vals), _bits_from_array(known), len(values))
 
 
+def _uniform_binary(
+    rng: np.random.Generator, count: int, n: int
+) -> tuple[TritString, ...]:
+    """``count`` uniform fully visible strings of length n: one uint8 draw,
+    packed in one call and released before the strings are built."""
+    draw = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
+    packed = np.packbits(draw, axis=1, bitorder="little")
+    del draw
+    return tuple(
+        TritString.binary(int.from_bytes(row.tobytes(), "little"), n) for row in packed
+    )
+
+
 def _check_symbols(count: int, what: str) -> None:
     if count > _MAX_SYMBOLS:
         raise DomainError(f"{what} = {count} exceeds the limit of {_MAX_SYMBOLS} symbols")
@@ -301,8 +314,7 @@ def random_codeword(n: int, seed) -> TritString:
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     _check_symbols(n, "n")
-    bits = stage_rng(seed, STAGE_CODEBOOK).integers(0, 2, size=n, dtype=np.uint8)
-    return _pack_row(bits, np.ones(n, dtype=bool))
+    return _uniform_binary(stage_rng(seed, STAGE_CODEBOOK), 1, n)[0]
 
 
 def generate_codebook(
@@ -336,10 +348,7 @@ def random_codebook(
     if not 1 <= count <= cap:
         raise DomainError(f"codebook size {count} outside [1, {cap}]")
     _check_symbols(count * n, "codebook size times n")
-    rng = stage_rng(seed, STAGE_CODEBOOK)
-    rows = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
-    ones = np.ones(n, dtype=bool)
-    return tuple(_pack_row(rows[i], ones) for i in range(count))
+    return _uniform_binary(stage_rng(seed, STAGE_CODEBOOK), count, n)
 
 
 def _sample_starts(params: ChannelParams, seed) -> np.ndarray:

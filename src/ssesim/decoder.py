@@ -30,13 +30,17 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
+import numpy as np
+
 from .channel import ChannelParams, Read
 from .errors import DomainError
 from .stats import typicality_thresholds
 from .tritstring import (
     TritString,
     _fold,
+    _mask,
     _overlay,
+    _shift_and,
     compatible_substring_positions,
     is_l_compatible,
 )
@@ -106,15 +110,53 @@ def _merge_options(u: TritString, v: TritString) -> tuple[tuple[int, int], ...]:
 def oracle_decode(codebook: Sequence[TritString], reads: Sequence) -> tuple[int, ...]:
     """Codebook indices whose codeword contains every read as a compatible
     cyclic substring.  The tightest test any decoder can apply per read
-    alone."""
+    alone.
+
+    Codewords of one length are tested together: codeword i, followed by
+    its first ``longest read - 1`` symbols, fills byte-aligned lane i of one
+    integer per bit-plane, and each read runs the shift-and kernel once
+    over all lanes still live.
+    """
     syms = [_symbols(r) for r in reads]
-    out = []
+    longest = max((s.length for s in syms), default=0)
+    groups: dict[int, list[int]] = {}
     for w, x in enumerate(codebook):
-        if any(len(s) > len(x) for s in syms):
+        if len(x) < longest:
             raise DomainError(f"a read is longer than codeword {w}")
-        if all(compatible_substring_positions(s, x, cyclic=True) for s in syms):
-            out.append(w)
-    return tuple(out)
+        groups.setdefault(len(x), []).append(w)
+    out = []
+    for n, ws in groups.items():
+        alive = _holds_every_read([codebook[w] for w in ws], n, longest, syms)
+        out += (w for w, a in zip(ws, alive) if a)
+    return tuple(sorted(out))
+
+
+def _holds_every_read(
+    words: list[TritString], n: int, longest: int, syms: list[TritString]
+) -> np.ndarray:
+    """Bool per codeword of length ``n``: it holds every read cyclically."""
+    extra = max(longest - 1, 0)
+    wrap = _mask(extra)
+    lane = (n + extra + 7) // 8  # bytes; no window leaves its lane
+
+    def plane(ints: list[int]) -> int:
+        return int.from_bytes(
+            b"".join((v | (v & wrap) << n).to_bytes(lane, "little") for v in ints),
+            "little",
+        )
+
+    hb = plane([x.bits for x in words])
+    hk = plane([x.known for x in words])
+    first = np.frombuffer(_mask(n).to_bytes(lane, "little"), dtype=np.uint8)
+    alive = np.ones(len(words), dtype=bool)
+    for s in syms:
+        starts = int.from_bytes((alive[:, None] * first).tobytes(), "little")
+        hits = _shift_and((s.bits, s.known, s.length), hb, hk, starts)
+        raw = hits.to_bytes(len(words) * lane, "little")
+        alive = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), lane).any(axis=1)
+        if not alive.any():
+            break
+    return alive
 
 
 def typicality_decode(

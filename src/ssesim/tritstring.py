@@ -4,7 +4,9 @@ A trit string is stored as two parallel bit-planes packed into Python
 integers: a value plane and a visibility mask.  Bit ``i`` of each plane
 describes position ``i`` (LSB first).  Erased positions carry a zero value
 bit, so compatibility tests and merges reduce to a handful of word-parallel
-integer operations regardless of string length.
+integer operations regardless of string length.  Substring matching tests
+every window start at once with a shift-and mask (Baeza-Yates & Gonnet,
+CACM 1992): one step per visible needle symbol, not one per shift.
 
 Text form uses ``'0'``, ``'1'`` and ``'*'`` (erased).
 """
@@ -147,22 +149,44 @@ def compatible_substring_positions(
     With ``cyclic=True`` windows wrap around the end of ``u`` and every
     start in [1, len(u)] is tried; otherwise only windows that fit.
     ``v`` is a compatible substring of ``u`` iff the result is non-empty.
+    All starts are tested together, at one step per visible symbol of ``v``.
     """
     if v.length > u.length:
         raise ValueError(f"needle longer than haystack: {v.length} > {u.length}")
-    m = _mask(v.length)
-    ub, uk = u.bits, u.known
+    hb, hk = u.bits, u.known
     if cyclic:
-        ub |= u.bits << u.length
-        uk |= u.known << u.length
+        hb |= u.bits << u.length
+        hk |= u.known << u.length
         limit = u.length
     else:
         limit = u.length - v.length + 1
-    hits = []
-    for p in range(limit):
-        if (((ub >> p) ^ v.bits) & (uk >> p) & v.known & m) == 0:
-            hits.append(p + 1)
-    return frozenset(hits)
+    hits = _shift_and((v.bits, v.known, v.length), hb, hk, _mask(limit))
+    out = []
+    while hits:
+        low = hits & -hits
+        out.append(low.bit_length())  # 0-based start p is bit p, so p + 1
+        hits ^= low
+    return frozenset(out)
+
+
+def _shift_and(v: tuple[int, int, int], hb: int, hk: int, starts: int) -> int:
+    """Raw shift-and kernel: the bits of ``starts`` (bit p = 0-based window
+    start p on the haystack planes ``hb``/``hk``) at which the needle triple
+    ``v`` sits compatibly.
+
+    Each visible needle symbol j clears the starts whose haystack symbol
+    p + j is visible and differs, and the walk stops once no start is left.
+    Bits past the haystack's end read as erased, so the caller sets only
+    starts whose windows fit.  No range checks.
+    """
+    vb, vk, vl = v
+    zeros = hk ^ hb  # visible haystack zeros; value bits lie inside hk
+    for j in range(vl):
+        if not starts:
+            break
+        if vk >> j & 1:
+            starts &= ~((zeros if vb >> j & 1 else hb) >> j)
+    return starts
 
 
 def merge(u: TritString, v: TritString, l: int) -> TritString:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ssesim.assembly import build_islands, true_islands, true_ordered_merge
@@ -139,6 +140,89 @@ def test_matching_wraps_the_cycle():
 def test_lengths_must_match(decode):
     with pytest.raises(DomainError):
         decode()
+
+
+def _oracle_by_shifts(codebook, reads):
+    """The oracle as a loop over codewords, reads and all n cyclic shifts,
+    kept as the reference for the whole-codebook shift-and pass."""
+    out = []
+    for w, x in enumerate(codebook):
+        if any(len(s) > len(x) for s in reads):
+            raise DomainError(f"a read is longer than codeword {w}")
+        hb, hk = x.bits | x.bits << x.length, x.known | x.known << x.length
+        if all(
+            any(
+                ((hb >> p) ^ s.bits) & (hk >> p) & s.known == 0
+                for p in range(x.length)
+            )
+            for s in reads
+        ):
+            out.append(w)
+    return tuple(out)
+
+
+def _random_trits(rng, length, delta):
+    values, erased = rng.integers(0, 2, length), rng.random(length) < delta
+    return TritString.from_text(
+        "".join("*" if e else str(v) for v, e in zip(values, erased))
+    )
+
+
+def _reads_from(rng, codebook, count, delta):
+    """Cyclic windows of random codewords at random lengths up to the
+    shortest codeword, erased at rate delta; every third has one symbol
+    flipped, so some codewords hold all reads and others lose partway."""
+    n = min(len(x) for x in codebook)
+    reads = []
+    for i in range(count):
+        x = codebook[rng.integers(len(codebook))].text
+        length, p = int(rng.integers(1, n + 1)), int(rng.integers(len(x)))
+        text = list((x + x)[p : p + length])
+        for j in range(length):
+            if rng.random() < delta:
+                text[j] = "*"
+        if i % 3 == 2:
+            j = int(rng.integers(length))
+            text[j] = {"0": "1", "1": "0", "*": "*"}[text[j]]
+        reads.append(TritString.from_text("".join(text)))
+    return reads
+
+
+@pytest.mark.parametrize("size", [1, 7, 9, 1000])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 30, 65])
+def test_oracle_matches_per_shift_loop(size, n):
+    rng = np.random.default_rng([size, n])
+    for trial in range(4):
+        # Trials 0 and 1 have fully visible codewords, 2 and 3 erased ones.
+        codebook = [_random_trits(rng, n, 0.3 * (trial >= 2)) for _ in range(size)]
+        reads = _reads_from(rng, codebook, int(rng.integers(1, 6)), 0.2)
+        cases = [
+            reads,
+            [],
+            reads + [TritString(0, 0, n)],  # all erased
+            reads[:1] + [TritString.from_text(codebook[-1].text[:1])],  # length 1
+            reads + [TritString.from_text(codebook[0].text)],  # length n
+        ]
+        for case in cases:
+            assert oracle_decode(codebook, case) == _oracle_by_shifts(codebook, case)
+
+
+def test_oracle_on_mixed_codeword_lengths():
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        codebook = [
+            _random_trits(rng, int(rng.choice([7, 8, 9, 30])), 0.2 * (trial % 2))
+            for _ in range(40)
+        ]
+        reads = _reads_from(rng, codebook, int(rng.integers(0, 5)), 0.3)
+        assert oracle_decode(codebook, reads) == _oracle_by_shifts(codebook, reads)
+        # A read longer than some codewords names the first of them.
+        long_read = _random_trits(rng, 9, 0.0)
+        with pytest.raises(DomainError) as got:
+            oracle_decode(codebook, reads + [long_read])
+        with pytest.raises(DomainError) as want:
+            _oracle_by_shifts(codebook, reads + [long_read])
+        assert str(got.value) == str(want.value)
 
 
 def _toy_instance(seed, delta):

@@ -133,3 +133,26 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * p.K * p.L + 8 * p.n
+
+
+def test_random_codeword_memory_is_bounded():
+    """tracemalloc peak of ``random_codeword(2**20)`` stays within 1.5 n
+    bytes plus 64 KiB.
+
+    The uint8 draw (n bytes) lives only until it is packed (n / 8), so the
+    peak is 1.125 n.  After that the packed rows, one row's bytes, the
+    value integer and the masks ``TritString`` builds and checks each take
+    n / 8 bytes, and no more than five of them are alive at once (0.625 n).
+    The 64 KiB cover interpreter and numpy bookkeeping.  A bool or
+    ``np.where`` copy of the draw (n bytes each), or the draw kept alive
+    while the integers are built, breaks the bound.
+    """
+    n = 2**20
+    random_codeword(1000, 3)  # first-call caches out of the count
+    tracemalloc.start()
+    try:
+        random_codeword(n, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * n + 64 * 1024
