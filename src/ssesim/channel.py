@@ -195,8 +195,10 @@ class ChannelOutput:
 
     @cached_property
     def _symbols(self) -> tuple[TritString, ...]:
+        # Masking with ``known`` zeroes any value at an erased position.
         return tuple(
-            _pack_row(self.values[i], self.known[i]) for i in range(self.params.K)
+            TritString(v & k, k, self.params.L)
+            for v, k in zip(_pack_rows(self.values), _pack_rows(self.known))
         )
 
     def decoder_view(self) -> tuple[TritString, ...]:
@@ -221,9 +223,10 @@ class ChannelOutput:
     @property
     def pre_erasure_reads(self) -> tuple[TritString, ...]:
         """Reads as they left the sampler, before the erasure stage."""
-        clean = self.pre_erasure_values
-        ones = np.ones(self.params.L, dtype=bool)
-        return tuple(_pack_row(clean[i], ones) for i in range(self.params.K))
+        return tuple(
+            TritString.binary(v, self.params.L)
+            for v in _pack_rows(self.pre_erasure_values)
+        )
 
     def to_json(self, include_truth: bool = True) -> str:
         doc: dict = {
@@ -248,47 +251,49 @@ class ChannelOutput:
         doc = json.loads(text)
         p = doc["params"]
         params = ChannelParams(n=p["n"], L=p["L"], K=p["K"], delta=p["delta"])
+        reads = doc["reads"]
+        if len(reads) != params.K:
+            raise ValueError(f"document has {len(reads)} reads, expected K={params.K}")
         values = np.zeros((params.K, params.L), dtype=np.uint8)
         known = np.zeros((params.K, params.L), dtype=bool)
-        for i, entry in enumerate(doc["reads"]):
+        for i, entry in enumerate(reads):
             sym = TritString.from_text(entry["symbols"])
             if sym.length != params.L:
                 raise ValueError(f"read {i} has length {sym.length}, expected {params.L}")
-            values[i] = _to_array(sym)
-            known[i] = _known_array(sym)
+            values[i] = _unpack(sym.bits, params.L)
+            known[i] = _unpack(sym.known, params.L)
         truth = None
         if "truth" in doc:
             t = doc["truth"]
-            truth = Truth(
-                message=t["w"],
-                codeword=TritString.from_text(t["x"]),
-                starts=np.asarray(t["starts"], dtype=np.int64),
-            )
+            codeword = TritString.from_text(t["x"])
+            if codeword.length != params.n:
+                raise ValueError(
+                    f"codeword has length {codeword.length}, expected n={params.n}"
+                )
+            starts = np.asarray(t["starts"], dtype=np.int64)
+            if starts.shape != (params.K,):
+                raise ValueError(f"truth needs K={params.K} starts, got {starts.size}")
+            if not np.all((starts >= 1) & (starts <= params.n)):
+                raise ValueError(f"starts must lie in [1, n={params.n}]")
+            truth = Truth(message=t["w"], codeword=codeword, starts=starts)
         return cls(params=params, values=values, known=known, truth=truth)
 
 
-def _to_array(u: TritString) -> np.ndarray:
-    raw = u.bits.to_bytes((u.length + 7) // 8 or 1, "little")
+def _unpack(plane: int, length: int) -> np.ndarray:
+    """The first ``length`` bits of ``plane``, LSB first, as a uint8 array."""
+    raw = plane.to_bytes((length + 7) // 8 or 1, "little")
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[
-        : u.length
+        :length
     ]
 
 
-def _known_array(u: TritString) -> np.ndarray:
-    raw = u.known.to_bytes((u.length + 7) // 8 or 1, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return bits[: u.length].astype(bool)
-
-
-def _bits_from_array(arr: np.ndarray) -> int:
-    packed = np.packbits(arr.astype(np.uint8), bitorder="little")
-    return int.from_bytes(packed.tobytes(), "little")
-
-
-def _pack_row(values: np.ndarray, known: np.ndarray) -> TritString:
-    known = known.astype(bool)
-    vals = np.where(known, values, 0)
-    return TritString(_bits_from_array(vals), _bits_from_array(known), len(values))
+def _pack_rows(rows: np.ndarray) -> list[int]:
+    """One integer bit-plane per row of a 2-D array, nonzero entries set."""
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    # Lets a temporary argument, such as a fresh draw, be freed before the
+    # integers are built.
+    del rows
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _uniform_binary(
@@ -296,12 +301,8 @@ def _uniform_binary(
 ) -> tuple[TritString, ...]:
     """``count`` uniform fully visible strings of length n: one uint8 draw,
     packed in one call and released before the strings are built."""
-    draw = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
-    packed = np.packbits(draw, axis=1, bitorder="little")
-    del draw
-    return tuple(
-        TritString.binary(int.from_bytes(row.tobytes(), "little"), n) for row in packed
-    )
+    planes = _pack_rows(rng.integers(0, 2, size=(count, n), dtype=np.uint8))
+    return tuple(TritString.binary(v, n) for v in planes)
 
 
 def _check_symbols(count: int, what: str) -> None:
@@ -317,36 +318,33 @@ def random_codeword(n: int, seed) -> TritString:
     return _uniform_binary(stage_rng(seed, STAGE_CODEBOOK), 1, n)[0]
 
 
-def generate_codebook(
-    n: int, rate: float, seed, *, cap: int = DEFAULT_CODEBOOK_CAP
-) -> tuple[TritString, ...]:
+def generate_codebook(n: int, rate: float, seed) -> tuple[TritString, ...]:
     """ceil(2**(n*rate)) i.i.d. uniform binary codewords.
 
-    Refuses sizes beyond ``cap``; this is a desk-scale tool.
+    Refuses sizes beyond ``DEFAULT_CODEBOOK_CAP``; this is a desk-scale tool.
     """
     if rate <= 0:
         raise DomainError(f"rate must be positive, got {rate}")
     exponent = n * rate
-    if exponent > math.log2(cap) + 1e-9:
+    if exponent > math.log2(DEFAULT_CODEBOOK_CAP) + 1e-9:
         raise DomainError(
-            f"codebook size 2**{exponent:.4g} exceeds the cap of {cap} codewords"
+            f"codebook size 2**{exponent:.4g} exceeds the cap of "
+            f"{DEFAULT_CODEBOOK_CAP} codewords"
         )
     if abs(exponent - round(exponent)) < 1e-9:
         count = 2 ** round(exponent)
     else:
         # Tolerate float fuzz from rates derived as log2(count) / n.
         count = math.ceil(2**exponent - 1e-9)
-    return random_codebook(n, count, seed, cap=cap)
+    return random_codebook(n, count, seed)
 
 
-def random_codebook(
-    n: int, count: int, seed, *, cap: int = DEFAULT_CODEBOOK_CAP
-) -> tuple[TritString, ...]:
+def random_codebook(n: int, count: int, seed) -> tuple[TritString, ...]:
     """``count`` i.i.d. uniform binary codewords; the explicit-size variant."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
-    if not 1 <= count <= cap:
-        raise DomainError(f"codebook size {count} outside [1, {cap}]")
+    if not 1 <= count <= DEFAULT_CODEBOOK_CAP:
+        raise DomainError(f"codebook size {count} outside [1, {DEFAULT_CODEBOOK_CAP}]")
     _check_symbols(count * n, "codebook size times n")
     return _uniform_binary(stage_rng(seed, STAGE_CODEBOOK), count, n)
 
@@ -366,7 +364,7 @@ def _cyclic_extension(x: TritString, L: int) -> np.ndarray:
     """The symbols of ``x`` followed by its first L - 1, so that every cyclic
     window of length L is a slice: ring position (p + j) mod n is index
     p + j of this array for 0 <= p < n, 0 <= j < L."""
-    x_arr = _to_array(x)
+    x_arr = _unpack(x.bits, x.length)
     return np.concatenate((x_arr, x_arr[: L - 1]))
 
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import stats as sps
@@ -141,6 +143,49 @@ def test_json_round_trip():
     view_only = ChannelOutput.from_json(out.to_json(include_truth=False))
     assert view_only.truth is None
     assert view_only.decoder_view() == out.decoder_view()
+
+
+def _drop_read(doc):
+    doc["reads"].pop()
+
+
+def _extra_read(doc):
+    doc["reads"].append(doc["reads"][0])
+
+
+def _short_codeword(doc):
+    doc["truth"]["x"] = doc["truth"]["x"][:-1]
+
+
+def _missing_start(doc):
+    doc["truth"]["starts"].pop()
+
+
+def _start_past_n(doc):
+    doc["truth"]["starts"][0] = doc["params"]["n"] + 1
+
+
+def _start_zero(doc):
+    doc["truth"]["starts"][0] = 0
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_read, _extra_read, _short_codeword, _missing_start, _start_past_n, _start_zero],
+)
+def test_from_json_rejects_inconsistent_documents(corrupt):
+    p = ChannelParams(n=40, L=6, K=5, delta=0.35)
+    doc = json.loads(transmit_codeword(random_codeword(p.n, 21), p, 21).to_json())
+    corrupt(doc)
+    with pytest.raises(ValueError):
+        ChannelOutput.from_json(json.dumps(doc))
+
+
+def test_decoder_view_zeroes_erased_values():
+    p = ChannelParams(n=8, L=4, K=2, delta=0.5)
+    known = np.array([[1, 0, 1, 0], [0, 0, 1, 1]], dtype=bool)
+    out = ChannelOutput(p, np.ones((2, 4), dtype=np.uint8), known)
+    assert [s.text for s in out.decoder_view()] == ["1*1*", "**11"]
 
 
 def test_output_arrays_read_only():

@@ -1,11 +1,14 @@
 import math
+import subprocess
+import sys
+from fractions import Fraction
 
 import pytest
+from mpmath import mp
 
 from ssesim.channel import ChannelParams
 from ssesim.errors import DomainError
 from ssesim.rates import (
-    SMALL_SEPARATION,
     CurveRow,
     candidate_growth_bound,
     coverage_depth,
@@ -46,10 +49,42 @@ def test_coverage_depth():
 
 
 def test_zero_erasure_collapses_to_plain_capacity():
-    for c in [0.25, 0.5, 1.0, 2.0, 3.5, 5.0]:
-        for lbar in [1.1, 1.5, 2.0, 3.0]:
+    # The erasure-free capacity 1 - e^{-c (1 - 1/lbar)} of Motahari, Bresler
+    # & Tse (IEEE Trans. IT 2013) and Ravi, Vahid & Shomorony (IEEE JSAIT
+    # 2022), written out here.
+    for c in [1e-6, 0.25, 0.5, 1.0, 2.0, 3.5, 5.0, 1e6]:
+        for lbar in [1 + 1e-9, 1.1, 1.5, 2.0, 3.0]:
+            plain = 1 - math.exp(-c * (1 - 1 / lbar))
+            assert math.isclose(ssc_capacity(c, lbar), plain, rel_tol=1e-15)
             assert abs(sse_rate_bound(c, lbar, 0.0) - ssc_capacity(c, lbar)) <= 1e-12
             assert ssc_short_rate(c, lbar, 0.0) == ssc_capacity(c, lbar)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.2, 0.5, 0.9])
+def test_rates_at_domain_edges(delta):
+    keep, eps = 1 - delta, 1e-12
+    for c in [1e-3, 0.5, 2.0, 10.0]:
+        # lbar (1 - delta) -> 1+: both rates approach their limits linearly
+        # in eps = lbar (1 - delta) - 1, with slope at most c.
+        lbar = (1 + eps) / keep
+        assert lbar * keep > 1
+        edge = (1 - math.exp(-c * keep)) - keep * (1 - math.exp(-c))
+        assert math.isclose(
+            sse_rate_bound(c, lbar, delta), edge, rel_tol=0, abs_tol=2 * c * eps + 1e-15
+        )
+        assert 0 < ssc_capacity(c, 1 + eps) <= 2 * c * eps
+    for lbar in [1.5, 3.0, 12.0]:
+        if lbar * keep <= 1:
+            continue
+        # c -> 0: both rates grow linearly from 0.
+        c = 1e-8
+        slope = (lbar * keep - 1) / lbar
+        assert math.isclose(sse_rate_bound(c, lbar, delta) / c, slope, rel_tol=1e-6)
+        assert math.isclose(ssc_capacity(c, lbar) / c, (lbar - 1) / lbar, rel_tol=1e-6)
+        # c -> infinity: both saturate at one bit per symbol, without overflow.
+        for c in [1e3, 1e6]:
+            assert sse_rate_bound(c, lbar, delta) == pytest.approx(1.0, abs=1e-12)
+            assert ssc_capacity(c, lbar) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ssc_short_is_capacity_at_shortened_length():
@@ -100,13 +135,47 @@ def test_gap_not_globally_monotone():
     assert math.isclose(rate_gap(4.0, 3.0, 0.3, 1e-5), rate_gap_limit(4.0, 3.0, 0.3), rel_tol=1e-4)
 
 
-def test_gap_continuous_across_backend_switch():
-    c, lbar, delta = 2.0, 1.75, 0.2
-    alpha = c / (lbar * (1 - delta))
-    d_star = SMALL_SEPARATION / alpha
-    lo = rate_gap(c, lbar, delta, d_star * (1 - 1e-9))
-    hi = rate_gap(c, lbar, delta, d_star * (1 + 1e-9))
-    assert math.isclose(lo, hi, rel_tol=1e-8)
+def _rate_gap_60_digits(c, lbar, delta, d):
+    """The gap's closed form in 60-digit arithmetic, as the reference."""
+    with mp.workdps(60):
+        c, lbar, delta, d = map(mp.mpf, (c, lbar, delta, d))
+        keep = 1 - delta
+        a = c / (lbar * keep)
+        ed = mp.exp(a * d)
+        em_d = mp.expm1(a * d)
+        inner = (mp.exp(a * (1 + d)) - mp.exp(a)) - d * mp.expm1(a * (1 + d))
+        bracket = ed * mp.expm1(a) / em_d - ed**2 * inner / em_d**2
+        return float(d / keep * (c / lbar) ** 2 * mp.exp(-c) * bracket)
+
+
+def test_gap_matches_high_precision_on_dense_grid():
+    # alpha = c / (lbar (1 - delta)) from 1e-7 to 30, alpha * d from 1e-12
+    # to 10.  Cancellation in the bracket costs about 1e-15 / alpha
+    # relative, the size of rate_gap_limit's own float error at small alpha.
+    alphas = [10 ** (k / 4) for k in range(-28, 6)] + [30.0]
+    alpha_ds = [10 ** (k / 2) for k in range(-24, 3)]
+    for lbar, delta in [(1.01, 0.0), (1.75, 0.2), (3.0, 0.5), (12.0, 0.9)]:
+        for alpha in alphas:
+            c = alpha * lbar * (1 - delta)
+            for ad in alpha_ds:
+                d = ad / alpha
+                want = _rate_gap_60_digits(c, lbar, delta, d)
+                assert math.isclose(
+                    rate_gap(c, lbar, delta, d), want, rel_tol=max(2e-12, 1e-15 / alpha)
+                ), (c, lbar, delta, d)
+
+
+def test_gap_accepts_fractions():
+    got = rate_gap(Fraction(2), Fraction(7, 4), Fraction(1, 5), Fraction(1, 10000))
+    assert math.isclose(got, 0.18884774408951102, rel_tol=1e-12)
+
+
+def test_import_leaves_mpmath_unloaded():
+    code = "import sys, ssesim.cli; print('mpmath' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_growth_bound():

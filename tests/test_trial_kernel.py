@@ -17,7 +17,7 @@ from ssesim.channel import (
     _cyclic_extension,
     _erasure_mask,
     _ERASURE_BLOCK,
-    _to_array,
+    _unpack,
     random_codeword,
     stage_rng,
     transmit_codeword,
@@ -78,7 +78,7 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
         x = random_codeword(n, seed)
         out = transmit_codeword(x, p, seed)
         starts0 = out.truth.starts - 1
-        clean = _to_array(x)[_window_index(starts0, L, n)]
+        clean = _unpack(x.bits, n)[_window_index(starts0, L, n)]
         assert np.array_equal(out.pre_erasure_values, clean)
         assert np.array_equal(out.values, np.where(out.known, clean, 0))
         assert out.values.dtype == np.uint8
