@@ -22,7 +22,6 @@ from .assembly import (
 from .channel import (
     ChannelOutput,
     ChannelParams,
-    Read,
     Truth,
     child_seed,
     cyclic_gaps,

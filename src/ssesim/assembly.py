@@ -13,7 +13,6 @@ or fails at the first adjacency that cannot merge as claimed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -107,17 +106,6 @@ class IslandSet:
     def visible_symbols(self) -> int:
         return sum(i.size for i in self.islands)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "islands": [i.text for i in self.islands],
-                "members": [list(m) for m in self.members],
-                "circular": self.circular,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-
 
 def true_ordering(output: ChannelOutput) -> TrueOrdering:
     """Order reads by true start (stable in read index on ties)."""
@@ -128,7 +116,7 @@ def true_ordering(output: ChannelOutput) -> TrueOrdering:
     order = np.argsort(starts, kind="stable")
     k = len(order)
     overlaps = np.maximum(0, L - cyclic_gaps(starts[order], n))
-    symbols = output.decoder_view()
+    symbols = output.reads
     omega = tuple(
         symbols[int(order[i])].suffix(int(overlaps[i])).size if overlaps[i] else 0
         for i in range(k)
@@ -235,4 +223,4 @@ def true_islands(output: ChannelOutput) -> IslandSet:
     """Ground-truth islands: merge on every strictly positive true overlap,
     visible or not, so erasures never split an island."""
     zeta, overlaps, _ = true_ordering(output)
-    return _assemble(output.decoder_view(), zeta, overlaps, None)
+    return _assemble(output.reads, zeta, overlaps, None)

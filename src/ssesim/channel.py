@@ -35,7 +35,6 @@ __all__ = [
     "child_seed",
     "stage_rng",
     "ChannelParams",
-    "Read",
     "Truth",
     "ChannelOutput",
     "random_codeword",
@@ -144,14 +143,6 @@ def _round_finite(x: float, what: str) -> int:
     return round(x)
 
 
-@dataclass(frozen=True)
-class Read:
-    """One read: its (possibly erased) symbols plus the 1-based start."""
-
-    symbols: TritString
-    start: int
-
-
 @dataclass(frozen=True, eq=False)
 class Truth:
     """Ground truth sealed away from the decoder."""
@@ -185,25 +176,13 @@ class ChannelOutput:
         self.known.setflags(write=False)
 
     @cached_property
-    def reads(self) -> tuple[Read, ...]:
-        if self.truth is None:
-            raise ValueError("reads with start positions need the truth record")
-        return tuple(
-            Read(symbols=sym, start=int(s))
-            for sym, s in zip(self.decoder_view(), self.truth.starts)
-        )
-
-    @cached_property
-    def _symbols(self) -> tuple[TritString, ...]:
+    def reads(self) -> tuple[TritString, ...]:
+        """The decoder's view: read symbols only; no starts, no truth."""
         # Masking with ``known`` zeroes any value at an erased position.
         return tuple(
             TritString(v & k, k, self.params.L)
             for v, k in zip(_pack_rows(self.values), _pack_rows(self.known))
         )
-
-    def decoder_view(self) -> tuple[TritString, ...]:
-        """Read symbols only; no starts, no truth."""
-        return self._symbols
 
     @property
     def pre_erasure_values(self) -> np.ndarray:
@@ -236,7 +215,7 @@ class ChannelOutput:
                 "K": self.params.K,
                 "delta": float(self.params.delta),
             },
-            "reads": [{"symbols": s.text} for s in self.decoder_view()],
+            "reads": [{"symbols": s.text} for s in self.reads],
         }
         if include_truth and self.truth is not None:
             doc["truth"] = {

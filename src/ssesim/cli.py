@@ -155,8 +155,8 @@ def _cmd_decode_demo(args) -> int:
     w = int(stage_rng(args.seed, STAGE_MESSAGE).integers(len(codebook)))
     out = transmit(codebook, w, params, args.seed)
     config = DecoderConfig(epsilon=args.epsilon, omega_mode=args.omega_mode)
-    result = typicality_decode(codebook, out.decoder_view(), params, config)
-    oracle = oracle_decode(codebook, out.decoder_view())
+    result = typicality_decode(codebook, out.reads, params, config)
+    oracle = oracle_decode(codebook, out.reads)
     if result.message == w:
         outcome = "decoded"
     elif result.message is not None:

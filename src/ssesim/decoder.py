@@ -8,6 +8,14 @@ into a single circular island, which is only consistent when the chain
 advances exactly n positions.  Claims whose merges hit a symbol conflict are
 discarded.
 
+The module has two entry points and one matcher.  Both take the decoder's
+view only: a sequence of read ``TritString``s, and a codebook whose
+codewords share one length n.
+
+``oracle_decode`` is the information-theoretic reference: it keeps the
+codewords that contain every read individually as a compatible cyclic
+substring.
+
 ``typicality_decode`` enumerates all assemblable claims (the first read is
 pinned to position zero, which costs nothing by rotation invariance), keeps
 those whose suffix-size tuple and island coverage pass the two-sided tests
@@ -15,12 +23,11 @@ of ``stats.TypicalityThresholds``, and keeps each codeword of
 ``oracle_decode`` that cyclically holds every island of some surviving
 claim.  A message is decoded only when exactly one codeword survives.  The
 search is exponential in the number of reads, so it refuses more than
-``_HARD_READ_CAP`` (8) of them.
+``_HARD_READ_CAP`` (8) of them.  With thresholds disabled
+(``epsilon = inf``) the two agree exactly.
 
-``oracle_decode`` is the information-theoretic reference: it keeps the
-codewords that contain every read individually as a compatible cyclic
-substring.
-With thresholds disabled (``epsilon = inf``) the two agree exactly.
+Every codeword test, of reads and of islands alike, is one lane-packed
+shift-and pass (``_holds_every_read``) over the codewords still in play.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelParams, Read
+from .channel import ChannelParams
 from .errors import DomainError
 from .stats import typicality_thresholds
 from .tritstring import (
@@ -41,7 +48,6 @@ from .tritstring import (
     _mask,
     _overlay,
     _shift_and,
-    compatible_substring_positions,
     is_l_compatible,
 )
 
@@ -87,12 +93,12 @@ class DecodeResult:
     tuples_visited: int
 
 
-def _symbols(read) -> TritString:
-    if isinstance(read, Read):
-        return read.symbols
-    if isinstance(read, TritString):
-        return read
-    raise DomainError(f"expected Read or TritString; got {type(read).__name__}")
+def _needles(reads: Sequence[TritString]) -> list[tuple[int, int, int]]:
+    """Raw (bits, known, length) triples of the reads."""
+    for r in reads:
+        if not isinstance(r, TritString):
+            raise DomainError(f"expected TritString reads; got {type(r).__name__}")
+    return [(r.bits, r.known, r.length) for r in reads]
 
 
 def _merge_options(u: TritString, v: TritString) -> tuple[tuple[int, int], ...]:
@@ -107,35 +113,35 @@ def _merge_options(u: TritString, v: TritString) -> tuple[tuple[int, int], ...]:
     return tuple(opts)
 
 
-def oracle_decode(codebook: Sequence[TritString], reads: Sequence) -> tuple[int, ...]:
+def oracle_decode(
+    codebook: Sequence[TritString], reads: Sequence[TritString]
+) -> tuple[int, ...]:
     """Codebook indices whose codeword contains every read as a compatible
     cyclic substring.  The tightest test any decoder can apply per read
-    alone.
-
-    Codewords of one length are tested together: codeword i, followed by
-    its first ``longest read - 1`` symbols, fills byte-aligned lane i of one
-    integer per bit-plane, and each read runs the shift-and kernel once
-    over all lanes still live.
+    alone.  All codewords must share one length.
     """
-    syms = [_symbols(r) for r in reads]
-    longest = max((s.length for s in syms), default=0)
-    groups: dict[int, list[int]] = {}
-    for w, x in enumerate(codebook):
-        if len(x) < longest:
-            raise DomainError(f"a read is longer than codeword {w}")
-        groups.setdefault(len(x), []).append(w)
-    out = []
-    for n, ws in groups.items():
-        alive = _holds_every_read([codebook[w] for w in ws], n, longest, syms)
-        out += (w for w, a in zip(ws, alive) if a)
-    return tuple(sorted(out))
+    needles = _needles(reads)
+    if len({len(x) for x in codebook}) > 1:
+        raise DomainError("codewords must share one length")
+    if not codebook:
+        return ()
+    n = len(codebook[0])
+    if any(l > n for _, _, l in needles):
+        raise DomainError(f"a read is longer than the codewords (n={n})")
+    return tuple(np.flatnonzero(_holds_every_read(codebook, n, needles)).tolist())
 
 
 def _holds_every_read(
-    words: list[TritString], n: int, longest: int, syms: list[TritString]
+    words: Sequence[TritString], n: int, needles: list[tuple[int, int, int]]
 ) -> np.ndarray:
-    """Bool per codeword of length ``n``: it holds every read cyclically."""
-    extra = max(longest - 1, 0)
+    """Bool per codeword of length ``n``: it holds every needle triple, each
+    no longer than n, cyclically.
+
+    Codeword i, followed by its first ``longest needle - 1`` symbols, fills
+    byte-aligned lane i of one integer per bit-plane, and each needle runs
+    the shift-and kernel once over all lanes still live.
+    """
+    extra = max([0] + [l - 1 for _, _, l in needles])
     wrap = _mask(extra)
     lane = (n + extra + 7) // 8  # bytes; no window leaves its lane
 
@@ -149,9 +155,9 @@ def _holds_every_read(
     hk = plane([x.known for x in words])
     first = np.frombuffer(_mask(n).to_bytes(lane, "little"), dtype=np.uint8)
     alive = np.ones(len(words), dtype=bool)
-    for s in syms:
+    for v in needles:
         starts = int.from_bytes((alive[:, None] * first).tobytes(), "little")
-        hits = _shift_and((s.bits, s.known, s.length), hb, hk, starts)
+        hits = _shift_and(v, hb, hk, starts)
         raw = hits.to_bytes(len(words) * lane, "little")
         alive = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), lane).any(axis=1)
         if not alive.any():
@@ -161,13 +167,15 @@ def _holds_every_read(
 
 def typicality_decode(
     codebook: Sequence[TritString],
-    reads: Sequence,
+    reads: Sequence[TritString],
     params: ChannelParams,
     config: DecoderConfig = DecoderConfig(),
 ) -> DecodeResult:
     """Run the claim-enumeration decoder against a codebook."""
-    syms = [_symbols(r) for r in reads]
-    K = len(syms)
+    # The search works on raw (bits, known, length) triples; TritString
+    # construction is deferred to the few surviving island sets.
+    trip = _needles(reads)
+    K = len(trip)
     if K == 0:
         raise DomainError("cannot decode from zero reads")
     if K > _HARD_READ_CAP:
@@ -178,20 +186,17 @@ def typicality_decode(
         raise DomainError(f"params expect {params.K} reads; got {K}")
     if any(len(x) != params.n for x in codebook):
         raise DomainError(f"params expect codewords of length n={params.n}")
-    if any(len(s) != params.L for s in syms):
+    if any(l != params.L for _, _, l in trip):
         raise DomainError(f"params expect reads of length L={params.L}")
 
     check_omega = config.omega_mode == "typical-only" and not math.isinf(
         config.epsilon
     )
     thresholds = typicality_thresholds(params, config.epsilon)
-    # The search works on raw (bits, known, length) triples; TritString
-    # construction is deferred to the few surviving island sets.
-    trip = [(s.bits, s.known, s.length) for s in syms]
 
     @cache
     def options(i: int, j: int) -> tuple[tuple[int, int], ...]:
-        return _merge_options(syms[i], syms[j])
+        return _merge_options(reads[i], reads[j])
 
     visited = 0
     seen: set[tuple] = set()
@@ -250,20 +255,17 @@ def typicality_decode(
     # agree, so every read is a compatible substring of its island (on a
     # folded ring, at a position taken mod n).  A codeword that holds all
     # islands of a claim therefore holds every read and is one of the
-    # oracle's; only those are tested.  An island longer than a codeword
-    # (overclaimed chains can exceed n) matches nothing.
-    @cache
-    def holds(t: tuple[int, int, int], w: int) -> bool:
-        x = codebook[w]
-        return t[2] <= len(x) and bool(
-            compatible_substring_positions(TritString(*t), x, cyclic=True)
-        )
-
-    ordered = tuple(
-        w
-        for w in oracle_decode(codebook, syms)
-        if any(all(holds(t, w) for t in islands) for islands in survivors)
-    )
+    # oracle's; only those are tested, in one lane pass per claim.  An
+    # island longer than n (overclaimed chains can exceed n) matches nothing.
+    oracle = np.flatnonzero(_holds_every_read(codebook, params.n, trip))
+    words = [codebook[w] for w in oracle]
+    held = np.zeros(len(oracle), dtype=bool)
+    for islands in survivors:
+        if held.all():
+            break
+        if all(l <= params.n for _, _, l in islands):
+            held |= _holds_every_read(words, params.n, islands)
+    ordered = tuple(oracle[held].tolist())
     message = ordered[0] if len(ordered) == 1 else None
 
     @cache

@@ -361,8 +361,10 @@ class TypicalityThresholds:
 
 
 def typicality_thresholds(params: ChannelParams, epsilon: float) -> TypicalityThresholds:
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise DomainError(f"epsilon must be >= 0, got {epsilon}")
+    if not math.isinf(epsilon) and params.n < 2:
+        raise DomainError("a finite epsilon needs n >= 2; its slack divides by log2(n)")
     return TypicalityThresholds(params=params, epsilon=epsilon)
 
 

@@ -39,6 +39,14 @@ def _mask(length: int) -> int:
     return (1 << length) - 1
 
 
+# Text of four positions, indexed by value nibble << 4 | visibility nibble.
+_NIBBLE_TEXT = tuple(
+    "".join("01"[b >> j & 1] if k >> j & 1 else ERASED for j in range(4))
+    for b in range(16)
+    for k in range(16)
+)
+
+
 @dataclass(frozen=True, slots=True)
 class TritString:
     """Immutable string over {0, 1, erased}.
@@ -63,16 +71,14 @@ class TritString:
     @classmethod
     def from_text(cls, text: str) -> "TritString":
         """Parse a string of '0', '1' and '*' characters."""
-        bits = 0
-        known = 0
-        for i, ch in enumerate(text):
-            if ch == "1":
-                bits |= 1 << i
-                known |= 1 << i
-            elif ch == "0":
-                known |= 1 << i
-            elif ch != ERASED:
-                raise ValueError(f"invalid symbol {ch!r} at position {i + 1}")
+        bad = text.replace("0", "").replace("1", "").replace(ERASED, "")
+        if bad:
+            i = text.index(bad[0])
+            raise ValueError(f"invalid symbol {bad[0]!r} at position {i + 1}")
+        # Binary digit strings convert to int in linear time, MSB first.
+        rev = text[::-1]
+        bits = int(rev.replace(ERASED, "0") or "0", 2)
+        known = int(rev.replace("0", "1").replace(ERASED, "0") or "0", 2)
         return cls(bits, known, len(text))
 
     @classmethod
@@ -82,13 +88,14 @@ class TritString:
 
     @property
     def text(self) -> str:
-        out = []
-        for i in range(self.length):
-            if self.known >> i & 1:
-                out.append("1" if self.bits >> i & 1 else "0")
-            else:
-                out.append(ERASED)
-        return "".join(out)
+        size = (self.length + 7) // 8
+        t = _NIBBLE_TEXT
+        return "".join(
+            t[(b & 15) << 4 | k & 15] + t[b & 240 | k >> 4]
+            for b, k in zip(
+                self.bits.to_bytes(size, "little"), self.known.to_bytes(size, "little")
+            )
+        )[: self.length]
 
     @property
     def size(self) -> int:

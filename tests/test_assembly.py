@@ -91,7 +91,7 @@ def test_true_islands_cover_positions():
 def test_build_islands_matches_truth_claim():
     out = make_output("0110100101", [1, 2, 7], L=3, erased={(1, 0)})
     claim = true_ordered_merge(out)
-    rebuilt = build_islands(out.decoder_view(), claim)
+    rebuilt = build_islands(out.reads, claim)
     truth = true_islands(out)
     # The decoder-reachable claim merges exactly where suffixes are visible;
     # with the overlap symbol erased the merge may split, never conflict.
@@ -101,7 +101,7 @@ def test_build_islands_matches_truth_claim():
 
 def test_build_islands_rejects_bad_suffix_size():
     out = make_output("010011", [1, 2], L=2)
-    reads = out.decoder_view()
+    reads = out.reads
     claim = OrderedMerge(zeta=(0, 1), omega=(2, 0), overlap_choice=(1, 0))
     with pytest.raises(MergeFailure) as err:
         build_islands(reads, claim)

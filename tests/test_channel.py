@@ -59,11 +59,11 @@ def test_reads_match_codeword_windows():
     x = random_codeword(p.n, 3)
     out = transmit_codeword(x, p, 3)
     text = x.text
-    for read in out.reads:
-        window = "".join(text[(read.start - 1 + j) % p.n] for j in range(p.L))
-        for got, true in zip(read.symbols.text, window):
+    for read, start in zip(out.reads, out.truth.starts):
+        window = "".join(text[(start - 1 + j) % p.n] for j in range(p.L))
+        for got, true in zip(read.text, window):
             assert got in ("*", true)
-    for sym, clean in zip(out.decoder_view(), out.pre_erasure_reads):
+    for sym, clean in zip(out.reads, out.pre_erasure_reads):
         assert clean.size == p.L
         assert all(a is None or a == b for a, b in zip(sym, clean))
 
@@ -135,14 +135,14 @@ def test_json_round_trip():
     text = out.to_json()
     back = ChannelOutput.from_json(text)
     assert back.params == out.params
-    assert back.decoder_view() == out.decoder_view()
+    assert back.reads == out.reads
     assert back.truth.codeword == out.truth.codeword
     assert list(back.truth.starts) == list(out.truth.starts)
     assert back.to_json() == text
 
     view_only = ChannelOutput.from_json(out.to_json(include_truth=False))
     assert view_only.truth is None
-    assert view_only.decoder_view() == out.decoder_view()
+    assert view_only.reads == out.reads
 
 
 def _drop_read(doc):
@@ -185,7 +185,7 @@ def test_decoder_view_zeroes_erased_values():
     p = ChannelParams(n=8, L=4, K=2, delta=0.5)
     known = np.array([[1, 0, 1, 0], [0, 0, 1, 1]], dtype=bool)
     out = ChannelOutput(p, np.ones((2, 4), dtype=np.uint8), known)
-    assert [s.text for s in out.decoder_view()] == ["1*1*", "**11"]
+    assert [s.text for s in out.reads] == ["1*1*", "**11"]
 
 
 def test_output_arrays_read_only():

@@ -345,6 +345,9 @@ _L = ("--n", "64", "--delta", "0.1", "--reads", "4")
 @example(["concentration", *_C, "--coverage", "1e12", "--trials", "1", "--seed", "1"])
 @example(["decode-demo", "--n", "100000000000", "--length", "8", "--reads", "3",
           "--delta", "0.1", "--codebook-size", "2", "--seed", "1"])
+# A finite epsilon at n = 1 would divide by log2(1) = 0.
+@example(["decode-demo", "--n", "1", "--length", "1", "--reads", "2", "--delta", "0",
+          "--codebook-size", "2", "--seed", "0", "--epsilon", "5"])
 def test_no_input_ends_in_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -165,6 +165,18 @@ def test_gap_matches_high_precision_on_dense_grid():
                 ), (c, lbar, delta, d)
 
 
+def test_gap_limit_finite_past_expm1_overflow():
+    # alpha = 1e3 / 1.4 is past expm1's overflow at about 709.
+    got = rate_gap_limit(1e3, 1.75, 0.2)
+    assert math.isclose(got, 6.591015004990222e-125, rel_tol=1e-12)
+
+
+def test_gap_finite_where_e_to_2ad_overflows():
+    # alpha * d = 571: e^{ad} is finite, e^{2ad} is not.
+    got = rate_gap(2.0, 1.75, 0.2, 400)
+    assert math.isclose(got, 2.1678732768041e253, rel_tol=1e-12)
+
+
 def test_gap_accepts_fractions():
     got = rate_gap(Fraction(2), Fraction(7, 4), Fraction(1, 5), Fraction(1, 10000))
     assert math.isclose(got, 0.18884774408951102, rel_tol=1e-12)

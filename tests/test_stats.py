@@ -147,7 +147,7 @@ def test_count_prefix_compatible_shrinks_as_probe_grows():
     rng = np.random.default_rng(7)
     p = ChannelParams(n=64, L=10, K=12, delta=0.25)
     out = transmit_codeword(random_codeword(p.n, 7), p, 7)
-    reads = out.decoder_view()
+    reads = out.reads
     text = "".join(rng.choice(["0", "1"], size=p.L))
     counts = [
         count_prefix_compatible(reads, TritString.from_text(text[:j]))
@@ -189,6 +189,15 @@ def test_typicality_threshold_formulas():
     )
     with pytest.raises(DomainError):
         typicality_thresholds(p, -0.5)
+    with pytest.raises(DomainError):
+        typicality_thresholds(p, math.nan)
+
+
+def test_finite_epsilon_needs_two_symbols():
+    p = ChannelParams(n=1, L=1, K=2, delta=0.0)
+    assert typicality_thresholds(p, math.inf).typical_suffix_sizes([0, 1])
+    with pytest.raises(DomainError):
+        typicality_thresholds(p, 5.0)
 
 
 def test_concentration_deterministic_and_thread_safe():

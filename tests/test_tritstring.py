@@ -1,3 +1,6 @@
+import random
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -50,9 +53,21 @@ def test_text_round_trip():
         assert TritString.from_text(text).text == text
 
 
+def test_text_round_trip_in_linear_time():
+    n = 2**19
+    text = "".join(random.Random(0).choices("01*", k=n))
+    start = time.perf_counter()
+    u = TritString.from_text(text)
+    assert u.text == text
+    # Per-symbol shifts of the whole integer take several seconds here.
+    assert time.perf_counter() - start < 2.0
+    assert u.size == n - text.count(ERASED)
+
+
 def test_from_text_rejects_junk():
-    with pytest.raises(ValueError):
-        TritString.from_text("01x")
+    for junk in ("01x", "0_1", " 01", "+1"):
+        with pytest.raises(ValueError):
+            TritString.from_text(junk)
 
 
 def test_measure_and_size():
