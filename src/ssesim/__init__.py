@@ -3,22 +3,13 @@ statistics, and achievable-rate formulas.
 
 The working alphabet is the trit {0, 1, erased}; ``TritString`` packs a
 string of trits into two integer bit planes.  ``channel`` draws seeded reads
-of a cyclic codeword, ``assembly`` merges them into islands, ``stats``
-measures coverage and suffix-size laws against their exact expectations,
-``rates`` evaluates the closed-form rate expressions, and ``decoder`` runs
-the claim-enumeration decoder at toy scale.
+of a cyclic codeword, ``assembly`` merges them into their true islands,
+``stats`` measures coverage and suffix-size laws against their exact
+expectations, ``rates`` evaluates the closed-form rate expressions, and
+``decoder`` runs the claim-enumeration decoder at toy scale.
 """
 
-from .assembly import (
-    IslandSet,
-    MergeFailure,
-    OrderedMerge,
-    TrueOrdering,
-    build_islands,
-    true_islands,
-    true_ordered_merge,
-    true_ordering,
-)
+from .assembly import IslandSet, TrueOrdering, true_islands, true_ordering
 from .channel import (
     ChannelOutput,
     ChannelParams,

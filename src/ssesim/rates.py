@@ -15,10 +15,10 @@ same closed form, for ``alpha * d`` from 1e-12 to 10.  For ``alpha >=
 delta)``; there the error grows to about 1e-10, the size of the float
 error of ``rate_gap_limit`` itself.  The tests check the bound on a dense
 grid against mpmath.  No product in ``rate_gap`` or ``rate_gap_limit``
-overflows where the closed form's value is a finite float, but ``alpha >
-30`` is out of scope for ``rate_gap``: its bracket cancels past any fixed
-precision there (at ``rate_gap(1e3, 1.75, 0.2, 0.1)`` even a 60-digit
-evaluation of the closed form gives -3.2e-89).
+overflows where the closed form's value is a finite float, but
+``rate_gap`` rejects ``alpha > 30`` with ``DomainError``: its bracket
+cancels past any fixed precision there (at ``rate_gap(1e3, 1.75, 0.2,
+0.1)`` even a 60-digit evaluation of the closed form gives -3.2e-89).
 """
 
 from __future__ import annotations
@@ -105,16 +105,22 @@ def _gap_terms(alpha: float, d: float) -> float:
 def rate_gap(c: float, lbar: float, delta: float, d: float) -> float:
     """Rate lost to merge ambiguity at positional separation ``d > 0``.
 
-    Non-increasing in ``d`` and converging to ``rate_gap_limit`` as
-    ``d -> 0``.  Within ``max(2e-12, 1e-15 / alpha)`` relative of the
-    exact value, ``alpha = c / (lbar (1 - delta))``; see the module
-    docstring.
+    Converges to ``rate_gap_limit`` as ``d -> 0``.  With ``alpha = c /
+    (lbar (1 - delta))`` below about 1.67 it is non-increasing in ``d``;
+    above that it can dip below its limit at moderate ``d`` and approach
+    it from below.  Within ``max(2e-12, 1e-15 / alpha)`` relative of the
+    exact value for ``alpha <= 30``; larger ``alpha`` raises
+    ``DomainError`` (see the module docstring).
     """
     _check_erasure_regime(c, lbar, delta)
     if not d > 0:
         raise DomainError(f"separation must be positive; got {d!r}")
     keep = 1.0 - delta
     alpha = c / (lbar * keep)
+    if not alpha <= 30:
+        raise DomainError(
+            f"alpha = c / (lbar (1 - delta)) must be at most 30; got {alpha!r}"
+        )
     scale = (d / keep) * (c / lbar) ** 2 * math.exp(-c)
     return scale * _gap_terms(alpha, d)
 

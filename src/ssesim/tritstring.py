@@ -212,9 +212,8 @@ def merge(u: TritString, v: TritString, l: int) -> TritString:
 
 
 def _splice(u: TritString, v: TritString, l: int) -> TritString:
-    # Same overlap fill-in as merge() but without the visible-suffix demand;
-    # ground-truth assembly merges purely on positional overlap, and claimed
-    # assembly checks the suffix's visible size itself.
+    # Same overlap fill-in as merge() but without the visible-suffix demand:
+    # ground-truth assembly merges purely on positional overlap.
     if not 1 <= l <= min(u.length, v.length):
         raise MergeError(f"overlap {l} out of range [1, {min(u.length, v.length)}]")
     s = _overlay((u.bits, u.known, u.length), (v.bits, v.known, v.length), l)

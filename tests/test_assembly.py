@@ -1,14 +1,6 @@
 import pytest
 
-from ssesim.assembly import (
-    IslandSet,
-    MergeFailure,
-    OrderedMerge,
-    build_islands,
-    true_islands,
-    true_ordered_merge,
-    true_ordering,
-)
+from ssesim.assembly import IslandSet, _assemble, true_islands, true_ordering
 from ssesim.tritstring import TritString, compatible_substring_positions
 
 from conftest import make_output
@@ -88,10 +80,12 @@ def test_true_islands_cover_positions():
     assert sorted(m for run in islands.members for m in run) == [0, 1, 2]
 
 
-def test_build_islands_matches_truth_claim():
+def test_visible_true_claim_within_truth():
     out = make_output("0110100101", [1, 2, 7], L=3, erased={(1, 0)})
-    claim = true_ordered_merge(out)
-    rebuilt = build_islands(out.reads, claim)
+    zeta, overlaps, omega = true_ordering(out)
+    rebuilt = _assemble(
+        out.reads, zeta, [l if w > 0 else 0 for l, w in zip(overlaps, omega)]
+    )
     truth = true_islands(out)
     # The decoder-reachable claim merges exactly where suffixes are visible;
     # with the overlap symbol erased the merge may split, never conflict.
@@ -99,39 +93,7 @@ def test_build_islands_matches_truth_claim():
     assert not rebuilt.circular
 
 
-def test_build_islands_rejects_bad_suffix_size():
-    out = make_output("010011", [1, 2], L=2)
-    reads = out.reads
-    claim = OrderedMerge(zeta=(0, 1), omega=(2, 0), overlap_choice=(1, 0))
-    with pytest.raises(MergeFailure) as err:
-        build_islands(reads, claim)
-    assert err.value.index == 0
-
-
-def test_build_islands_rejects_conflict():
-    reads = (TritString.from_text("11"), TritString.from_text("00"))
-    claim = OrderedMerge(zeta=(0, 1), omega=(1, 0), overlap_choice=(1, 0))
-    with pytest.raises(MergeFailure):
-        build_islands(reads, claim)
-
-
-def test_build_islands_circular_claim():
-    reads = (TritString.from_text("010"), TritString.from_text("010"))
-    claim = OrderedMerge(zeta=(0, 1), omega=(1, 1), overlap_choice=(1, 1))
-    got = build_islands(reads, claim)
-    assert got.circular is True
-    assert got.islands[0].text == "0101"
-    # Folding fails when the closure clashes.
-    clash = (TritString.from_text("010"), TritString.from_text("001"))
-    with pytest.raises(MergeFailure):
-        build_islands(clash, claim)
-
-
-def test_ordered_merge_validation():
-    with pytest.raises(ValueError):
-        OrderedMerge(zeta=(0, 0), omega=(0, 0), overlap_choice=(0, 0))
-    with pytest.raises(ValueError):
-        OrderedMerge(zeta=(0, 1), omega=(1, 0), overlap_choice=(0, 0))
+def test_island_set_validation():
     with pytest.raises(ValueError):
         IslandSet(islands=(), members=((0,),))
 

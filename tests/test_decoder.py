@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ssesim.assembly import build_islands, true_islands, true_ordered_merge
+from ssesim.assembly import _assemble, true_islands, true_ordering
 from ssesim.channel import ChannelParams, random_codebook, transmit
 from ssesim.decoder import (
     DecoderConfig,
@@ -110,6 +110,21 @@ def test_matching_wraps_the_cycle():
     p = ChannelParams(n=4, L=2, K=1, delta=0.0)
     assert typicality_decode(codebook, reads, p).message == 0
     assert oracle_decode(codebook, reads) == (0,)
+
+
+def test_island_longer_than_n_matches_nothing():
+    # The only surviving claim chains 111, 11* and 10* into the 5-symbol
+    # island 1110*, longer than n = 4.  Its cyclic extension of 0111 reads
+    # 1110 then erasures, so a match that did not reject long islands would
+    # keep codeword 0.
+    codebook = ts("0111", "1000", "0001", "0011")
+    reads = ts("111", "11*", "10*")
+    p = ChannelParams(n=4, L=3, K=3, delta=0.2)
+    config = DecoderConfig(epsilon=0.2, omega_mode="all-tuples")
+    result = typicality_decode(codebook, reads, p, config)
+    assert result.candidate_islands == (("1110*",),)
+    assert result.candidate_codewords == ()
+    assert result.message is None
 
 
 @pytest.mark.parametrize(
@@ -268,7 +283,10 @@ def test_true_islands_among_candidates():
     for seed in range(20):
         p, codebook, w, out = _toy_instance(seed, 0.1)
         result = typicality_decode(codebook, out.reads, p)
-        islands = build_islands(out.reads, true_ordered_merge(out))
+        zeta, overlaps, omega = true_ordering(out)
+        islands = _assemble(
+            out.reads, zeta, [l if w > 0 else 0 for l, w in zip(overlaps, omega)]
+        )
         texts = tuple(sorted(i.text for i in islands.islands))
         if islands.circular:
             # A circular claim folds starting from read 0, so the recorded

@@ -212,6 +212,12 @@ def test_growth_bound():
         (rate_gap, (2.0, 1.75, 0.2, 0.0)),
         (rate_gap, (2.0, 1.75, 0.2, -0.5)),
         (rate_gap_limit, (2.0, 1.2, 0.2)),
+        # alpha = c / (lbar (1 - delta)) past 30: about 714, where expm1
+        # overflows, and 50, where the gap comes out negative (-5.5e-5).
+        (rate_gap, (1e3, 1.75, 0.2, 0.1)),
+        (rate_gap, (70.0, 1.75, 0.2, 0.1)),
+        (candidate_growth_bound, (1e3, 1.75, 0.2, 0.1, 0.1)),
+        (candidate_growth_bound, (70.0, 1.75, 0.2, 0.1, 0.0)),
     ],
 )
 def test_hypothesis_violations_raise(fn, args):
