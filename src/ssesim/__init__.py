@@ -1,22 +1,20 @@
-"""Shotgun-sequencing erasure channel: simulation, assembly, decoding,
-statistics, and achievable-rate formulas.
+"""Shotgun-sequencing erasure channel: simulation, decoding, statistics,
+and achievable-rate formulas.
 
 The working alphabet is the trit {0, 1, erased}; ``TritString`` packs a
 string of trits into two integer bit planes.  ``channel`` draws seeded reads
-of a cyclic codeword, ``assembly`` merges them into their true islands,
-``stats`` measures coverage and suffix-size laws against their exact
-expectations, ``rates`` evaluates the closed-form rate expressions, and
-``decoder`` runs the claim-enumeration decoder at toy scale.
+of a cyclic codeword, ``stats`` measures coverage and suffix-size laws
+against their exact expectations, ``rates`` evaluates the closed-form rate
+expressions, and ``decoder`` runs the claim-enumeration decoder at toy
+scale.
 """
 
-from .assembly import IslandSet, TrueOrdering, true_islands, true_ordering
 from .channel import (
     ChannelOutput,
     ChannelParams,
     Truth,
     child_seed,
     cyclic_gaps,
-    generate_codebook,
     random_codebook,
     random_codeword,
     stage_rng,
@@ -34,7 +32,6 @@ from .errors import DomainError
 from .rates import (
     CurveRow,
     candidate_growth_bound,
-    coverage_depth,
     rate_curve,
     rate_gap,
     rate_gap_limit,
@@ -66,9 +63,7 @@ from .tritstring import (
     TritString,
     compatible,
     compatible_substring_positions,
-    fold_cyclic,
     is_l_compatible,
-    measure,
     merge,
 )
 

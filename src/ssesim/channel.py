@@ -38,7 +38,6 @@ __all__ = [
     "Truth",
     "ChannelOutput",
     "random_codeword",
-    "generate_codebook",
     "random_codebook",
     "cyclic_gaps",
     "transmit_codeword",
@@ -184,29 +183,6 @@ class ChannelOutput:
             for v, k in zip(_pack_rows(self.values), _pack_rows(self.known))
         )
 
-    @property
-    def pre_erasure_values(self) -> np.ndarray:
-        """(K, L) symbol array as it left the sampler, before erasures.
-
-        A new gather of the codeword's windows on each access; the channel
-        keeps no copy of it.
-        """
-        if self.truth is None:
-            raise ValueError("pre-erasure reads need the truth record")
-        ext = _cyclic_extension(self.truth.codeword, self.params.L)
-        starts0 = np.asarray(self.truth.starts, dtype=np.int64) - 1
-        clean = _gather_reads(ext, starts0, self.params.L)
-        clean.setflags(write=False)
-        return clean
-
-    @property
-    def pre_erasure_reads(self) -> tuple[TritString, ...]:
-        """Reads as they left the sampler, before the erasure stage."""
-        return tuple(
-            TritString.binary(v, self.params.L)
-            for v in _pack_rows(self.pre_erasure_values)
-        )
-
     def to_json(self, include_truth: bool = True) -> str:
         doc: dict = {
             "params": {
@@ -224,38 +200,6 @@ class ChannelOutput:
                 "starts": [int(s) for s in self.truth.starts],
             }
         return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChannelOutput":
-        doc = json.loads(text)
-        p = doc["params"]
-        params = ChannelParams(n=p["n"], L=p["L"], K=p["K"], delta=p["delta"])
-        reads = doc["reads"]
-        if len(reads) != params.K:
-            raise ValueError(f"document has {len(reads)} reads, expected K={params.K}")
-        values = np.zeros((params.K, params.L), dtype=np.uint8)
-        known = np.zeros((params.K, params.L), dtype=bool)
-        for i, entry in enumerate(reads):
-            sym = TritString.from_text(entry["symbols"])
-            if sym.length != params.L:
-                raise ValueError(f"read {i} has length {sym.length}, expected {params.L}")
-            values[i] = _unpack(sym.bits, params.L)
-            known[i] = _unpack(sym.known, params.L)
-        truth = None
-        if "truth" in doc:
-            t = doc["truth"]
-            codeword = TritString.from_text(t["x"])
-            if codeword.length != params.n:
-                raise ValueError(
-                    f"codeword has length {codeword.length}, expected n={params.n}"
-                )
-            starts = np.asarray(t["starts"], dtype=np.int64)
-            if starts.shape != (params.K,):
-                raise ValueError(f"truth needs K={params.K} starts, got {starts.size}")
-            if not np.all((starts >= 1) & (starts <= params.n)):
-                raise ValueError(f"starts must lie in [1, n={params.n}]")
-            truth = Truth(message=t["w"], codeword=codeword, starts=starts)
-        return cls(params=params, values=values, known=known, truth=truth)
 
 
 def _unpack(plane: int, length: int) -> np.ndarray:
@@ -297,29 +241,8 @@ def random_codeword(n: int, seed) -> TritString:
     return _uniform_binary(stage_rng(seed, STAGE_CODEBOOK), 1, n)[0]
 
 
-def generate_codebook(n: int, rate: float, seed) -> tuple[TritString, ...]:
-    """ceil(2**(n*rate)) i.i.d. uniform binary codewords.
-
-    Refuses sizes beyond ``DEFAULT_CODEBOOK_CAP``; this is a desk-scale tool.
-    """
-    if rate <= 0:
-        raise DomainError(f"rate must be positive, got {rate}")
-    exponent = n * rate
-    if exponent > math.log2(DEFAULT_CODEBOOK_CAP) + 1e-9:
-        raise DomainError(
-            f"codebook size 2**{exponent:.4g} exceeds the cap of "
-            f"{DEFAULT_CODEBOOK_CAP} codewords"
-        )
-    if abs(exponent - round(exponent)) < 1e-9:
-        count = 2 ** round(exponent)
-    else:
-        # Tolerate float fuzz from rates derived as log2(count) / n.
-        count = math.ceil(2**exponent - 1e-9)
-    return random_codebook(n, count, seed)
-
-
 def random_codebook(n: int, count: int, seed) -> tuple[TritString, ...]:
-    """``count`` i.i.d. uniform binary codewords; the explicit-size variant."""
+    """``count`` i.i.d. uniform binary codewords."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 1 <= count <= DEFAULT_CODEBOOK_CAP:

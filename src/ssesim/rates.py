@@ -3,8 +3,8 @@
 All rates are in bits per transmitted symbol.  ``c`` is the expected
 coverage depth ``K * L / n`` and ``lbar`` is the read length normalized by
 ``log2 n``; the formulas live in the asymptotic regime and take those
-normalized quantities directly.  ``coverage_depth`` maps a finite instance
-onto ``c``.
+normalized quantities directly; ``channel.ChannelParams.c`` maps a finite
+instance onto ``c``.
 
 Every formula is evaluated in ordinary floats.  ``rate_gap`` at small
 separation ``d`` subtracts two terms that each blow up like ``1/d``;
@@ -30,13 +30,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError
-
-def coverage_depth(n: int, L: int, K: int) -> float:
-    """Expected coverage depth ``K * L / n``."""
-    if n <= 0 or L <= 0 or K <= 0:
-        raise DomainError("n, L, K must all be positive")
-    return K * L / n
-
 
 def _check_erasure_regime(c: float, lbar: float, delta: float) -> None:
     if not c > 0:

@@ -131,8 +131,8 @@ def chain_island_count(starts: np.ndarray, n: int, L: int) -> int:
 
     Coincident starts (gap 0) overlap by L and merge into one island, so a
     group of tied reads counts once.  What is counted is the cyclic gaps
-    >= L: reads that wrap the whole circle (every gap < L) give 0, while
-    ``assembly.true_islands`` reports them as one circular island.
+    >= L: reads that wrap the whole circle (every gap < L) give 0, although
+    they form one circular island.
     """
     gaps = cyclic_gaps(np.sort(np.asarray(starts, dtype=np.int64)), n)
     return int(np.count_nonzero(gaps >= L))
@@ -540,15 +540,23 @@ def _probe_z(
     k_reads = values.shape[0]
     for _ in range(64):
         r = int(rng.integers(k_reads))
-        visible = np.flatnonzero(known[r])
-        if len(visible) >= suffix_size:
-            keep = rng.choice(visible, size=suffix_size, replace=False)
-            zk = np.zeros(values.shape[1], dtype=bool)
-            zk[keep] = True
-            return np.where(zk, values[r], 0).astype(np.uint8), zk
-    raise DomainError(
-        f"no read with {suffix_size} visible symbols found; delta too high for this probe"
-    )
+        if np.count_nonzero(known[r]) >= suffix_size:
+            break
+    else:
+        # Rejection gave up, so draw among the eligible reads directly: both
+        # are uniform over them, and the draws of a run that ends in the
+        # loop do not change.
+        eligible = np.flatnonzero(np.count_nonzero(known, axis=1) >= suffix_size)
+        if not len(eligible):
+            raise DomainError(
+                f"no read with {suffix_size} visible symbols found; "
+                "delta too high for this probe"
+            )
+        r = int(eligible[rng.integers(len(eligible))])
+    keep = rng.choice(np.flatnonzero(known[r]), size=suffix_size, replace=False)
+    zk = np.zeros(values.shape[1], dtype=bool)
+    zk[keep] = True
+    return np.where(zk, values[r], 0).astype(np.uint8), zk
 
 
 def _count_matches(ext: np.ndarray, starts0: np.ndarray, zv, zk) -> int:

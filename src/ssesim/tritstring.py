@@ -14,18 +14,15 @@ Text form uses ``'0'``, ``'1'`` and ``'*'`` (erased).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 __all__ = [
     "ERASED",
     "MergeError",
     "TritString",
-    "measure",
     "compatible",
     "is_l_compatible",
     "compatible_substring_positions",
     "merge",
-    "fold_cyclic",
 ]
 
 ERASED = "*"
@@ -108,26 +105,11 @@ class TritString:
     def __str__(self) -> str:
         return self.text
 
-    def __iter__(self) -> Iterator[int | None]:
-        for i in range(self.length):
-            yield (self.bits >> i & 1) if (self.known >> i & 1) else None
-
-    def prefix(self, length: int) -> "TritString":
-        if not 0 <= length <= self.length:
-            raise ValueError(f"prefix length {length} out of range [0, {self.length}]")
-        m = _mask(length)
-        return TritString(self.bits & m, self.known & m, length)
-
     def suffix(self, length: int) -> "TritString":
         if not 0 <= length <= self.length:
             raise ValueError(f"suffix length {length} out of range [0, {self.length}]")
         shift = self.length - length
         return TritString(self.bits >> shift, self.known >> shift, length)
-
-
-def measure(u: TritString) -> tuple[int, int]:
-    """(length, number of unerased symbols)."""
-    return u.length, u.size
 
 
 def compatible(u: TritString, v: TritString) -> bool:
@@ -205,38 +187,13 @@ def merge(u: TritString, v: TritString, l: int) -> TritString:
     strings to be l-compatible, and the merging suffix of ``u`` to contain
     at least one unerased symbol.
     """
-    s = _splice(u, v, l)
-    if (u.known >> (u.length - l)) == 0:
-        raise MergeError(f"merging suffix of length {l} has no unerased symbols")
-    return s
-
-
-def _splice(u: TritString, v: TritString, l: int) -> TritString:
-    # Same overlap fill-in as merge() but without the visible-suffix demand:
-    # ground-truth assembly merges purely on positional overlap.
     if not 1 <= l <= min(u.length, v.length):
         raise MergeError(f"overlap {l} out of range [1, {min(u.length, v.length)}]")
     s = _overlay((u.bits, u.known, u.length), (v.bits, v.known, v.length), l)
     if s is None:
         raise MergeError(f"strings are not {l}-compatible")
-    return TritString(*s)
-
-
-def fold_cyclic(u: TritString, l: int) -> TritString:
-    """Close a chain onto itself: overlay the l-suffix of ``u`` on its own
-    l-prefix, leaving one copy of the cyclic period.
-
-    The period ``len(u) - l`` must be at least ``l`` (a tail that wraps
-    past one full turn has no consistent placement).
-    """
-    if l < 1:
-        raise MergeError("fold overlap must be at least 1")
-    period = u.length - l
-    if l > period:
-        raise MergeError(f"fold overlap {l} exceeds period {period}")
-    s = _fold((u.bits, u.known, u.length), l)
-    if s is None:
-        raise MergeError(f"cyclic closure is not {l}-compatible")
+    if (u.known >> (u.length - l)) == 0:
+        raise MergeError(f"merging suffix of length {l} has no unerased symbols")
     return TritString(*s)
 
 
@@ -252,7 +209,9 @@ def _overlay(u: tuple[int, int, int], v: tuple[int, int, int], l: int):
 
 def _fold(u: tuple[int, int, int], l: int):
     """Raw kernel: ``u`` closed onto itself, its l-suffix laid over its
-    l-prefix, leaving one period; None where they clash.  No range checks."""
+    l-prefix, leaving one period; None where they clash.  No range checks:
+    the caller keeps 1 <= l <= period, since a tail that wraps past one
+    full turn has no consistent placement."""
     ub, uk, ul = u
     period = ul - l
     tb, tk = ub >> period, uk >> period

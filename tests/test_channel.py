@@ -7,7 +7,6 @@ from scipy import stats as sps
 from ssesim.channel import (
     ChannelOutput,
     ChannelParams,
-    generate_codebook,
     random_codebook,
     random_codeword,
     transmit,
@@ -63,9 +62,6 @@ def test_reads_match_codeword_windows():
         window = "".join(text[(start - 1 + j) % p.n] for j in range(p.L))
         for got, true in zip(read.text, window):
             assert got in ("*", true)
-    for sym, clean in zip(out.reads, out.pre_erasure_reads):
-        assert clean.size == p.L
-        assert all(a is None or a == b for a, b in zip(sym, clean))
 
 
 def test_start_uniformity_chi_square():
@@ -93,21 +89,6 @@ def test_sample_reads_rejects_partial_codeword():
         transmit_codeword(TritString.from_text("011"), p, 0)
 
 
-def test_generate_codebook_sizes():
-    cb = generate_codebook(16, 0.25, 5)
-    assert len(cb) == 16  # 2^(16 * 0.25)
-    assert all(x.length == 16 and x.size == 16 for x in cb)
-    # A rate derived from a target size must round-trip exactly.
-    import math
-
-    for m in (3, 5, 6, 7, 12):
-        assert len(generate_codebook(32, math.log2(m) / 32, 5)) == m
-    with pytest.raises(DomainError):
-        generate_codebook(100, 0.5, 5)  # 2^50 codewords
-    with pytest.raises(DomainError):
-        random_codebook(16, 0, 5)
-
-
 def test_codebook_deterministic_prefix():
     # Same seed: rows fill in order, so growing the codebook keeps a prefix.
     small = random_codebook(24, 4, 9)
@@ -115,6 +96,8 @@ def test_codebook_deterministic_prefix():
     assert large[:4] == small
     assert random_codebook(24, 4, 9) == small
     assert random_codebook(24, 4, 10) != small
+    with pytest.raises(DomainError):
+        random_codebook(16, 0, 5)
 
 
 def test_transmit_message_bounds():
@@ -132,53 +115,16 @@ def test_transmit_message_bounds():
 def test_json_round_trip():
     p = ChannelParams(n=40, L=6, K=5, delta=0.35)
     out = transmit_codeword(random_codeword(p.n, 21), p, 21, message=None)
-    text = out.to_json()
-    back = ChannelOutput.from_json(text)
-    assert back.params == out.params
-    assert back.reads == out.reads
-    assert back.truth.codeword == out.truth.codeword
-    assert list(back.truth.starts) == list(out.truth.starts)
-    assert back.to_json() == text
+    doc = json.loads(out.to_json())
+    assert doc["params"] == {"n": 40, "L": 6, "K": 5, "delta": 0.35}
+    assert [r["symbols"] for r in doc["reads"]] == [r.text for r in out.reads]
+    assert doc["truth"]["w"] is None
+    assert doc["truth"]["x"] == out.truth.codeword.text
+    assert doc["truth"]["starts"] == [int(s) for s in out.truth.starts]
 
-    view_only = ChannelOutput.from_json(out.to_json(include_truth=False))
-    assert view_only.truth is None
-    assert view_only.reads == out.reads
-
-
-def _drop_read(doc):
-    doc["reads"].pop()
-
-
-def _extra_read(doc):
-    doc["reads"].append(doc["reads"][0])
-
-
-def _short_codeword(doc):
-    doc["truth"]["x"] = doc["truth"]["x"][:-1]
-
-
-def _missing_start(doc):
-    doc["truth"]["starts"].pop()
-
-
-def _start_past_n(doc):
-    doc["truth"]["starts"][0] = doc["params"]["n"] + 1
-
-
-def _start_zero(doc):
-    doc["truth"]["starts"][0] = 0
-
-
-@pytest.mark.parametrize(
-    "corrupt",
-    [_drop_read, _extra_read, _short_codeword, _missing_start, _start_past_n, _start_zero],
-)
-def test_from_json_rejects_inconsistent_documents(corrupt):
-    p = ChannelParams(n=40, L=6, K=5, delta=0.35)
-    doc = json.loads(transmit_codeword(random_codeword(p.n, 21), p, 21).to_json())
-    corrupt(doc)
-    with pytest.raises(ValueError):
-        ChannelOutput.from_json(json.dumps(doc))
+    view_only = json.loads(out.to_json(include_truth=False))
+    assert "truth" not in view_only
+    assert view_only["reads"] == doc["reads"]
 
 
 def test_decoder_view_zeroes_erased_values():

@@ -98,6 +98,23 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
 
 
+def test_mz_probe_finds_rare_eligible_reads(capsys):
+    # At delta = 0.85 few of the 205 reads keep 5 of their 10 symbols
+    # visible: two at seed 0, which 64 uniform draws over all reads miss
+    # here, and none at seed 5.
+    base = (
+        "concentration", "--n", "1024", "--length", "10", "--reads", "205",
+        "--delta", "0.85", "--trials", "1", "--mz-per-trial", "1", "--seed",
+    )
+    code, js, _ = run(capsys, *base, "0")
+    assert code == 0
+    assert json.loads(js)["mz"][0]["suffix_size"] == 5
+    code, out, err = run(capsys, *base, "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: no read with 5 visible symbols")
+
+
 def test_io_error_exit_code(capsys, tmp_path):
     code, _, err = run(
         capsys, "rate-curve", "--c-grid", "1:2:0.5", "--lbar", "1.75",

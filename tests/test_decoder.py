@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ssesim.assembly import _assemble, true_islands, true_ordering
 from ssesim.channel import ChannelParams, random_codebook, transmit
 from ssesim.decoder import (
     DecoderConfig,
@@ -16,6 +15,7 @@ from ssesim.stats import typicality_thresholds
 from ssesim.tritstring import TritString
 
 from conftest import make_output
+from ground_truth import _assemble, true_islands, true_ordering, visible_symbols
 
 
 def ts(*texts):
@@ -58,10 +58,9 @@ def test_typical_tuple_hand_case():
 
 def test_filter_islands():
     out = make_output("01101001", [1, 4, 7], L=4)
-    islands = true_islands(out)
-    assert islands.visible_symbols == 8
+    visible = visible_symbols(true_islands(out)[0])
+    assert visible == 8
     p = out.params  # c = 1.5, visible-coverage target 1 - e^-1.5 ~ 0.777
-    visible = islands.visible_symbols
     assert typicality_thresholds(p, math.inf).typical_coverage(visible)
     assert typicality_thresholds(p, 0.5).typical_coverage(visible)
     assert not typicality_thresholds(p, 0.05).typical_coverage(visible)
@@ -284,11 +283,11 @@ def test_true_islands_among_candidates():
         p, codebook, w, out = _toy_instance(seed, 0.1)
         result = typicality_decode(codebook, out.reads, p)
         zeta, overlaps, omega = true_ordering(out)
-        islands = _assemble(
+        islands, _, circular = _assemble(
             out.reads, zeta, [l if w > 0 else 0 for l, w in zip(overlaps, omega)]
         )
-        texts = tuple(sorted(i.text for i in islands.islands))
-        if islands.circular:
+        texts = tuple(sorted(i.text for i in islands))
+        if circular:
             # A circular claim folds starting from read 0, so the recorded
             # text may be any rotation of the reference one.
             assert len(texts) == 1

@@ -11,7 +11,6 @@ from ssesim.errors import DomainError
 from ssesim.rates import (
     CurveRow,
     candidate_growth_bound,
-    coverage_depth,
     rate_curve,
     rate_gap,
     rate_gap_limit,
@@ -38,14 +37,6 @@ PINNED = [
 @pytest.mark.parametrize("fn,args,expected", PINNED)
 def test_pinned_values(fn, args, expected):
     assert math.isclose(fn(*args), expected, rel_tol=1e-12)
-
-
-def test_coverage_depth():
-    assert coverage_depth(100_000, 33, 6061) == 6061 * 33 / 100_000
-    with pytest.raises(DomainError):
-        coverage_depth(0, 33, 6061)
-    with pytest.raises(DomainError):
-        coverage_depth(100, -1, 5)
 
 
 def test_zero_erasure_collapses_to_plain_capacity():

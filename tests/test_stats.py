@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from ssesim.assembly import true_islands
 from ssesim.channel import ChannelParams, random_codeword, transmit_codeword
 from ssesim.errors import DomainError
 from ssesim.stats import (
@@ -25,6 +24,7 @@ from ssesim.stats import (
 from ssesim.tritstring import TritString
 
 from conftest import exact_counts_by_enumeration, make_output
+from ground_truth import true_islands, visible_symbols
 
 
 def test_coverage_hand_case():
@@ -42,8 +42,8 @@ def test_coverage_identity_with_true_islands():
         p = ChannelParams(n=200, L=12, K=20, delta=0.3)
         out = transmit_codeword(random_codeword(p.n, seed), p, seed)
         rep = coverage(out)
-        islands = true_islands(out)
-        assert islands.visible_symbols / p.n == rep.phi_v
+        islands, _, _ = true_islands(out)
+        assert visible_symbols(islands) / p.n == rep.phi_v
 
 
 def test_coverage_phi_matches_window_gather():

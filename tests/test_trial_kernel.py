@@ -17,6 +17,7 @@ from ssesim.channel import (
     _cyclic_extension,
     _erasure_mask,
     _ERASURE_BLOCK,
+    _gather_reads,
     _unpack,
     random_codeword,
     stage_rng,
@@ -79,7 +80,8 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
         out = transmit_codeword(x, p, seed)
         starts0 = out.truth.starts - 1
         clean = _unpack(x.bits, n)[_window_index(starts0, L, n)]
-        assert np.array_equal(out.pre_erasure_values, clean)
+        ext = _cyclic_extension(x, L)
+        assert np.array_equal(_gather_reads(ext, starts0, L), clean)
         assert np.array_equal(out.values, np.where(out.known, clean, 0))
         assert out.values.dtype == np.uint8
 
@@ -87,7 +89,6 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
         dist = forward_successor_distances(starts0, n)
         assert np.array_equal(_suffix_sizes(out), _reference_suffix_sizes(out, dist))
 
-        ext = _cyclic_extension(x, L)
         rng = np.random.default_rng(seed)
         probes = [np.zeros(L, dtype=bool), np.ones(L, dtype=bool)]
         probes += [rng.random(L) < 0.5 for _ in range(4)]
