@@ -57,7 +57,8 @@ DEFAULT_CODEBOOK_CAP = 4096
 # Largest codeword length n, read-symbol count K*L or codebook size count*n
 # the channel builds arrays for; n = 1e8 at coverage 2 needs 2e8.
 _MAX_SYMBOLS = 2**30
-# Uniform floats per erasure draw; the mask is filled in blocks of whole rows.
+# Read symbols per block of whole rows: the erasure uniforms are drawn, and
+# the packed reads filled and scanned, one block at a time.
 _ERASURE_BLOCK = 2**16
 
 
@@ -158,8 +159,11 @@ class Truth:
 class ChannelOutput:
     """Multiset of reads plus (optionally) the ground-truth record.
 
-    ``values``/``known`` are (K, L) arrays: symbol values with zeros at
-    erased positions, and the erasure mask.
+    ``values``/``known`` are (K, ceil(L/8)) uint8 bit-planes: bit j (LSB
+    first) of row i is symbol j of read i, as ``np.packbits(a, axis=1,
+    bitorder="little")`` packs a (K, L) array ``a``.  ``known`` marks the
+    unerased symbols and has no bit set past L; ``values`` holds the
+    symbol values, read only where ``known`` is set.
     """
 
     params: ChannelParams
@@ -168,9 +172,13 @@ class ChannelOutput:
     truth: Truth | None = None
 
     def __post_init__(self) -> None:
-        expect = (self.params.K, self.params.L)
-        if self.values.shape != expect or self.known.shape != expect:
-            raise ValueError(f"read arrays must have shape {expect}")
+        L = self.params.L
+        expect = (self.params.K, _plane_width(L))
+        for plane in (self.values, self.known):
+            if plane.shape != expect or plane.dtype != np.uint8:
+                raise ValueError(f"read planes must be uint8 arrays of shape {expect}")
+        if L % 8 and np.any(self.known[:, -1] >> (L % 8)):
+            raise ValueError(f"known has bits set past the read length {L}")
         self.values.setflags(write=False)
         self.known.setflags(write=False)
 
@@ -178,9 +186,10 @@ class ChannelOutput:
     def reads(self) -> tuple[TritString, ...]:
         """The decoder's view: read symbols only; no starts, no truth."""
         # Masking with ``known`` zeroes any value at an erased position.
+        masked = self.values & self.known
         return tuple(
-            TritString(v & k, k, self.params.L)
-            for v, k in zip(_pack_rows(self.values), _pack_rows(self.known))
+            TritString(_row_int(v), _row_int(k), self.params.L)
+            for v, k in zip(masked, self.known)
         )
 
     def to_json(self, include_truth: bool = True) -> str:
@@ -202,12 +211,23 @@ class ChannelOutput:
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
+def _plane_width(L: int) -> int:
+    """Bytes per row of a packed bit-plane of L symbols."""
+    return (L + 7) // 8
+
+
+def _row_int(row: np.ndarray) -> int:
+    """The integer bit-plane of one packed uint8 row, bit j = symbol j."""
+    return int.from_bytes(row.tobytes(), "little")
+
+
 def _unpack(plane: int, length: int) -> np.ndarray:
-    """The first ``length`` bits of ``plane``, LSB first, as a uint8 array."""
-    raw = plane.to_bytes((length + 7) // 8 or 1, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[
-        :length
-    ]
+    """The first ``length`` bits of ``plane``, LSB first, as a uint8 array;
+    bits past the top of ``plane`` are 0."""
+    raw = plane.to_bytes(_plane_width(length) or 1, "little")
+    return np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8), count=length, bitorder="little"
+    )
 
 
 def _pack_rows(rows: np.ndarray) -> list[int]:
@@ -216,7 +236,7 @@ def _pack_rows(rows: np.ndarray) -> list[int]:
     # Lets a temporary argument, such as a fresh draw, be freed before the
     # integers are built.
     del rows
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return [_row_int(row) for row in packed]
 
 
 def _uniform_binary(
@@ -266,8 +286,10 @@ def _cyclic_extension(x: TritString, L: int) -> np.ndarray:
     """The symbols of ``x`` followed by its first L - 1, so that every cyclic
     window of length L is a slice: ring position (p + j) mod n is index
     p + j of this array for 0 <= p < n, 0 <= j < L."""
-    x_arr = _unpack(x.bits, x.length)
-    return np.concatenate((x_arr, x_arr[: L - 1]))
+    n = x.length
+    ext = _unpack(x.bits, n + L - 1)  # one allocation; the tail unpacks as 0
+    ext[n:] = ext[: L - 1]
+    return ext
 
 
 def _gather_reads(ext: np.ndarray, starts0: np.ndarray, L: int) -> np.ndarray:
@@ -276,20 +298,12 @@ def _gather_reads(ext: np.ndarray, starts0: np.ndarray, L: int) -> np.ndarray:
     return sliding_window_view(ext, L)[starts0]
 
 
-def _erasure_mask(params: ChannelParams, seed) -> np.ndarray:
-    """(K, L) bool mask of unerased symbols, ``random >= delta``.
-
-    The uniforms are drawn in blocks of whole rows.  The generator fills
-    arrays in row-major order, so the mask equals the one from a single
-    ``random((K, L))`` draw.
-    """
-    rng = stage_rng(seed, STAGE_ERASURES)
-    known = np.empty((params.K, params.L), dtype=bool)
-    rows = max(1, _ERASURE_BLOCK // params.L)
-    for i in range(0, params.K, rows):
-        block = known[i : i + rows]
-        np.greater_equal(rng.random(block.shape), float(params.delta), out=block)
-    return known
+def _row_blocks(K: int, L: int) -> list[slice]:
+    """Slices of whole reads, in order, of at most ``_ERASURE_BLOCK``
+    symbols (one read if L is longer): the unit in which a stage draws,
+    gathers or unpacks read symbols."""
+    rows = max(1, _ERASURE_BLOCK // L)
+    return [slice(i, i + rows) for i in range(0, K, rows)]
 
 
 def transmit_codeword(
@@ -299,17 +313,36 @@ def transmit_codeword(
     starts (with replacement), then every read symbol erased independently
     with probability delta.  Starts and erasures draw from separate
     substreams of ``seed``.
+
+    The reads are built a block of rows at a time and packed.  The generator
+    fills arrays in row-major order, so the erasures equal those of a single
+    ``random((K, L)) >= delta`` draw.
     """
     if x.length != params.n:
         raise DomainError(f"codeword length {x.length} != n={params.n}")
     if x.size != params.n:
         raise DomainError("channel input must be a fully visible binary string")
-    _check_symbols(params.K * params.L, "K * L")
+    K, L = params.K, params.L
+    _check_symbols(K * L, "K * L")
     starts0 = _sample_starts(params, seed)
-    values = _gather_reads(_cyclic_extension(x, params.L), starts0, params.L)
-    known = _erasure_mask(params, seed)
-    values &= known  # symbols are 0/1, so this zeroes the erased ones
-    truth = Truth(message=message, codeword=x, starts=(starts0 + 1).astype(np.int64))
+    ext = _cyclic_extension(x, L)
+    rng = stage_rng(seed, STAGE_ERASURES)
+    delta, width = float(params.delta), _plane_width(L)
+    values = np.empty((K, width), dtype=np.uint8)
+    known = np.empty_like(values)
+    for blk in _row_blocks(K, L):
+        rows = starts0[blk]
+        # Rows zero-padded to whole bytes, so that one flat ``packbits``
+        # gives each row its own bytes; packing along axis 1 is far slower.
+        mask = np.zeros((len(rows), 8 * width), dtype=bool)
+        symbols = np.zeros(mask.shape, dtype=np.uint8)
+        np.greater_equal(rng.random((len(rows), L)), delta, out=mask[:, :L])
+        # Symbols are 0/1, so this zeroes the erased ones.
+        np.bitwise_and(_gather_reads(ext, rows, L), mask[:, :L], out=symbols[:, :L])
+        values[blk] = np.packbits(symbols, bitorder="little").reshape(-1, width)
+        known[blk] = np.packbits(mask, bitorder="little").reshape(-1, width)
+    starts0 += 1  # the truth record's starts are 1-based
+    truth = Truth(message=message, codeword=x, starts=starts0)
     return ChannelOutput(params=params, values=values, known=known, truth=truth)
 
 

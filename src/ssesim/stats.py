@@ -37,6 +37,7 @@ from .channel import (
     ChannelParams,
     _cyclic_extension,
     _round_finite,
+    _row_blocks,
     child_seed,
     cyclic_gaps,
     random_codeword,
@@ -94,15 +95,16 @@ def coverage(output: ChannelOutput) -> CoverageReport:
     if output.truth is None:
         raise ValueError("coverage needs the truth record")
     n, L = output.params.n, output.params.L
-    starts0 = np.asarray(output.truth.starts, dtype=np.int64) - 1
+    starts = output.truth.starts
     # Each read covers the positions up to the next start, at most L of them.
-    gaps = cyclic_gaps(np.sort(starts0), n)
-    phi = int(np.minimum(gaps, L).sum()) / n
-    # Mark unerased symbols one read column at a time on the unrolled ring,
-    # then fold the overhang past n back onto its start.
+    phi = int(np.minimum(cyclic_gaps(np.sort(starts), n), L).sum()) / n
+    # Mark the unerased symbols of one block of reads at a time on the
+    # unrolled ring, then fold the overhang past n back onto its start.
     visible = np.zeros(n + L - 1, dtype=bool)
-    for j in range(L):
-        visible[starts0[output.known[:, j]] + j] = True
+    offsets = np.arange(L) - 1  # symbol j of a read at (1-based) s sits at s - 1 + j
+    for blk in _row_blocks(output.params.K, L):
+        known = np.unpackbits(output.known[blk], axis=1, count=L, bitorder="little")
+        visible[(starts[blk, None] + offsets)[known.view(bool)]] = True
     visible[: L - 1] |= visible[n:]
     return CoverageReport(phi=phi, phi_v=int(np.count_nonzero(visible[:n])) / n)
 
@@ -120,9 +122,9 @@ def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:
     tied = np.zeros(k, dtype=bool)
     tied[:-1] = gaps[:-1] == 0
     tied[1:] |= gaps[:-1] == 0
-    dist_sorted = np.where(tied, 0, gaps)
+    gaps[tied] = 0
     out = np.empty(k, dtype=np.int64)
-    out[order] = dist_sorted
+    out[order] = gaps
     return out
 
 
@@ -149,14 +151,28 @@ class SuffixSizeHistogram:
         return sum(self.counts)
 
 
+# Set bits per byte value, and the byte of symbols 8j..8j+7 at or past a
+# read's position 8j + t, for t = 0..8: np.bitwise_count needs numpy 2.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+_BITS_FROM = np.array([(0xFF << t) & 0xFF for t in range(9)], dtype=np.uint8)
+
+
+def _popcount_rows(plane: np.ndarray) -> np.ndarray:
+    """Set bits per row of a packed uint8 plane."""
+    return _POPCOUNT[plane].sum(axis=-1, dtype=np.int64)
+
+
 def _suffix_sizes(output: ChannelOutput) -> np.ndarray:
     n, L = output.params.n, output.params.L
-    dist = forward_successor_distances(output.truth.starts - 1, n)
-    overlaps = np.maximum(0, L - dist)
-    # Unerased symbols among the last ``overlap`` of each read.
-    tail = np.arange(L)[None, :] >= (L - overlaps)[:, None]
-    tail &= output.known
-    return np.count_nonzero(tail, axis=1)
+    dist = forward_successor_distances(output.truth.starts, n)
+    # Each read's overlap-length suffix starts at position L - overlap.
+    first = np.minimum(dist, L, out=dist)
+    byte_starts = 8 * np.arange(output.known.shape[1])
+    sizes = np.empty(output.params.K, dtype=np.int64)
+    for blk in _row_blocks(output.params.K, L):
+        tail = _BITS_FROM[np.clip(first[blk, None] - byte_starts, 0, 8)]
+        sizes[blk] = _popcount_rows(output.known[blk] & tail)
+    return sizes
 
 
 def suffix_size_histogram(output: ChannelOutput) -> SuffixSizeHistogram:
@@ -533,42 +549,47 @@ def _probe_z(
     rng: np.random.Generator,
     values: np.ndarray,
     known: np.ndarray,
+    L: int,
     suffix_size: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """A probe string: a random read re-erased down to exactly
-    ``suffix_size`` visible symbols."""
-    k_reads = values.shape[0]
+    ``suffix_size`` visible symbols.  ``values``/``known`` are the reads'
+    packed bit-planes; only the chosen row is unpacked."""
+    k_reads = known.shape[0]
     for _ in range(64):
         r = int(rng.integers(k_reads))
-        if np.count_nonzero(known[r]) >= suffix_size:
+        if _popcount_rows(known[r]) >= suffix_size:
             break
     else:
         # Rejection gave up, so draw among the eligible reads directly: both
         # are uniform over them, and the draws of a run that ends in the
         # loop do not change.
-        eligible = np.flatnonzero(np.count_nonzero(known, axis=1) >= suffix_size)
+        eligible = np.flatnonzero(_popcount_rows(known) >= suffix_size)
         if not len(eligible):
             raise DomainError(
                 f"no read with {suffix_size} visible symbols found; "
                 "delta too high for this probe"
             )
         r = int(eligible[rng.integers(len(eligible))])
-    keep = rng.choice(np.flatnonzero(known[r]), size=suffix_size, replace=False)
-    zk = np.zeros(values.shape[1], dtype=bool)
+    visible = np.unpackbits(known[r], count=L, bitorder="little")
+    keep = rng.choice(np.flatnonzero(visible), size=suffix_size, replace=False)
+    zk = np.zeros(L, dtype=bool)
     zk[keep] = True
-    return np.where(zk, values[r], 0).astype(np.uint8), zk
+    zv = np.unpackbits(values[r], count=L, bitorder="little")
+    return np.where(zk, zv, 0).astype(np.uint8), zk
 
 
 def _count_matches(ext: np.ndarray, starts0: np.ndarray, zv, zk) -> int:
     """Reads whose true window agrees with the probe's visible symbols.
 
-    Matching is against the pre-erasure windows, read column by column from
-    the codeword's cyclic extension ``ext``: each read at an independent
-    start agrees with probability exactly 2**-size."""
-    agree = np.ones(len(starts0), dtype=bool)
+    Matching is against the pre-erasure windows, read from the codeword's
+    cyclic extension ``ext``: each read at an independent start agrees
+    with probability exactly 2**-size.  Each visible probe symbol keeps
+    only the starts that still agree, so the work shrinks geometrically."""
+    alive = starts0
     for j in np.flatnonzero(zk):
-        agree &= ext[starts0 + j] == zv[j]
-    return int(np.count_nonzero(agree))
+        alive = alive[ext[j:][alive] == zv[j]]
+    return len(alive)
 
 
 def _run_trial(params: ChannelParams, seed: int, t: int, mz_sizes, mz_per_trial: int):
@@ -586,7 +607,7 @@ def _run_trial(params: ChannelParams, seed: int, t: int, mz_sizes, mz_per_trial:
         for s in mz_sizes:
             counts = []
             for _ in range(mz_per_trial):
-                zv, zk = _probe_z(rng, out.values, out.known, s)
+                zv, zk = _probe_z(rng, out.values, out.known, params.L, s)
                 counts.append(_count_matches(ext, starts0, zv, zk))
             mz_counts.append(tuple(counts))
     return islands, rep.phi, rep.phi_v, hist.counts, mz_counts

@@ -20,6 +20,7 @@ def make_output(
     """Channel output with hand-picked starts (1-based) and erasures.
 
     ``erased`` holds (read index, 0-based position within the read) pairs.
+    The hand-built (K, L) arrays are packed into the output's bit-planes.
     """
     n = len(x_text)
     params = ChannelParams(n=n, L=L, K=len(starts), delta=delta)
@@ -37,7 +38,12 @@ def make_output(
         codeword=TritString.from_text(x_text),
         starts=np.asarray(starts, dtype=np.int64),
     )
-    return ChannelOutput(params=params, values=values, known=known, truth=truth)
+    return ChannelOutput(
+        params=params,
+        values=np.packbits(values, axis=1, bitorder="little"),
+        known=np.packbits(known, axis=1, bitorder="little"),
+        truth=truth,
+    )
 
 
 def exact_counts_by_enumeration(n, L, K, delta):

@@ -76,7 +76,8 @@ def test_erasure_rate_three_sigma():
     p = ChannelParams(n=2000, L=50, K=200, delta=0.3)
     out = transmit_codeword(random_codeword(p.n, 2), p, 77)
     total = p.K * p.L
-    erased = total - int(out.known.sum())
+    # Pad bits past L are clear, so every set bit is an unerased symbol.
+    erased = total - int(np.unpackbits(out.known).sum())
     sigma = (total * p.delta * (1 - p.delta)) ** 0.5
     assert abs(erased - total * p.delta) < 3 * sigma
 
@@ -127,11 +128,40 @@ def test_json_round_trip():
     assert view_only["reads"] == doc["reads"]
 
 
+def _pack(rows) -> np.ndarray:
+    return np.packbits(np.asarray(rows, dtype=np.uint8), axis=1, bitorder="little")
+
+
 def test_decoder_view_zeroes_erased_values():
     p = ChannelParams(n=8, L=4, K=2, delta=0.5)
-    known = np.array([[1, 0, 1, 0], [0, 0, 1, 1]], dtype=bool)
-    out = ChannelOutput(p, np.ones((2, 4), dtype=np.uint8), known)
+    # Value bits are set at the erased positions too; reads must drop them.
+    values = _pack(np.ones((2, 4)))
+    known = _pack([[1, 0, 1, 0], [0, 0, 1, 1]])
+    out = ChannelOutput(p, values, known)
     assert [s.text for s in out.reads] == ["1*1*", "**11"]
+
+
+def test_output_rejects_malformed_planes():
+    p = ChannelParams(n=16, L=10, K=2, delta=0.5)
+    good = _pack(np.ones((2, 10)))
+    assert good.shape == (2, 2)
+    ChannelOutput(p, good.copy(), good.copy())
+    with pytest.raises(ValueError, match="shape"):
+        ChannelOutput(p, np.ones((2, 10), dtype=np.uint8), good.copy())
+    with pytest.raises(ValueError, match="shape"):
+        ChannelOutput(p, good.copy(), good[:1].copy())
+    with pytest.raises(ValueError, match="shape"):
+        ChannelOutput(p, good.copy(), good.astype(bool))
+    for pad_bit in range(2, 8):  # bits 10..15 of each row are past L
+        known = good.copy()
+        known[1, 1] |= 1 << pad_bit
+        with pytest.raises(ValueError, match="past the read length"):
+            ChannelOutput(p, good.copy(), known)
+    # Value bits past L are ignored like those at erased positions.
+    values = good.copy()
+    values[:, 1] = 0xFF
+    out = ChannelOutput(p, values, good.copy())
+    assert [s.text for s in out.reads] == ["1" * 10] * 2
 
 
 def test_output_arrays_read_only():

@@ -190,6 +190,21 @@ def test_concentration_formats(capsys):
     assert int(rows[0]["islands"]) >= 1
 
 
+def test_thread_count_does_not_change_multi_block_trials(capsys):
+    """K = 99,864 reads of L = 42 symbols per trial: every stage goes over
+    the reads in 65 row blocks while two trials run at once."""
+    base = (
+        "concentration", "--n", "2097152", "--lbar", "2", "--coverage", "2",
+        "--delta", "0.2", "--mz-tau", "0.5", "--mz-tau", "0.85",
+        "--trials", "4", "--seed", "11",
+    )
+    code, one, _ = run(capsys, *base, "--threads", "1")
+    assert code == 0
+    code, two, _ = run(capsys, *base, "--threads", "2")
+    assert code == 0
+    assert two == one
+
+
 def test_decode_demo(capsys):
     argv = (
         "decode-demo", "--n", "24", "--length", "6", "--reads", "5",

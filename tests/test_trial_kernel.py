@@ -1,9 +1,9 @@
 """The concentration trial's kernels against the whole-array formulas they
 replace, and the trial's memory bound.
 
-The references below build the (K, L) int64 window index, scatter
-``idx[known]`` and take a reversed ``cumsum``: the direct forms of the
-statistics, kept here only as the check.
+The references below unpack the reads' bit-planes, build the (K, L) int64
+window index, scatter ``idx[known]`` and take a reversed ``cumsum``: the
+direct forms of the statistics, kept here only as the check.
 """
 
 import tracemalloc
@@ -15,10 +15,8 @@ from ssesim.channel import (
     STAGE_ERASURES,
     ChannelParams,
     _cyclic_extension,
-    _erasure_mask,
     _ERASURE_BLOCK,
     _gather_reads,
-    _unpack,
     random_codeword,
     stage_rng,
     transmit_codeword,
@@ -33,6 +31,8 @@ from ssesim.stats import (
 
 # (n, L, K, delta): tied starts and windows across the wrap are common at
 # these sizes; L = n, L = 1, K = 1 and delta at 0 and 1 are edge cases.
+# L = 8 fills its plane bytes exactly, L = 70 spans nine with two pad bits,
+# and the last case spans four row blocks with three pad bits per read.
 CASES = [
     (1, 1, 3, 0.5),
     (2, 2, 5, 0.5),
@@ -43,7 +43,15 @@ CASES = [
     (20, 6, 30, 1.0),
     (50, 9, 40, 0.25),
     (64, 60, 5, 0.3),
+    (40, 8, 12, 0.3),
+    (100, 70, 6, 0.3),
+    (1000, 13, 3 * (_ERASURE_BLOCK // 13) + 5, 0.4),
 ]
+
+
+def _unpacked(plane, L):
+    """The (K, L) bool array a packed bit-plane holds."""
+    return np.unpackbits(plane, axis=1, count=L, bitorder="little").astype(bool)
 
 
 def _window_index(starts0, L, n):
@@ -54,14 +62,15 @@ def _reference_phi_v(out):
     n, L = out.params.n, out.params.L
     idx = _window_index(out.truth.starts - 1, L, n)
     visible = np.zeros(n, dtype=bool)
-    visible[idx[out.known]] = True
+    visible[idx[_unpacked(out.known, L)]] = True
     return float(visible.mean())
 
 
 def _reference_suffix_sizes(out, distances):
     L = out.params.L
     overlaps = np.maximum(0, L - distances)
-    revcum = np.cumsum(out.known[:, ::-1].astype(np.int64), axis=1)
+    known = _unpacked(out.known, L)
+    revcum = np.cumsum(known[:, ::-1].astype(np.int64), axis=1)
     col = np.clip(overlaps - 1, 0, None)[:, None]
     sizes = np.take_along_axis(revcum, col, axis=1).ravel()
     return np.where(overlaps > 0, sizes, 0)
@@ -79,11 +88,20 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
         x = random_codeword(n, seed)
         out = transmit_codeword(x, p, seed)
         starts0 = out.truth.starts - 1
-        clean = _unpack(x.bits, n)[_window_index(starts0, L, n)]
+        symbols = np.frombuffer(x.text.encode(), dtype=np.uint8) - ord("0")
+        clean = symbols[_window_index(starts0, L, n)]
         ext = _cyclic_extension(x, L)
         assert np.array_equal(_gather_reads(ext, starts0, L), clean)
-        assert np.array_equal(out.values, np.where(out.known, clean, 0))
-        assert out.values.dtype == np.uint8
+        known = _unpacked(out.known, L)
+        assert out.values.dtype == out.known.dtype == np.uint8
+        assert np.array_equal(_unpacked(out.values, L), np.where(known, clean, 0))
+        # Pad bits past L are clear in both planes.
+        assert np.array_equal(
+            out.known, np.packbits(known, axis=1, bitorder="little")
+        )
+        assert np.array_equal(
+            out.values, np.packbits(known & clean.astype(bool), axis=1, bitorder="little")
+        )
 
         assert coverage(out).phi_v == _reference_phi_v(out)
         dist = forward_successor_distances(starts0, n)
@@ -106,24 +124,28 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
 def test_blocked_erasure_draw_equals_one_draw(K, L):
     p = ChannelParams(n=max(L, 64), L=L, K=K, delta=0.3)
     single = stage_rng(11, STAGE_ERASURES).random((K, L)) >= 0.3
-    assert np.array_equal(_erasure_mask(p, 11), single)
+    out = transmit_codeword(random_codeword(p.n, 11), p, 11)
+    assert np.array_equal(_unpacked(out.known, L), single)
 
 
 def test_trial_memory_is_a_few_bytes_per_symbol():
-    """One trial at n = 2^20 (L = 40, K = 52,429) peaks at most at
-    4 bytes per read symbol plus 8 per codeword position.
+    """One trial at n = 2^20 (L = 40, K = 52,429) peaks at most at a
+    quarter byte per read symbol plus 6 bytes per codeword position.
 
     The bound comes from what a trial has to hold.  The reads' ``values``
-    and ``known`` take 1 byte per read symbol each, and computing suffix
-    sizes adds one more 1-byte (K, L) mask: 3 K L.  Everything else is per
-    position or per read: the codeword as bytes, its cyclic extension and
-    the phi_v line (about 1 byte per position each), a fixed 512 KB block
-    of erasure uniforms, and a few int64 arrays of length K (starts, sort
-    order, gaps, distances) at 8 c / L = 0.4 bytes per position each.  So
-    4 K L + 8 n leaves a margin of K L plus about 4 n.  An int64 window
-    index or a float64 erasure draw over all K L symbols costs 8 bytes per
-    symbol alone and breaks it.  tracemalloc sees numpy's allocations, so
-    the peak is a count of bytes, not a timing.
+    and ``known`` are bit-planes of K ceil(L/8) bytes each, K L / 4 for
+    both when 8 divides L.  Every stage goes over them a block of
+    ``_ERASURE_BLOCK`` symbols at a time, so its per-symbol temporaries are
+    a fixed size.  Everything else is per position or per read: the
+    codeword's two integer planes (n / 4 bytes), its cyclic extension and
+    the phi_v line (about 1 byte per position each), and a few int64
+    arrays of length K (starts, sort order, gaps, distances, suffix sizes)
+    at 8 c / L = 0.4 bytes per position each.  That is about 4 bytes per
+    position, so 6 n leaves a margin of about 2 n.  Holding the reads as
+    two (K, L) byte arrays, one byte per symbol, adds 2 K L = 4 n and
+    breaks it, and an int64 index or a float64 erasure draw over all K L
+    symbols breaks it alone.  tracemalloc sees numpy's allocations, so the
+    peak is a count of bytes, not a timing.
     """
     p = ChannelParams.resolve(2**20, 0.2, lbar=2, c=2)
     _run_trial(p, 7, 0, [10, 17], 2)  # first-call caches out of the count
@@ -133,7 +155,7 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * p.K * p.L + 8 * p.n
+    assert peak <= p.K * p.L / 4 + 6 * p.n
 
 
 def test_random_codeword_memory_is_bounded():
