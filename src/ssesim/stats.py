@@ -151,8 +151,8 @@ class SuffixSizeHistogram:
         return sum(self.counts)
 
 
-# Set bits per byte value, and the byte of symbols 8j..8j+7 at or past a
-# read's position 8j + t, for t = 0..8: np.bitwise_count needs numpy 2.
+# Set bits per byte value (np.bitwise_count needs numpy 2) and, for
+# t = 0..8, the mask of bits t..7 of a byte: its symbols at or past the t-th.
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 _BITS_FROM = np.array([(0xFF << t) & 0xFF for t in range(9)], dtype=np.uint8)
 

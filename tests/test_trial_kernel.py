@@ -140,7 +140,7 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
     codeword's two integer planes (n / 4 bytes), its cyclic extension and
     the phi_v line (about 1 byte per position each), and a few int64
     arrays of length K (starts, sort order, gaps, distances, suffix sizes)
-    at 8 c / L = 0.4 bytes per position each.  That is about 4 bytes per
+    at 8 c / L = 0.4 bytes per position each.  That is 3 to 4 bytes per
     position, so 6 n leaves a margin of about 2 n.  Holding the reads as
     two (K, L) byte arrays, one byte per symbol, adds 2 K L = 4 n and
     breaks it, and an int64 index or a float64 erasure draw over all K L
