@@ -55,6 +55,18 @@ GOLDEN = {
     "concentration --n 64 --length 60 --reads 5 --delta 0.3 --mz-tau 0.5"
     " --trials 3 --seed 4":
         "68ba51421fef87901fc3336139a3d03b830d667894ee014bf367785e72b2e2b6",
+    # n and L not multiples of 8, so read windows start at every bit offset
+    # of a byte and the ring's overhang past n is not byte-aligned; the last
+    # argv packs 40 reads of length 35 on a ring of 37, so tied starts and
+    # windows across the wrap are dense.
+    "concentration --n 4099 --lbar 2.3 --coverage 3 --delta 0.35 --mz-tau 0.5"
+    " --mz-tau 0.85 --trials 4 --seed 21":
+        "dc5993549ad84a8f54f96c7c0f6c242c2265cfaa9b566b4c1eb81006d041dcf0",
+    "concentration --n 4099 --lbar 2.3 --coverage 3 --delta 0.35 --mz-tau 0.5"
+    " --mz-tau 0.85 --trials 4 --seed 21 --format csv":
+        "9a376f07fe081615465a1912400ffde86b9595c148291c3fd7b6a33a0b07e0ce",
+    "concentration --n 37 --length 35 --reads 40 --delta 0.5 --trials 5 --seed 8":
+        "98cb98f26355bebea3fa0e9f881f7f271030c4ff4c2a55aeb567758625278de0",
     # Codeword matching on large codebooks: the decode-bigbook geometry
     # (1024 codewords of length 32), then n and codebook size that are not
     # multiples of 8, where 48 codewords hold every read.
