@@ -221,15 +221,6 @@ def _row_int(row: np.ndarray) -> int:
     return int.from_bytes(row.tobytes(), "little")
 
 
-def _unpack(plane: int, length: int) -> np.ndarray:
-    """The first ``length`` bits of ``plane``, LSB first, as a uint8 array;
-    bits past the top of ``plane`` are 0."""
-    raw = plane.to_bytes(_plane_width(length) or 1, "little")
-    return np.unpackbits(
-        np.frombuffer(raw, dtype=np.uint8), count=length, bitorder="little"
-    )
-
-
 def _pack_rows(rows: np.ndarray) -> list[int]:
     """One integer bit-plane per row of a 2-D array, nonzero entries set."""
     packed = np.packbits(rows, axis=1, bitorder="little")
@@ -279,23 +270,23 @@ def _sample_starts(params: ChannelParams, seed) -> np.ndarray:
 def cyclic_gaps(sorted_starts: np.ndarray, n: int) -> np.ndarray:
     """Forward distance from each sorted start to the next one, the last
     wrapping round to the first.  A single start gets the gap ``n``."""
-    return np.diff(sorted_starts, append=sorted_starts[0] + n)
+    starts = np.asarray(sorted_starts)
+    # Written in place: ``np.diff(append=...)`` copies the starts first.
+    gaps = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=gaps[:-1])
+    gaps[-1] = starts[0] + n - starts[-1]
+    return gaps
 
 
-def _cyclic_extension(x: TritString, L: int) -> np.ndarray:
-    """The symbols of ``x`` followed by its first L - 1, so that every cyclic
-    window of length L is a slice: ring position (p + j) mod n is index
-    p + j of this array for 0 <= p < n, 0 <= j < L."""
+def _packed_extension(x: TritString, L: int) -> np.ndarray:
+    """The bits of ``x`` followed by its first L - 1, packed LSB first into
+    uint8 bytes, so that ring position (p + j) mod n is bit p + j for
+    0 <= p < n, 0 <= j < L.  Zero bytes pad it so that the ceil(L/8) + 1
+    bytes from byte p >> 3 on exist for every start p."""
     n = x.length
-    ext = _unpack(x.bits, n + L - 1)  # one allocation; the tail unpacks as 0
-    ext[n:] = ext[: L - 1]
-    return ext
-
-
-def _gather_reads(ext: np.ndarray, starts0: np.ndarray, L: int) -> np.ndarray:
-    """(K, L) uint8 copy of the windows at 0-based ``starts0`` of the
-    cyclic extension ``ext``; it builds no index array."""
-    return sliding_window_view(ext, L)[starts0]
+    ext = x.bits | (x.bits & ((1 << (L - 1)) - 1)) << n
+    size = (n - 1) // 8 + _plane_width(L) + 1
+    return np.frombuffer(ext.to_bytes(size, "little"), dtype=np.uint8)
 
 
 def _row_blocks(K: int, L: int) -> list[slice]:
@@ -325,9 +316,10 @@ def transmit_codeword(
     K, L = params.K, params.L
     _check_symbols(K * L, "K * L")
     starts0 = _sample_starts(params, seed)
-    ext = _cyclic_extension(x, L)
     rng = stage_rng(seed, STAGE_ERASURES)
     delta, width = float(params.delta), _plane_width(L)
+    # Every read's symbols lie in the width + 1 bytes from its start's byte.
+    spans = sliding_window_view(_packed_extension(x, L), width + 1)
     values = np.empty((K, width), dtype=np.uint8)
     known = np.empty_like(values)
     for blk in _row_blocks(K, L):
@@ -335,12 +327,15 @@ def transmit_codeword(
         # Rows zero-padded to whole bytes, so that one flat ``packbits``
         # gives each row its own bytes; packing along axis 1 is far slower.
         mask = np.zeros((len(rows), 8 * width), dtype=bool)
-        symbols = np.zeros(mask.shape, dtype=np.uint8)
         np.greater_equal(rng.random((len(rows), L)), delta, out=mask[:, :L])
-        # Symbols are 0/1, so this zeroes the erased ones.
-        np.bitwise_and(_gather_reads(ext, rows, L), mask[:, :L], out=symbols[:, :L])
-        values[blk] = np.packbits(symbols, bitorder="little").reshape(-1, width)
         known[blk] = np.packbits(mask, bitorder="little").reshape(-1, width)
+        # Byte b of a window is bytes b and b + 1 of its span shifted down by
+        # the start's bit offset; ``known`` clears the bits past L and the
+        # erased symbols, and the cast keeps the low byte.
+        span = spans[rows >> 3].astype(np.uint16)
+        span = span[:, :-1] | span[:, 1:] << 8
+        span >>= (rows & 7).astype(np.uint16)[:, None]
+        np.bitwise_and(span, known[blk], out=values[blk], casting="unsafe")
     starts0 += 1  # the truth record's starts are 1-based
     truth = Truth(message=message, codeword=x, starts=starts0)
     return ChannelOutput(params=params, values=values, known=known, truth=truth)

@@ -189,9 +189,9 @@ def typicality_decode(
     if any(l != params.L for _, _, l in trip):
         raise DomainError(f"params expect reads of length L={params.L}")
 
-    check_omega = config.omega_mode == "typical-only" and not math.isinf(
-        config.epsilon
-    )
+    # At epsilon = inf both tests accept everything, so neither is run.
+    check_coverage = not math.isinf(config.epsilon)
+    check_omega = config.omega_mode == "typical-only" and check_coverage
     thresholds = typicality_thresholds(params, config.epsilon)
 
     @cache
@@ -212,9 +212,10 @@ def typicality_decode(
         if key in seen:
             return
         seen.add(key)
-        visible = sum(k.bit_count() for _, k, _ in islands)
-        if not thresholds.typical_coverage(visible):
-            return
+        if check_coverage:
+            visible = sum(k.bit_count() for _, k, _ in islands)
+            if not thresholds.typical_coverage(visible):
+                return
         survivors.append(islands)
 
     def close(last, acc, islands, omega) -> None:

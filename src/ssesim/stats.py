@@ -35,7 +35,7 @@ from .channel import (
     STAGE_TRIAL,
     ChannelOutput,
     ChannelParams,
-    _cyclic_extension,
+    _packed_extension,
     _round_finite,
     _row_blocks,
     child_seed,
@@ -95,18 +95,41 @@ def coverage(output: ChannelOutput) -> CoverageReport:
     if output.truth is None:
         raise ValueError("coverage needs the truth record")
     n, L = output.params.n, output.params.L
-    starts = output.truth.starts
+    order = np.argsort(output.truth.starts)
+    first = output.truth.starts[order]
+    first -= 1  # 0-based, in start order
     # Each read covers the positions up to the next start, at most L of them.
-    phi = int(np.minimum(cyclic_gaps(np.sort(starts), n), L).sum()) / n
-    # Mark the unerased symbols of one block of reads at a time on the
-    # unrolled ring, then fold the overhang past n back onto its start.
-    visible = np.zeros(n + L - 1, dtype=bool)
-    offsets = np.arange(L) - 1  # symbol j of a read at (1-based) s sits at s - 1 + j
+    gaps = cyclic_gaps(first, n)
+    phi = int(np.minimum(gaps, L, out=gaps).sum()) / n
+    del gaps
+    # OR the unerased symbols of one block of reads at a time onto the
+    # unrolled ring as bits.  A row shifted up by its start's bit offset
+    # fills width + 1 bytes from its start's byte, held in little-endian
+    # uint64 words.  Rows are in start order, so rows that share a byte are
+    # adjacent and OR-reduced first, and no byte is written twice at once.
+    width = output.known.shape[1]
+    ring = np.zeros((n - 1) // 8 + width + 1, dtype=np.uint8)
     for blk in _row_blocks(output.params.K, L):
-        known = np.unpackbits(output.known[blk], axis=1, count=L, bitorder="little")
-        visible[(starts[blk, None] + offsets)[known.view(bool)]] = True
-    visible[: L - 1] |= visible[n:]
-    return CoverageReport(phi=phi, phi_v=int(np.count_nonzero(visible[:n])) / n)
+        rows = order[blk]
+        span = np.zeros((len(rows), width // 8 + 1), dtype="<u8")
+        span.view(np.uint8)[:, :width] = np.take(output.known, rows, axis=0)
+        shift = (first[blk] & 7).astype(np.uint64)[:, None]
+        # The top ``shift`` bits of each word carry into the next one.
+        carry = span >> np.uint64(1) >> (np.uint64(63) - shift)
+        span <<= shift
+        span[:, 1:] |= carry[:, :-1]
+        byte = first[blk] >> 3
+        head = np.flatnonzero(np.diff(byte, prepend=-1))
+        span = np.bitwise_or.reduceat(span, head, axis=0).view(np.uint8)
+        byte = byte[head]
+        for b in range(width + 1):
+            ring[byte + b] |= span[:, b]
+    # Fold the overhang past n back onto the ring's start; the per-read
+    # arrays go first, so that they and the integers are not alive at once.
+    del order, first
+    bits = int.from_bytes(ring, "little")
+    visible = ((bits & ((1 << n) - 1)) | bits >> n).bit_count()
+    return CoverageReport(phi=phi, phi_v=visible / n)
 
 
 def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:
@@ -116,7 +139,8 @@ def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:
     """
     starts = np.asarray(starts, dtype=np.int64)
     k = len(starts)
-    order = np.argsort(starts, kind="stable")
+    # Tied reads all get 0 below, so their order within a tie is free.
+    order = np.argsort(starts)
     gaps = cyclic_gaps(starts[order], n)
     # A read sharing its start with any other read is at distance 0 from it.
     tied = np.zeros(k, dtype=bool)
@@ -159,7 +183,8 @@ _BITS_FROM = np.array([(0xFF << t) & 0xFF for t in range(9)], dtype=np.uint8)
 
 def _popcount_rows(plane: np.ndarray) -> np.ndarray:
     """Set bits per row of a packed uint8 plane."""
-    return _POPCOUNT[plane].sum(axis=-1, dtype=np.int64)
+    # A product with ones sums short rows faster than ``sum(axis=-1)``.
+    return np.take(_POPCOUNT, plane) @ np.ones(plane.shape[-1], dtype=np.int64)
 
 
 def _suffix_sizes(output: ChannelOutput) -> np.ndarray:
@@ -170,7 +195,8 @@ def _suffix_sizes(output: ChannelOutput) -> np.ndarray:
     byte_starts = 8 * np.arange(output.known.shape[1])
     sizes = np.empty(output.params.K, dtype=np.int64)
     for blk in _row_blocks(output.params.K, L):
-        tail = _BITS_FROM[np.clip(first[blk, None] - byte_starts, 0, 8)]
+        offsets = first[blk, None] - byte_starts
+        tail = np.take(_BITS_FROM, np.clip(offsets, 0, 8, out=offsets))
         sizes[blk] = _popcount_rows(output.known[blk] & tail)
     return sizes
 
@@ -579,16 +605,19 @@ def _probe_z(
     return np.where(zk, zv, 0).astype(np.uint8), zk
 
 
-def _count_matches(ext: np.ndarray, starts0: np.ndarray, zv, zk) -> int:
+def _count_matches(ext: np.ndarray, starts: np.ndarray, zv, zk) -> int:
     """Reads whose true window agrees with the probe's visible symbols.
 
-    Matching is against the pre-erasure windows, read from the codeword's
-    cyclic extension ``ext``: each read at an independent start agrees
-    with probability exactly 2**-size.  Each visible probe symbol keeps
-    only the starts that still agree, so the work shrinks geometrically."""
-    alive = starts0
+    Matching is against the pre-erasure windows, read as bits of the
+    codeword's packed cyclic extension ``ext`` from the 1-based ``starts``:
+    each read at an independent start agrees with probability exactly
+    2**-size.  Each visible probe symbol keeps only the starts that still
+    agree, so the work shrinks geometrically."""
+    alive = starts
     for j in np.flatnonzero(zk):
-        alive = alive[ext[j:][alive] == zv[j]]
+        pos = alive + (j - 1)
+        bit = ext[pos >> 3] >> (pos & 7).astype(np.uint8) & 1
+        alive = alive[bit == zv[j]]
     return len(alive)
 
 
@@ -597,18 +626,18 @@ def _run_trial(params: ChannelParams, seed: int, t: int, mz_sizes, mz_per_trial:
     x = random_codeword(params.n, child_seed(trial, STAGE_CODEBOOK))
     out = transmit_codeword(x, params, trial)
     rep = coverage(out)
-    islands = chain_island_count(out.truth.starts - 1, params.n, params.L)
+    # Gaps, and so islands, do not depend on where positions are counted from.
+    islands = chain_island_count(out.truth.starts, params.n, params.L)
     hist = suffix_size_histogram(out)
     rng = stage_rng(trial, STAGE_MZ)
     mz_counts = []
     if mz_sizes:
-        ext = _cyclic_extension(x, params.L)
-        starts0 = out.truth.starts - 1
+        ext = _packed_extension(x, params.L)
         for s in mz_sizes:
             counts = []
             for _ in range(mz_per_trial):
                 zv, zk = _probe_z(rng, out.values, out.known, params.L, s)
-                counts.append(_count_matches(ext, starts0, zv, zk))
+                counts.append(_count_matches(ext, out.truth.starts, zv, zk))
             mz_counts.append(tuple(counts))
     return islands, rep.phi, rep.phi_v, hist.counts, mz_counts
 

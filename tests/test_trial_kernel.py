@@ -14,9 +14,8 @@ import pytest
 from ssesim.channel import (
     STAGE_ERASURES,
     ChannelParams,
-    _cyclic_extension,
     _ERASURE_BLOCK,
-    _gather_reads,
+    _packed_extension,
     random_codeword,
     stage_rng,
     transmit_codeword,
@@ -33,6 +32,9 @@ from ssesim.stats import (
 # these sizes; L = n, L = 1, K = 1 and delta at 0 and 1 are edge cases.
 # L = 8 fills its plane bytes exactly, L = 70 spans nine with two pad bits,
 # and the last case spans four row blocks with three pad bits per read.
+# After it: rings not a multiple of 8 long with windows across the wrap,
+# many starts inside one byte of the ring (K >> n), and reads longer than
+# one 64-bit word, also past two.
 CASES = [
     (1, 1, 3, 0.5),
     (2, 2, 5, 0.5),
@@ -46,6 +48,13 @@ CASES = [
     (40, 8, 12, 0.3),
     (100, 70, 6, 0.3),
     (1000, 13, 3 * (_ERASURE_BLOCK // 13) + 5, 0.4),
+    (13, 11, 9, 0.3),
+    (37, 35, 40, 0.5),
+    (203, 29, 25, 0.2),
+    (9, 3, 200, 0.4),
+    (27, 5, 600, 0.1),
+    (101, 67, 30, 0.3),
+    (260, 131, 12, 0.25),
 ]
 
 
@@ -90,8 +99,11 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
         starts0 = out.truth.starts - 1
         symbols = np.frombuffer(x.text.encode(), dtype=np.uint8) - ord("0")
         clean = symbols[_window_index(starts0, L, n)]
-        ext = _cyclic_extension(x, L)
-        assert np.array_equal(_gather_reads(ext, starts0, L), clean)
+        ext = _packed_extension(x, L)
+        ext_bits = np.unpackbits(ext, bitorder="little")
+        assert np.array_equal(ext_bits[starts0[:, None] + np.arange(L)], clean)
+        # Past the n + L - 1 bits of the extension there is only padding.
+        assert not ext_bits[n + L - 1 :].any()
         known = _unpacked(out.known, L)
         assert out.values.dtype == out.known.dtype == np.uint8
         assert np.array_equal(_unpacked(out.values, L), np.where(known, clean, 0))
@@ -112,9 +124,25 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
         probes += [rng.random(L) < 0.5 for _ in range(4)]
         for zk in probes:
             zv = np.where(zk, rng.integers(0, 2, L), 0).astype(np.uint8)
-            assert _count_matches(ext, starts0, zv, zk) == _reference_matches(
+            assert _count_matches(ext, out.truth.starts, zv, zk) == _reference_matches(
                 clean, zv, zk
             )
+
+
+@pytest.mark.parametrize("n,K", [(5, 30), (7, 12), (40, 60), (1, 4), (100, 1)])
+def test_successor_distances_match_all_pairs(n, K):
+    """Each read's distance is the least forward distance to any other read,
+    found over all K^2 pairs.  Starts on a small ring fall in tie groups of
+    three and more, whose members all get 0 in any sort order."""
+    rng = np.random.default_rng(n * 1000 + K)
+    largest_tie = 0
+    for _ in range(20):
+        starts = rng.integers(0, n, size=K)
+        ahead = (starts[None, :] - starts[:, None]) % n
+        np.fill_diagonal(ahead, n)
+        assert np.array_equal(forward_successor_distances(starts, n), ahead.min(axis=1))
+        largest_tie = max(largest_tie, np.bincount(starts).max())
+    assert largest_tie >= min(K, 3)
 
 
 @pytest.mark.parametrize(
@@ -130,21 +158,25 @@ def test_blocked_erasure_draw_equals_one_draw(K, L):
 
 def test_trial_memory_is_a_few_bytes_per_symbol():
     """One trial at n = 2^20 (L = 40, K = 52,429) peaks at most at a
-    quarter byte per read symbol plus 6 bytes per codeword position.
+    quarter byte per read symbol plus 2.5 bytes per codeword position.
 
     The bound comes from what a trial has to hold.  The reads' ``values``
     and ``known`` are bit-planes of K ceil(L/8) bytes each, K L / 4 for
     both when 8 divides L.  Every stage goes over them a block of
-    ``_ERASURE_BLOCK`` symbols at a time, so its per-symbol temporaries are
-    a fixed size.  Everything else is per position or per read: the
-    codeword's two integer planes (n / 4 bytes), its cyclic extension and
-    the phi_v line (about 1 byte per position each), and a few int64
-    arrays of length K (starts, sort order, gaps, distances, suffix sizes)
-    at 8 c / L = 0.4 bytes per position each.  That is 3 to 4 bytes per
-    position, so 6 n leaves a margin of about 2 n.  Holding the reads as
-    two (K, L) byte arrays, one byte per symbol, adds 2 K L = 4 n and
-    breaks it, and an int64 index or a float64 erasure draw over all K L
-    symbols breaks it alone.  tracemalloc sees numpy's allocations, so the
+    ``_ERASURE_BLOCK`` symbols at a time, so its per-symbol temporaries,
+    the rows it takes in start order included, are a fixed size.  Per
+    codeword position there are only bits: the codeword's two integer
+    planes (n / 4 bytes), and its packed cyclic extension and the phi_v
+    ring (n / 8 bytes each).  The rest is int64 arrays of length K, at
+    8 c / L = 0.4 bytes per position each: the starts, and at most three
+    more at once in the coverage and suffix stages (sort order, sorted
+    starts or distances, gaps).  The peak is about 2.4 n, reached there;
+    the n-byte uint8 draw of the codeword (1.1 n) is gone before the reads
+    exist.  An n-byte phi_v line beside the sort order (3.2 n), or an
+    n-byte cyclic extension and a 0-based copy of the starts in the m_z
+    probes (3.6 n), breaks the bound; so do the reads held as two (K, L)
+    byte arrays (2 K L = 4 n) and an int64 index or a float64 erasure draw
+    over all K L symbols.  tracemalloc sees numpy's allocations, so the
     peak is a count of bytes, not a timing.
     """
     p = ChannelParams.resolve(2**20, 0.2, lbar=2, c=2)
@@ -155,7 +187,7 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= p.K * p.L / 4 + 6 * p.n
+    assert peak <= p.K * p.L / 4 + 2.5 * p.n
 
 
 def test_random_codeword_memory_is_bounded():
