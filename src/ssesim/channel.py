@@ -154,6 +154,14 @@ class Truth:
     def __post_init__(self) -> None:
         self.starts.setflags(write=False)
 
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Read indices in start order, tied starts in any order: the one
+        sort of the starts that the trial stages share."""
+        order = np.argsort(self.starts)
+        order.setflags(write=False)
+        return order
+
 
 @dataclass(eq=False)
 class ChannelOutput:

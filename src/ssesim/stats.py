@@ -95,7 +95,7 @@ def coverage(output: ChannelOutput) -> CoverageReport:
     if output.truth is None:
         raise ValueError("coverage needs the truth record")
     n, L = output.params.n, output.params.L
-    order = np.argsort(output.truth.starts)
+    order = output.truth.order
     first = output.truth.starts[order]
     first -= 1  # 0-based, in start order
     # Each read covers the positions up to the next start, at most L of them.
@@ -124,9 +124,9 @@ def coverage(output: ChannelOutput) -> CoverageReport:
         byte = byte[head]
         for b in range(width + 1):
             ring[byte + b] |= span[:, b]
-    # Fold the overhang past n back onto the ring's start; the per-read
-    # arrays go first, so that they and the integers are not alive at once.
-    del order, first
+    # Fold the overhang past n back onto the ring's start; the sorted
+    # starts go first, so that they and the integers are not alive at once.
+    del first
     bits = int.from_bytes(ring, "little")
     visible = ((bits & ((1 << n) - 1)) | bits >> n).bit_count()
     return CoverageReport(phi=phi, phi_v=visible / n)
@@ -138,9 +138,13 @@ def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:
     Coincident starts give distance 0.  A single read gets distance ``n``.
     """
     starts = np.asarray(starts, dtype=np.int64)
+    return _successor_distances(starts, np.argsort(starts), n)
+
+
+def _successor_distances(starts: np.ndarray, order: np.ndarray, n: int) -> np.ndarray:
+    """``forward_successor_distances`` given ``order``, an argsort of the
+    starts.  Tied reads all get 0, so their order within a tie is free."""
     k = len(starts)
-    # Tied reads all get 0 below, so their order within a tie is free.
-    order = np.argsort(starts)
     gaps = cyclic_gaps(starts[order], n)
     # A read sharing its start with any other read is at distance 0 from it.
     tied = np.zeros(k, dtype=bool)
@@ -189,13 +193,13 @@ def _popcount_rows(plane: np.ndarray) -> np.ndarray:
 
 def _suffix_sizes(output: ChannelOutput) -> np.ndarray:
     n, L = output.params.n, output.params.L
-    dist = forward_successor_distances(output.truth.starts, n)
-    # Each read's overlap-length suffix starts at position L - overlap.
-    first = np.minimum(dist, L, out=dist)
+    dist = _successor_distances(output.truth.starts, output.truth.order, n)
+    # Each read's overlap-length suffix starts at position L - overlap.  Its
+    # size replaces that position, one block at a time.
+    sizes = np.minimum(dist, L, out=dist)
     byte_starts = 8 * np.arange(output.known.shape[1])
-    sizes = np.empty(output.params.K, dtype=np.int64)
     for blk in _row_blocks(output.params.K, L):
-        offsets = first[blk, None] - byte_starts
+        offsets = sizes[blk, None] - byte_starts
         tail = np.take(_BITS_FROM, np.clip(offsets, 0, 8, out=offsets))
         sizes[blk] = _popcount_rows(output.known[blk] & tail)
     return sizes
@@ -616,8 +620,9 @@ def _count_matches(ext: np.ndarray, starts: np.ndarray, zv, zk) -> int:
     alive = starts
     for j in np.flatnonzero(zk):
         pos = alive + (j - 1)
-        bit = ext[pos >> 3] >> (pos & 7).astype(np.uint8) & 1
-        alive = alive[bit == zv[j]]
+        shift = pos.astype(np.uint8) & 7  # the low byte holds the bit offset
+        pos >>= 3
+        alive = alive[(ext[pos] >> shift & 1) == zv[j]]
     return len(alive)
 
 

@@ -168,16 +168,17 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
     codeword position there are only bits: the codeword's two integer
     planes (n / 4 bytes), and its packed cyclic extension and the phi_v
     ring (n / 8 bytes each).  The rest is int64 arrays of length K, at
-    8 c / L = 0.4 bytes per position each: the starts, and at most three
-    more at once in the coverage and suffix stages (sort order, sorted
-    starts or distances, gaps).  The peak is about 2.4 n, reached there;
-    the n-byte uint8 draw of the codeword (1.1 n) is gone before the reads
-    exist.  An n-byte phi_v line beside the sort order (3.2 n), or an
-    n-byte cyclic extension and a 0-based copy of the starts in the m_z
-    probes (3.6 n), breaks the bound; so do the reads held as two (K, L)
-    byte arrays (2 K L = 4 n) and an int64 index or a float64 erasure draw
-    over all K L symbols.  tracemalloc sees numpy's allocations, so the
-    peak is a count of bytes, not a timing.
+    8 c / L = 0.4 bytes per position each: the starts and their sort
+    order, which the stages share, and at most two more at once (sorted
+    starts or distances and gaps, or the m_z probes' positions and the
+    starts that still match).  The peak is about 2.55 n, in the m_z
+    probes; the n-byte uint8 draw of the codeword (1.1 n) is gone before
+    the reads exist.  An n-byte phi_v line beside the sort order (3.2 n),
+    or an n-byte cyclic extension and a 0-based copy of the starts in the
+    m_z probes (3.95 n), breaks the bound; so do the reads held as two
+    (K, L) byte arrays (2 K L = 4 n) and an int64 index or a float64
+    erasure draw over all K L symbols.  tracemalloc sees numpy's
+    allocations, so the peak is a count of bytes, not a timing.
     """
     p = ChannelParams.resolve(2**20, 0.2, lbar=2, c=2)
     _run_trial(p, 7, 0, [10, 17], 2)  # first-call caches out of the count
