@@ -337,13 +337,17 @@ def transmit_codeword(
         mask = np.zeros((len(rows), 8 * width), dtype=bool)
         np.greater_equal(rng.random((len(rows), L)), delta, out=mask[:, :L])
         known[blk] = np.packbits(mask, bitorder="little").reshape(-1, width)
-        # Byte b of a window is bytes b and b + 1 of its span shifted down by
-        # the start's bit offset; ``known`` clears the bits past L and the
-        # erased symbols, and the cast keeps the low byte.
-        span = spans[rows >> 3].astype(np.uint16)
-        span = span[:, :-1] | span[:, 1:] << 8
-        span >>= (rows & 7).astype(np.uint16)[:, None]
-        np.bitwise_and(span, known[blk], out=values[blk], casting="unsafe")
+        # Each read's span in little-endian uint64 words, shifted down by its
+        # start's bit offset: the low ``shift`` bits of a word carry into
+        # the top of the one below.
+        span = np.zeros((len(rows), width // 8 + 1), dtype="<u8")
+        span.view(np.uint8)[:, : width + 1] = spans[rows >> 3]
+        shift = (rows & 7).astype(np.uint64)[:, None]
+        carry = span[:, 1:] << np.uint64(1) << (np.uint64(63) - shift)
+        span >>= shift
+        span[:, :-1] |= carry
+        # ``known`` clears the erased symbols and the bits past L.
+        np.bitwise_and(span.view(np.uint8)[:, :width], known[blk], out=values[blk])
     starts0 += 1  # the truth record's starts are 1-based
     truth = Truth(message=message, codeword=x, starts=starts0)
     return ChannelOutput(params=params, values=values, known=known, truth=truth)
