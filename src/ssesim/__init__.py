@@ -55,7 +55,6 @@ from .stats import (
     hoeffding_one_sided,
     hoeffding_two_sided,
     suffix_size_histogram,
-    typicality_thresholds,
 )
 from .tritstring import (
     ERASED,

@@ -41,7 +41,7 @@ import numpy as np
 
 from .channel import ChannelParams
 from .errors import DomainError
-from .stats import typicality_thresholds
+from .stats import TypicalityThresholds
 from .tritstring import (
     TritString,
     _fold,
@@ -192,7 +192,7 @@ def typicality_decode(
     # At epsilon = inf both tests accept everything, so neither is run.
     check_coverage = not math.isinf(config.epsilon)
     check_omega = config.omega_mode == "typical-only" and check_coverage
-    thresholds = typicality_thresholds(params, config.epsilon)
+    thresholds = TypicalityThresholds(params, config.epsilon)
 
     @cache
     def options(i: int, j: int) -> tuple[tuple[int, int], ...]:

@@ -62,7 +62,6 @@ __all__ = [
     "count_prefix_compatible",
     "hoeffding_two_sided",
     "hoeffding_one_sided",
-    "typicality_thresholds",
     "concentration_experiment",
 ]
 
@@ -90,14 +89,20 @@ class CoverageReport:
             raise ValueError("need 0 <= phi_v <= phi <= 1")
 
 
+def _sorted_starts(output: ChannelOutput) -> np.ndarray:
+    """A fresh array of the 1-based starts in ``truth.order``: the one sort
+    of the starts that the coverage, island and suffix stages read."""
+    if output.truth is None:
+        raise ValueError("trial statistics need the truth record")
+    return output.truth.starts[output.truth.order]
+
+
 def coverage(output: ChannelOutput) -> CoverageReport:
     """Coverage fractions against the ground-truth start positions."""
-    if output.truth is None:
-        raise ValueError("coverage needs the truth record")
     n, L = output.params.n, output.params.L
-    order = output.truth.order
-    first = output.truth.starts[order]
+    first = _sorted_starts(output)
     first -= 1  # 0-based, in start order
+    order = output.truth.order
     # Each read covers the positions up to the next start, at most L of them.
     gaps = cyclic_gaps(first, n)
     phi = int(np.minimum(gaps, L, out=gaps).sum()) / n
@@ -138,25 +143,21 @@ def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:
     Coincident starts give distance 0.  A single read gets distance ``n``.
     """
     starts = np.asarray(starts, dtype=np.int64)
-    return _successor_distances(starts, np.argsort(starts), n)
-
-
-def _successor_distances(starts: np.ndarray, order: np.ndarray, n: int) -> np.ndarray:
-    """``forward_successor_distances`` given ``order``, an argsort of the
-    starts.  Tied reads all get 0, so their order within a tie is free."""
-    k = len(starts)
-    gaps = cyclic_gaps(starts[order], n)
-    # A read sharing its start with any other read is at distance 0 from it.
-    tied = np.zeros(k, dtype=bool)
-    tied[:-1] = gaps[:-1] == 0
-    tied[1:] |= gaps[:-1] == 0
-    gaps[tied] = 0
-    out = np.empty(k, dtype=np.int64)
-    out[order] = gaps
+    order = np.argsort(starts)
+    out = np.empty_like(starts)
+    out[order] = _successor_distances(cyclic_gaps(starts[order], n))
     return out
 
 
-def chain_island_count(starts: np.ndarray, n: int, L: int) -> int:
+def _successor_distances(gaps: np.ndarray) -> np.ndarray:
+    """Successor distances in start order, in place of the cyclic ``gaps``
+    between the sorted starts.  A read that shares its start with the one
+    before it is at distance 0 from it, so the order within a tie is free."""
+    gaps[1:][gaps[:-1] == 0] = 0
+    return gaps
+
+
+def chain_island_count(output: ChannelOutput) -> int:
     """Number of islands in the true cyclic ordering: one per gap >= L.
 
     Coincident starts (gap 0) overlap by L and merge into one island, so a
@@ -164,8 +165,8 @@ def chain_island_count(starts: np.ndarray, n: int, L: int) -> int:
     >= L: reads that wrap the whole circle (every gap < L) give 0, although
     they form one circular island.
     """
-    gaps = cyclic_gaps(np.sort(np.asarray(starts, dtype=np.int64)), n)
-    return int(np.count_nonzero(gaps >= L))
+    gaps = cyclic_gaps(_sorted_starts(output), output.params.n)
+    return int(np.count_nonzero(gaps >= output.params.L))
 
 
 @dataclass(frozen=True)
@@ -192,25 +193,25 @@ def _popcount_rows(plane: np.ndarray) -> np.ndarray:
 
 
 def _suffix_sizes(output: ChannelOutput) -> np.ndarray:
+    """Each read's true merging-suffix size, in start order."""
     n, L = output.params.n, output.params.L
-    dist = _successor_distances(output.truth.starts, output.truth.order, n)
+    dist = _successor_distances(cyclic_gaps(_sorted_starts(output), n))
     # Each read's overlap-length suffix starts at position L - overlap.  Its
-    # size replaces that position, one block at a time.
+    # size replaces that position, one block of rows in start order at a time.
     sizes = np.minimum(dist, L, out=dist)
+    order = output.truth.order
     byte_starts = 8 * np.arange(output.known.shape[1])
     for blk in _row_blocks(output.params.K, L):
         offsets = sizes[blk, None] - byte_starts
         tail = np.take(_BITS_FROM, np.clip(offsets, 0, 8, out=offsets))
-        sizes[blk] = _popcount_rows(output.known[blk] & tail)
+        rows = np.take(output.known, order[blk], axis=0)
+        sizes[blk] = _popcount_rows(np.bitwise_and(rows, tail, out=rows))
     return sizes
 
 
 def suffix_size_histogram(output: ChannelOutput) -> SuffixSizeHistogram:
     """Histogram of true merging-suffix sizes over all K reads."""
-    if output.truth is None:
-        raise ValueError("suffix sizes need the truth record")
-    sizes = _suffix_sizes(output)
-    counts = np.bincount(sizes, minlength=output.params.L + 1)
+    counts = np.bincount(_suffix_sizes(output), minlength=output.params.L + 1)
     return SuffixSizeHistogram(counts=tuple(int(c) for c in counts))
 
 
@@ -326,6 +327,14 @@ class TypicalityThresholds:
     params: ChannelParams
     epsilon: float
 
+    def __post_init__(self) -> None:
+        if not self.epsilon >= 0:
+            raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not math.isinf(self.epsilon) and self.params.n < 2:
+            raise DomainError(
+                "a finite epsilon needs n >= 2; its slack divides by log2(n)"
+            )
+
     @cached_property
     def island_count_ref(self) -> float:
         """K * exp(-c)."""
@@ -404,14 +413,6 @@ class TypicalityThresholds:
             return True
         target = self.visible_coverage_ref
         return abs(visible / self.params.n - target) <= self.epsilon * target
-
-
-def typicality_thresholds(params: ChannelParams, epsilon: float) -> TypicalityThresholds:
-    if not epsilon >= 0:
-        raise DomainError(f"epsilon must be >= 0, got {epsilon}")
-    if not math.isinf(epsilon) and params.n < 2:
-        raise DomainError("a finite epsilon needs n >= 2; its slack divides by log2(n)")
-    return TypicalityThresholds(params=params, epsilon=epsilon)
 
 
 @dataclass(frozen=True)
@@ -631,8 +632,7 @@ def _run_trial(params: ChannelParams, seed: int, t: int, mz_sizes, mz_per_trial:
     x = random_codeword(params.n, child_seed(trial, STAGE_CODEBOOK))
     out = transmit_codeword(x, params, trial)
     rep = coverage(out)
-    # Gaps, and so islands, do not depend on where positions are counted from.
-    islands = chain_island_count(out.truth.starts, params.n, params.L)
+    islands = chain_island_count(out)
     hist = suffix_size_histogram(out)
     rng = stage_rng(trial, STAGE_MZ)
     mz_counts = []

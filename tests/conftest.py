@@ -66,7 +66,7 @@ def exact_counts_by_enumeration(n, L, K, delta):
 def island_ratio_by_enumeration(n, L, K):
     """Exact mean of chain_island_count / K over all n^K start tuples."""
     total = sum(
-        chain_island_count(np.array(starts), n, L)
+        chain_island_count(make_output("0" * n, [s + 1 for s in starts], L))
         for starts in product(range(n), repeat=K)
     )
     return Fraction(total, K * n**K)

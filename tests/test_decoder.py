@@ -11,7 +11,7 @@ from ssesim.decoder import (
     typicality_decode,
 )
 from ssesim.errors import DomainError
-from ssesim.stats import typicality_thresholds
+from ssesim.stats import TypicalityThresholds
 from ssesim.tritstring import TritString
 
 from conftest import make_output
@@ -41,13 +41,13 @@ def test_typical_tuple_hand_case():
     # 0.5 * 16 / 16 = 0.5.  The per-size windows then pin the histogram to
     # exactly one read each at sizes 2, 3, 4 and one unmerged read.
     p = ChannelParams(n=16, L=4, K=4, delta=0.0)
-    th = typicality_thresholds(p, 0.5)
+    th = TypicalityThresholds(p, 0.5)
     assert th.typical_suffix_sizes((0, 2, 3, 4))
     assert not th.typical_suffix_sizes((0, 0, 2, 3))  # size-4 count short
     assert not th.typical_suffix_sizes((0, 1, 2, 3))  # size-1 count high
     assert not th.typical_suffix_sizes((0, 0, 0, 0))  # too many breaks
     for omega in [(0, 2, 3, 4), (0, 0, 0, 0), (4, 4, 4, 4)]:
-        assert typicality_thresholds(p, math.inf).typical_suffix_sizes(omega)
+        assert TypicalityThresholds(p, math.inf).typical_suffix_sizes(omega)
     with pytest.raises(DomainError):
         th.typical_suffix_sizes((0, 2, 3))
     with pytest.raises(DomainError):
@@ -61,9 +61,9 @@ def test_filter_islands():
     visible = visible_symbols(true_islands(out)[0])
     assert visible == 8
     p = out.params  # c = 1.5, visible-coverage target 1 - e^-1.5 ~ 0.777
-    assert typicality_thresholds(p, math.inf).typical_coverage(visible)
-    assert typicality_thresholds(p, 0.5).typical_coverage(visible)
-    assert not typicality_thresholds(p, 0.05).typical_coverage(visible)
+    assert TypicalityThresholds(p, math.inf).typical_coverage(visible)
+    assert TypicalityThresholds(p, 0.5).typical_coverage(visible)
+    assert not TypicalityThresholds(p, 0.05).typical_coverage(visible)
 
 
 def test_full_coverage_toy_decodes():

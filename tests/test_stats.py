@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from ssesim.channel import ChannelParams, random_codeword, transmit_codeword
 from ssesim.errors import DomainError
 from ssesim.stats import (
     CoverageReport,
+    TypicalityThresholds,
     chain_island_count,
     concentration_experiment,
     count_prefix_compatible,
@@ -19,7 +21,6 @@ from ssesim.stats import (
     hoeffding_one_sided,
     hoeffding_two_sided,
     suffix_size_histogram,
-    typicality_thresholds,
 )
 from ssesim.tritstring import TritString
 
@@ -65,14 +66,20 @@ def test_forward_distances():
 
 
 def test_chain_island_count():
-    assert chain_island_count(np.array([0, 3, 4]), 10, 4) == 1  # gaps 3,1,6
-    assert chain_island_count(np.array([0, 3, 4]), 10, 3) == 2
-    assert chain_island_count(np.array([0, 5]), 10, 5) == 2
-    assert chain_island_count(np.array([7]), 10, 3) == 1
+    def islands(starts, n, L):
+        # The hand cases give 0-based starts; channel outputs hold 1-based.
+        return chain_island_count(make_output("0" * n, [s + 1 for s in starts], L))
+
+    assert islands([0, 3, 4], 10, 4) == 1  # gaps 3,1,6
+    assert islands([0, 3, 4], 10, 3) == 2
+    assert islands([0, 5], 10, 5) == 2
+    assert islands([7], 10, 3) == 1
     # Tied starts overlap by L and merge: gaps 0,4,6.
-    assert chain_island_count([5, 5, 9], 10, 3) == 2
+    assert islands([5, 5, 9], 10, 3) == 2
     # Every gap is 2 < 3: the reads wrap the circle and no gap closes an island.
-    assert chain_island_count(np.array([0, 2, 4]), 6, 3) == 0
+    assert islands([0, 2, 4], 6, 3) == 0
+    with pytest.raises(ValueError):
+        chain_island_count(replace(make_output("0" * 6, [1], 3), truth=None))
 
 
 def test_suffix_histogram_hand_case():
@@ -178,7 +185,7 @@ def test_hoeffding_dominates_binomial_tail():
 
 def test_typicality_threshold_formulas():
     p = ChannelParams(n=256, L=16, K=32, delta=0.5)
-    th = typicality_thresholds(p, 0.1)
+    th = TypicalityThresholds(p, 0.1)
     assert math.isclose(th.island_count_cap, 1.1 * 32 * math.exp(-2.0))
     assert math.isclose(th.visible_coverage_floor, 0.9 * (1 - math.exp(-1.0)))
     assert math.isclose(th.prefix_match_cap(0.5), 1.1 * 16.0)
@@ -188,16 +195,27 @@ def test_typicality_threshold_formulas():
         th.suffix_count_cap(3), expected_suffix_size_count(p, 3) + slack
     )
     with pytest.raises(DomainError):
-        typicality_thresholds(p, -0.5)
+        TypicalityThresholds(p, -0.5)
     with pytest.raises(DomainError):
-        typicality_thresholds(p, math.nan)
+        TypicalityThresholds(p, math.nan)
 
 
 def test_finite_epsilon_needs_two_symbols():
     p = ChannelParams(n=1, L=1, K=2, delta=0.0)
-    assert typicality_thresholds(p, math.inf).typical_suffix_sizes([0, 1])
+    assert TypicalityThresholds(p, math.inf).typical_suffix_sizes([0, 1])
     with pytest.raises(DomainError):
-        typicality_thresholds(p, 5.0)
+        TypicalityThresholds(p, 5.0)
+
+
+def test_direct_construction_checks_epsilon():
+    """The constructor itself rejects what the caps cannot use: a negative
+    epsilon (whose island cap would fall to or below 0) and a finite one
+    at n = 1 (whose slack divides by log2(1) = 0)."""
+    with pytest.raises(DomainError):
+        TypicalityThresholds(params=ChannelParams(8, 2, 4, 0.0), epsilon=-1.0)
+    with pytest.raises(DomainError):
+        TypicalityThresholds(params=ChannelParams(1, 1, 3, 0.0), epsilon=0.5)
+    assert TypicalityThresholds(ChannelParams(8, 2, 4, 0.0), 0.0).epsilon == 0.0
 
 
 def test_concentration_deterministic_and_thread_safe():

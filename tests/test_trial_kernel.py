@@ -24,9 +24,12 @@ from ssesim.stats import (
     _count_matches,
     _run_trial,
     _suffix_sizes,
+    chain_island_count,
     coverage,
     forward_successor_distances,
 )
+
+from ground_truth import true_islands
 
 # (n, L, K, delta): tied starts and windows across the wrap are common at
 # these sizes; L = n, L = 1, K = 1 and delta at 0 and 1 are edge cases.
@@ -116,8 +119,15 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
         )
 
         assert coverage(out).phi_v == _reference_phi_v(out)
+        # The island count is the assembler's, except that reads wrapping
+        # the whole circle form one circular island and count 0.
+        islands, _, circular = true_islands(out)
+        assert chain_island_count(out) == (0 if circular else len(islands))
+        # Suffix sizes come in start order: the read-order reference, taken
+        # in the trial's one sort order of the starts.
         dist = forward_successor_distances(starts0, n)
-        assert np.array_equal(_suffix_sizes(out), _reference_suffix_sizes(out, dist))
+        reference = _reference_suffix_sizes(out, dist)[out.truth.order]
+        assert np.array_equal(_suffix_sizes(out), reference)
 
         rng = np.random.default_rng(seed)
         probes = [np.zeros(L, dtype=bool), np.ones(L, dtype=bool)]
