@@ -65,6 +65,13 @@ GOLDEN = {
     "concentration --n 4099 --lbar 2.3 --coverage 3 --delta 0.35 --mz-tau 0.5"
     " --mz-tau 0.85 --trials 4 --seed 21 --format csv":
         "9a376f07fe081615465a1912400ffde86b9595c148291c3fd7b6a33a0b07e0ce",
+    # One trial: every standard error is 0.0.
+    "concentration --n 4099 --lbar 2.3 --coverage 3 --delta 0.35 --mz-tau 0.5"
+    " --mz-tau 0.85 --trials 1 --seed 21":
+        "c601b78c98a1262b848cebc4b83181edebe27da8cf3c9c3bded3db83f6ecb2a8",
+    "concentration --n 4099 --lbar 2.3 --coverage 3 --delta 0.35 --mz-tau 0.5"
+    " --mz-tau 0.85 --trials 1 --seed 21 --format csv":
+        "07b80278bee70831416d361408cbbd04c2f011a7fec537054c7a2071d6b5988a",
     "concentration --n 37 --length 35 --reads 40 --delta 0.5 --trials 5 --seed 8":
         "98cb98f26355bebea3fa0e9f881f7f271030c4ff4c2a55aeb567758625278de0",
     # Codeword matching on large codebooks: the decode-bigbook geometry
