@@ -43,7 +43,6 @@ from .rates import (
 from .stats import (
     ConcentrationSummary,
     CoverageReport,
-    SuffixSizeHistogram,
     TypicalityThresholds,
     chain_island_count,
     concentration_experiment,

@@ -22,7 +22,7 @@ import json
 import math
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -49,9 +49,9 @@ from .tritstring import TritString
 
 __all__ = [
     "CoverageReport",
-    "SuffixSizeHistogram",
     "TypicalityThresholds",
     "MzSample",
+    "Moments",
     "ConcentrationSummary",
     "coverage",
     "forward_successor_distances",
@@ -67,7 +67,8 @@ __all__ = [
 
 
 def _island_ratio_limit(c: float) -> float:
-    """e^-c, the n -> infinity islands per read at coverage depth c."""
+    """e^-c, the n -> infinity islands per read at coverage depth c.  Tied
+    starts merge, so the finite-n mean exceeds it by about c/(2L)."""
     return math.exp(-c)
 
 
@@ -169,17 +170,6 @@ def chain_island_count(output: ChannelOutput) -> int:
     return int(np.count_nonzero(gaps >= output.params.L))
 
 
-@dataclass(frozen=True)
-class SuffixSizeHistogram:
-    """Counts of reads by true merging-suffix size; index = size, 0..L."""
-
-    counts: tuple[int, ...]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-
 # Set bits per byte value (np.bitwise_count needs numpy 2) and, for
 # t = 0..8, the mask of bits t..7 of a byte: its symbols at or past the t-th.
 _POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
@@ -209,10 +199,10 @@ def _suffix_sizes(output: ChannelOutput) -> np.ndarray:
     return sizes
 
 
-def suffix_size_histogram(output: ChannelOutput) -> SuffixSizeHistogram:
-    """Histogram of true merging-suffix sizes over all K reads."""
+def suffix_size_histogram(output: ChannelOutput) -> tuple[int, ...]:
+    """Counts of reads by true merging-suffix size; index = size, 0..L."""
     counts = np.bincount(_suffix_sizes(output), minlength=output.params.L + 1)
-    return SuffixSizeHistogram(counts=tuple(int(c) for c in counts))
+    return tuple(int(c) for c in counts)
 
 
 def _overlap_law(n: int, L: int, K: int, exact: bool):
@@ -442,14 +432,24 @@ class MzSample:
         return max(abs(c - self.reference) for c in flat) / self.reference
 
 
-def _mean_se(values) -> tuple[float, float]:
+@dataclass(frozen=True)
+class Moments:
+    """The mean of one per-trial statistic, its standard error and the
+    n -> infinity reference it should concentrate around."""
+
+    mean: float
+    se: float
+    reference: float
+
+
+def _moments(values, reference: float) -> Moments:
     vals = list(values)
     t = len(vals)
     mean = math.fsum(vals) / t
     if t < 2:
-        return mean, 0.0
+        return Moments(mean, 0.0, reference)
     var = math.fsum((v - mean) ** 2 for v in vals) / (t - 1)
-    return mean, math.sqrt(var / t)
+    return Moments(mean, math.sqrt(var / t), reference)
 
 
 @dataclass(frozen=True)
@@ -466,43 +466,17 @@ class ConcentrationSummary:
     suffix_counts: tuple[tuple[int, ...], ...]
     mz: tuple[MzSample, ...]
 
-    @property
-    def island_ratio_mean(self) -> float:
-        return _mean_se(k / self.params.K for k in self.island_counts)[0]
-
-    @property
-    def island_ratio_se(self) -> float:
-        return _mean_se(k / self.params.K for k in self.island_counts)[1]
-
-    @property
-    def island_ratio_ref(self) -> float:
-        """The n -> infinity value e^-c of the island ratio.  Tied starts
-        merge, so the finite-n mean exceeds it by about c/(2L)."""
-        return _island_ratio_limit(self.params.c)
-
-    @property
-    def phi_mean(self) -> float:
-        return _mean_se(self.phi)[0]
-
-    @property
-    def phi_se(self) -> float:
-        return _mean_se(self.phi)[1]
-
-    @property
-    def phi_ref(self) -> float:
-        return _coverage_limit(self.params.c)
-
-    @property
-    def phi_v_mean(self) -> float:
-        return _mean_se(self.phi_v)[0]
-
-    @property
-    def phi_v_se(self) -> float:
-        return _mean_se(self.phi_v)[1]
-
-    @property
-    def phi_v_ref(self) -> float:
-        return _coverage_limit(self.params.c, self.params.delta)
+    @cached_property
+    def moments(self) -> dict[str, Moments]:
+        """Moments of ``island_ratio`` (islands per read), ``phi`` and ``phi_v``."""
+        p = self.params
+        return {
+            "island_ratio": _moments(
+                (k / p.K for k in self.island_counts), _island_ratio_limit(p.c)
+            ),
+            "phi": _moments(self.phi, _coverage_limit(p.c)),
+            "phi_v": _moments(self.phi_v, _coverage_limit(p.c, p.delta)),
+        }
 
     @property
     def suffix_count_means(self) -> tuple[float, ...]:
@@ -525,17 +499,7 @@ class ConcentrationSummary:
             },
             "trials": self.trials,
             "seed": self.seed,
-            "island_ratio": {
-                "mean": self.island_ratio_mean,
-                "se": self.island_ratio_se,
-                "reference": self.island_ratio_ref,
-            },
-            "phi": {"mean": self.phi_mean, "se": self.phi_se, "reference": self.phi_ref},
-            "phi_v": {
-                "mean": self.phi_v_mean,
-                "se": self.phi_v_se,
-                "reference": self.phi_v_ref,
-            },
+            **{name: asdict(m) for name, m in self.moments.items()},
             "suffix_counts": {
                 "mean": list(self.suffix_count_means),
                 "reference": list(self.suffix_count_refs),
@@ -644,7 +608,7 @@ def _run_trial(params: ChannelParams, seed: int, t: int, mz_sizes, mz_per_trial:
                 zv, zk = _probe_z(rng, out.values, out.known, params.L, s)
                 counts.append(_count_matches(ext, out.truth.starts, zv, zk))
             mz_counts.append(tuple(counts))
-    return islands, rep.phi, rep.phi_v, hist.counts, mz_counts
+    return islands, rep.phi, rep.phi_v, hist, mz_counts
 
 
 def concentration_experiment(
@@ -679,31 +643,24 @@ def concentration_experiment(
     def job(t: int):
         return _run_trial(params, seed, t, mz_sizes, mz_per_trial)
 
+    # One thread runs the trials itself: a pool of one worker raised the
+    # peak RSS at n = 1e7 by about 3 MB, likely its thread's malloc arena.
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
             results = list(ex.map(job, range(trials)))
     else:
         results = [job(t) for t in range(trials)]
-
-    mz_samples = []
-    for j, (tau, s) in enumerate(zip(mz_targets, mz_sizes)):
-        per_trial = tuple(results[t][4][j] for t in range(trials))
-        mz_samples.append(
-            MzSample(
-                tau_target=float(tau),
-                suffix_size=s,
-                tau_realized=s / log_n,
-                counts=per_trial,
-                reference=params.K * 2.0 ** (-s),
-            )
+    islands, phi, phi_v, hists, mz_counts = zip(*results)
+    mz_samples = tuple(
+        MzSample(
+            tau_target=float(tau),
+            suffix_size=s,
+            tau_realized=s / log_n,
+            counts=per_trial,
+            reference=params.K * 2.0 ** (-s),
         )
+        for tau, s, per_trial in zip(mz_targets, mz_sizes, zip(*mz_counts))
+    )
     return ConcentrationSummary(
-        params=params,
-        trials=trials,
-        seed=seed,
-        island_counts=tuple(r[0] for r in results),
-        phi=tuple(r[1] for r in results),
-        phi_v=tuple(r[2] for r in results),
-        suffix_counts=tuple(r[3] for r in results),
-        mz=tuple(mz_samples),
+        params, trials, seed, islands, phi, phi_v, hists, mz_samples
     )

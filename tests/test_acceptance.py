@@ -129,8 +129,8 @@ def test_criterion_4_coverage_concentration(erasure_run, clean_run):
     # lands at 2.00013 after rounding L and K to integers.
     ref_v = 1 - math.exp(-1.6)
     ref = 1 - math.exp(-2.0)
-    rel_v = abs(summary.phi_v_mean - ref_v) / ref_v
-    rel = abs(clean.phi_mean - ref) / ref
+    rel_v = abs(summary.moments["phi_v"].mean - ref_v) / ref_v
+    rel = abs(clean.moments["phi"].mean - ref) / ref
     total = elapsed + clean_elapsed
     ok = rel_v <= 0.02 and rel <= 0.02 and total <= 30.0
     line = report(
@@ -159,7 +159,7 @@ def island_ratio_excess(n: int, L: int, K: int) -> float:
 def test_criterion_5_island_count_concentration(erasure_run):
     summary, _ = erasure_run
     p = summary.params
-    mean, se = summary.island_ratio_mean, summary.island_ratio_se
+    mean, se = summary.moments["island_ratio"].mean, summary.moments["island_ratio"].se
     # Coincident starts merge into one island, so at finite n the mean sits
     # above the n -> infinity limit e^-c by about c/(2L); the concentration
     # check is centred on the exact mean, the limit is checked analytically.
@@ -171,7 +171,7 @@ def test_criterion_5_island_count_concentration(erasure_run):
         island_ratio_by_enumeration(n, L, K) == island_ratio_exact(n, L, K)
         for n, L, K in small
     )
-    limit = summary.island_ratio_ref
+    limit = summary.moments["island_ratio"].reference
     excess = island_ratio_excess(p.n, p.L, p.K)
     float_ok = math.isclose(limit * (1 + excess), exact, rel_tol=1e-12)
     # At lbar = 2, c = 2 the excess decays with n, but only like 1/log n.
