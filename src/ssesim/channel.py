@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
-from .tritstring import TritString
+from .tritstring import TritString, _cyclic, _mask
 
 __all__ = [
     "STAGE_CODEBOOK",
@@ -291,10 +291,9 @@ def _packed_extension(x: TritString, L: int) -> np.ndarray:
     uint8 bytes, so that ring position (p + j) mod n is bit p + j for
     0 <= p < n, 0 <= j < L.  Zero bytes pad it so that the ceil(L/8) + 1
     bytes from byte p >> 3 on exist for every start p."""
-    n = x.length
-    ext = x.bits | (x.bits & ((1 << (L - 1)) - 1)) << n
-    size = (n - 1) // 8 + _plane_width(L) + 1
-    return np.frombuffer(ext.to_bytes(size, "little"), dtype=np.uint8)
+    size = (x.length - 1) // 8 + _plane_width(L) + 1
+    ext = _cyclic(x.bits, x.length, _mask(L - 1)).to_bytes(size, "little")
+    return np.frombuffer(ext, dtype=np.uint8)
 
 
 def _row_blocks(K: int, L: int) -> list[slice]:

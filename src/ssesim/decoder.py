@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -44,6 +44,7 @@ from .errors import DomainError
 from .stats import TypicalityThresholds
 from .tritstring import (
     TritString,
+    _cyclic,
     _fold,
     _mask,
     _overlay,
@@ -82,15 +83,21 @@ class DecodeResult:
     """Outcome of one decode.
 
     ``message`` is the decoded codebook index, or None when zero or several
-    codewords survive.  ``candidate_islands`` holds the distinct island sets
-    that passed the filters, each as a sorted tuple of texts;
+    codewords survive.  ``island_sets`` holds the distinct island sets that
+    passed the filters, each as sorted raw (bits, known, length) triples;
     ``tuples_visited`` counts complete claims whose assembly succeeded.
     """
 
     message: int | None
     candidate_codewords: tuple[int, ...]
-    candidate_islands: tuple[tuple[str, ...], ...]
+    island_sets: tuple[tuple[tuple[int, int, int], ...], ...]
     tuples_visited: int
+
+    @cached_property
+    def candidate_islands(self) -> tuple[tuple[str, ...], ...]:
+        """The island sets as sorted tuples of texts, rendered on first use."""
+        text_of = cache(lambda t: TritString(*t).text)
+        return tuple(sorted(tuple(sorted(map(text_of, s))) for s in self.island_sets))
 
 
 def _needles(reads: Sequence[TritString]) -> list[tuple[int, int, int]]:
@@ -142,14 +149,12 @@ def _holds_every_read(
     the shift-and kernel once over all lanes still live.
     """
     extra = max([0] + [l - 1 for _, _, l in needles])
-    wrap = _mask(extra)
     lane = (n + extra + 7) // 8  # bytes; no window leaves its lane
+    head = int.from_bytes(_mask(extra).to_bytes(lane, "little") * len(words), "little")
 
     def plane(ints: list[int]) -> int:
-        return int.from_bytes(
-            b"".join((v | (v & wrap) << n).to_bytes(lane, "little") for v in ints),
-            "little",
-        )
+        lanes = b"".join(v.to_bytes(lane, "little") for v in ints)
+        return _cyclic(int.from_bytes(lanes, "little"), n, head)
 
     hb = plane([x.bits for x in words])
     hk = plane([x.known for x in words])
@@ -172,8 +177,8 @@ def typicality_decode(
     config: DecoderConfig = DecoderConfig(),
 ) -> DecodeResult:
     """Run the claim-enumeration decoder against a codebook."""
-    # The search works on raw (bits, known, length) triples; TritString
-    # construction is deferred to the few surviving island sets.
+    # The search works on raw (bits, known, length) triples; texts are
+    # rendered only when ``candidate_islands`` is read.
     trip = _needles(reads)
     K = len(trip)
     if K == 0:
@@ -200,7 +205,7 @@ def typicality_decode(
 
     visited = 0
     seen: set[tuple] = set()
-    survivors: list[list[tuple[int, int, int]]] = []
+    survivors: list[tuple[tuple[int, int, int], ...]] = []
     used = [True] + [False] * (K - 1)
 
     def record(islands: list[tuple[int, int, int]], omega: list[int]) -> None:
@@ -216,7 +221,7 @@ def typicality_decode(
             visible = sum(k.bit_count() for _, k, _ in islands)
             if not thresholds.typical_coverage(visible):
                 return
-        survivors.append(islands)
+        survivors.append(key)
 
     def close(last, acc, islands, omega) -> None:
         # Adjacency from the final position back to read 0.
@@ -268,15 +273,9 @@ def typicality_decode(
             held |= _holds_every_read(words, params.n, islands)
     ordered = tuple(oracle[held].tolist())
     message = ordered[0] if len(ordered) == 1 else None
-
-    @cache
-    def text_of(t: tuple[int, int, int]) -> str:
-        return TritString(*t).text
-
-    island_texts = sorted(tuple(sorted(text_of(t) for t in islands)) for islands in survivors)
     return DecodeResult(
         message=message,
         candidate_codewords=ordered,
-        candidate_islands=tuple(island_texts),
+        island_sets=tuple(survivors),
         tuples_visited=visited,
     )

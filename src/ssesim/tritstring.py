@@ -36,6 +36,13 @@ def _mask(length: int) -> int:
     return (1 << length) - 1
 
 
+def _cyclic(plane: int, n: int, head: int) -> int:
+    """An n-bit plane followed by its own bits under ``head``: its first
+    ``extra`` bits for ``head = _mask(extra)``.  With that head in every
+    lane of a lane-packed integer, it extends each lane at once."""
+    return plane | (plane & head) << n
+
+
 # Text of four positions, indexed by value nibble << 4 | visibility nibble.
 _NIBBLE_TEXT = tuple(
     "".join("01"[b >> j & 1] if k >> j & 1 else ERASED for j in range(4))
@@ -144,8 +151,8 @@ def compatible_substring_positions(
         raise ValueError(f"needle longer than haystack: {v.length} > {u.length}")
     hb, hk = u.bits, u.known
     if cyclic:
-        hb |= u.bits << u.length
-        hk |= u.known << u.length
+        head = _mask(max(v.length - 1, 0))
+        hb, hk = _cyclic(hb, u.length, head), _cyclic(hk, u.length, head)
         limit = u.length
     else:
         limit = u.length - v.length + 1

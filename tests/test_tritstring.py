@@ -136,6 +136,7 @@ def test_positions_hand():
     assert compatible_substring_positions(t("11"), t("1001")) == frozenset()
     assert compatible_substring_positions(t("11"), t("1001"), cyclic=True) == {4}
     assert compatible_substring_positions(t(""), t("01")) == {1, 2, 3}
+    assert compatible_substring_positions(t(""), t("01"), cyclic=True) == {1, 2}
     with pytest.raises(ValueError):
         compatible_substring_positions(t("010"), t("01"))
 
