@@ -37,9 +37,9 @@ def _mask(length: int) -> int:
 
 
 def _cyclic(plane: int, n: int, head: int) -> int:
-    """An n-bit plane followed by its own bits under ``head``: its first
-    ``extra`` bits for ``head = _mask(extra)``.  With that head in every
-    lane of a lane-packed integer, it extends each lane at once."""
+    """The n-bit ``plane`` followed by its bits under ``head``, e.g. its
+    first ``extra`` bits for ``head = _mask(extra)``.  A head set in every
+    lane of a lane-packed integer extends all its lanes in one call."""
     return plane | (plane & head) << n
 
 
