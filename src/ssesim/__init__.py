@@ -31,7 +31,6 @@ from .decoder import (
 from .errors import DomainError
 from .rates import (
     CurveRow,
-    candidate_growth_bound,
     rate_curve,
     rate_gap,
     rate_gap_limit,
@@ -46,13 +45,9 @@ from .stats import (
     TypicalityThresholds,
     chain_island_count,
     concentration_experiment,
-    count_prefix_compatible,
     coverage,
-    expected_suffix_size_count,
     expected_suffix_size_counts,
     forward_successor_distances,
-    hoeffding_one_sided,
-    hoeffding_two_sided,
     suffix_size_histogram,
 )
 from .tritstring import (

@@ -131,22 +131,6 @@ def rate_gap_limit(c: float, lbar: float, delta: float) -> float:
     return keep * (math.exp(alpha - c) * -math.expm1(-alpha) - alpha * math.exp(-c))
 
 
-def candidate_growth_bound(
-    c: float, lbar: float, delta: float, d: float, p: float
-) -> float:
-    """Exponential growth rate of the surviving-candidate count:
-    ``(1 + 2p) exp(alpha p d) * rate_gap(c, lbar, delta, d)``.
-
-    ``p`` is the slack factor on the typicality thresholds; ``p = 0``
-    recovers ``rate_gap`` itself.
-    """
-    if p < 0:
-        raise DomainError(f"slack factor must be nonnegative; got {p!r}")
-    gap = rate_gap(c, lbar, delta, d)
-    alpha = c / (lbar * (1.0 - delta))
-    return (1.0 + 2.0 * p) * math.exp(alpha * p * d) * gap
-
-
 @dataclass(frozen=True)
 class CurveRow:
     """One point of a rate curve; invalid points carry a reason instead."""

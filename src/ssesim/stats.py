@@ -1,12 +1,12 @@
 """Channel statistics: coverage, suffix-size spectra, prefix-match counts,
-deviation bounds, and a seeded Monte Carlo harness for all of them.
+the decoder's typicality tests, and a seeded Monte Carlo harness.
 
 Conventions.  Logs are base 2 throughout.  For a read, its *successor
 distance* is the smallest forward cyclic distance to any other read start
 (coincident starts give distance 0), the induced overlap is
 ``max(0, L - distance)``, and the *suffix size* is the number of unerased
-symbols in that overlap-length suffix.  ``expected_suffix_size_count`` is the
-exact law of that statistic:
+symbols in that overlap-length suffix.  ``expected_suffix_size_counts`` gives
+the exact law of that statistic:
 
     P(D >= g) = ((n - g) / n)^(K-1)          (uniform independent starts)
     size | overlap = l   ~  Binomial(l, 1 - delta)
@@ -24,7 +24,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +45,6 @@ from .channel import (
     transmit_codeword,
 )
 from .errors import DomainError
-from .tritstring import TritString
 
 __all__ = [
     "CoverageReport",
@@ -57,11 +56,7 @@ __all__ = [
     "forward_successor_distances",
     "chain_island_count",
     "suffix_size_histogram",
-    "expected_suffix_size_count",
     "expected_suffix_size_counts",
-    "count_prefix_compatible",
-    "hoeffding_two_sided",
-    "hoeffding_one_sided",
     "concentration_experiment",
 ]
 
@@ -221,40 +216,25 @@ def _overlap_law(n: int, L: int, K: int, exact: bool):
     return law
 
 
-def expected_suffix_size_count(params: ChannelParams, suffix_size: int):
-    """Exact expected number of reads with the given merging-suffix size.
+def expected_suffix_size_counts(params: ChannelParams) -> list:
+    """The full expected histogram, index = suffix size 0..L.
 
-    Returns a float for float ``delta`` and a Fraction for Fraction
-    ``delta``.
+    Its entries are floats for a float ``delta`` and Fractions for a
+    Fraction ``delta``.
     """
-    if not 0 <= suffix_size <= params.L:
-        raise DomainError(f"suffix size {suffix_size} outside [0, {params.L}]")
-    return expected_suffix_size_counts(params)[suffix_size]
-
-
-def expected_suffix_size_counts(params: ChannelParams):
-    """The full expected histogram, index = suffix size 0..L."""
-    # The exactness flag is part of the cache key: a float delta and an equal
-    # Fraction delta hash alike but must not share an entry.
+    n, L, K = params.n, params.L, params.K
     exact = isinstance(params.delta, Fraction)
-    return list(
-        _expected_counts_cached(params.n, params.L, params.K, params.delta, exact)
-    )
-
-
-@lru_cache(maxsize=64)
-def _expected_counts_cached(n: int, L: int, K: int, delta, exact: bool) -> tuple:
     law = _overlap_law(n, L, K, exact)
-    keep = delta if exact else float(delta)
+    delta = params.delta if exact else float(params.delta)
     out = []
     for s in range(L + 1):
         total = Fraction(0) if exact else 0.0
         comb = 1  # math.comb(l, s), carried along l by exact integer recurrence
         for l in range(s, L + 1):
-            total += K * law[l] * _binomial_pmf(comb, l, s, keep)
+            total += K * law[l] * _binomial_pmf(comb, l, s, delta)
             comb = comb * (l + 1) // (l + 1 - s)
         out.append(total)
-    return tuple(out)
+    return out
 
 
 def _binomial_pmf(comb: int, l: int, s: int, delta):
@@ -274,45 +254,10 @@ def _binomial_pmf(comb: int, l: int, s: int, delta):
         return math.exp(log_pmf)
 
 
-def count_prefix_compatible(reads: Sequence[TritString], z: TritString) -> int:
-    """Number of reads whose |z|-prefix is compatible with ``z`` (multiset
-    count, so duplicates count separately)."""
-    l = z.length
-    if l < 1:
-        raise ValueError("z must be non-empty")
-    cnt = 0
-    mask = (1 << l) - 1
-    zb, zk = z.bits, z.known
-    for y in reads:
-        if y.length < l:
-            raise ValueError(f"read shorter than z: {y.length} < {l}")
-        if (((y.bits ^ zb) & (y.known & zk) & mask)) == 0:
-            cnt += 1
-    return cnt
-
-
-def hoeffding_two_sided(N: int, p: float, eps: float) -> float:
-    """2*exp(-N*p*eps^2/(1-p)): deviation bound for |S/N - p| >= eps*p."""
-    if not 0 < p < 1:
-        raise DomainError(f"p must lie in (0, 1), got {p}")
-    if N < 1 or eps < 0:
-        raise DomainError("need N >= 1 and eps >= 0")
-    return 2.0 * math.exp(-N * p * eps * eps / (1.0 - p))
-
-
-def hoeffding_one_sided(N: int, p: float, x: float) -> float:
-    """exp(-x^2/(2*N*p*(1-p))): deviation bound for S - N*p >= x."""
-    if not 0 < p < 1:
-        raise DomainError(f"p must lie in (0, 1), got {p}")
-    if N < 1 or x < 0:
-        raise DomainError("need N >= 1 and x >= 0")
-    return math.exp(-x * x / (2.0 * N * p * (1.0 - p)))
-
-
 @dataclass(frozen=True)
 class TypicalityThresholds:
-    """The typicality thresholds: one-sided caps and the decoder's two-sided
-    tests, all built from the same reference values."""
+    """The decoder's two-sided typicality tests on suffix sizes and visible
+    coverage, and the reference values they are centred on."""
 
     params: ChannelParams
     epsilon: float
@@ -344,28 +289,6 @@ class TypicalityThresholds:
     @cached_property
     def _expected_counts(self) -> list:
         return expected_suffix_size_counts(self.params)
-
-    @property
-    def island_count_cap(self) -> float:
-        """(1 + eps) * K * exp(-c)."""
-        return (1 + self.epsilon) * self.island_count_ref
-
-    @property
-    def visible_coverage_floor(self) -> float:
-        """(1 - eps) * (1 - exp(-c(1 - delta)))."""
-        return (1 - self.epsilon) * self.visible_coverage_ref
-
-    def prefix_match_cap(self, tau: float) -> float:
-        """(1 + eps) * n^(1 - tau) for tau <= 1 - eps, else n^eps."""
-        n = self.params.n
-        if tau <= 1 - self.epsilon:
-            return (1 + self.epsilon) * n ** (1 - tau)
-        return float(n) ** self.epsilon
-
-    def suffix_count_cap(self, suffix_size: int) -> float:
-        """Expected count at this size plus the eps * n / log2(n)^2 slack."""
-        expected = expected_suffix_size_count(self.params, suffix_size)
-        return float(expected) + self.suffix_count_slack
 
     def typical_suffix_sizes(self, omega: Sequence[int]) -> bool:
         """Whether a suffix-size tuple passes the two-sided count thresholds.

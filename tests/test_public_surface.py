@@ -2,17 +2,62 @@
 imports work, and ``ssesim`` re-exports only names its modules export.
 
 A name removed from a module but left in its ``__all__`` or in the package
-re-exports fails here, not at a caller's import.
+re-exports fails here, not at a caller's import.  The package's public
+names are also listed literally, so adding or removing one edits this file.
 """
 
 import ast
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 
 import pytest
 
 import ssesim
+
+PUBLIC_NAMES = [
+    "ChannelOutput",
+    "ChannelParams",
+    "ConcentrationSummary",
+    "CoverageReport",
+    "CurveRow",
+    "DecodeResult",
+    "DecoderConfig",
+    "DomainError",
+    "ERASED",
+    "MergeError",
+    "SearchSpaceError",
+    "TritString",
+    "Truth",
+    "TypicalityThresholds",
+    "chain_island_count",
+    "child_seed",
+    "compatible",
+    "compatible_substring_positions",
+    "concentration_experiment",
+    "coverage",
+    "cyclic_gaps",
+    "expected_suffix_size_counts",
+    "forward_successor_distances",
+    "is_l_compatible",
+    "merge",
+    "oracle_decode",
+    "random_codebook",
+    "random_codeword",
+    "rate_curve",
+    "rate_gap",
+    "rate_gap_limit",
+    "rates_csv",
+    "ssc_capacity",
+    "ssc_short_rate",
+    "sse_rate_bound",
+    "stage_rng",
+    "suffix_size_histogram",
+    "transmit",
+    "transmit_codeword",
+    "typicality_decode",
+]
 
 # ``__main__`` runs the command line when imported.
 MODULES = sorted(
@@ -52,3 +97,12 @@ def test_package_reexports_are_exported():
         for alias in node.names:
             assert alias.name in exported, f"ssesim.{node.module}.{alias.name}"
             assert hasattr(ssesim, alias.asname or alias.name)
+
+
+def test_package_public_names():
+    names = sorted(
+        name
+        for name, value in vars(ssesim).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES

@@ -6,11 +6,9 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
-from ssesim.channel import ChannelParams
 from ssesim.errors import DomainError
 from ssesim.rates import (
     CurveRow,
-    candidate_growth_bound,
     rate_curve,
     rate_gap,
     rate_gap_limit,
@@ -19,7 +17,6 @@ from ssesim.rates import (
     ssc_capacity,
     ssc_short_rate,
 )
-from ssesim.stats import expected_suffix_size_counts
 
 # Values pinned from high-precision (mpmath, 60 digit) evaluation of the
 # closed forms; regressions here mean the formulas changed, not just noise.
@@ -181,14 +178,6 @@ def test_import_leaves_mpmath_unloaded():
     assert out.stdout.strip() == "False"
 
 
-def test_growth_bound():
-    g = rate_gap(2.0, 1.75, 0.2, 0.05)
-    assert candidate_growth_bound(2.0, 1.75, 0.2, 0.05, 0.0) == g
-    assert candidate_growth_bound(2.0, 1.75, 0.2, 0.05, 0.1) > g
-    with pytest.raises(DomainError):
-        candidate_growth_bound(2.0, 1.75, 0.2, 0.05, -0.1)
-
-
 @pytest.mark.parametrize(
     "fn,args",
     [
@@ -207,8 +196,6 @@ def test_growth_bound():
         # overflows, and 50, where the gap comes out negative (-5.5e-5).
         (rate_gap, (1e3, 1.75, 0.2, 0.1)),
         (rate_gap, (70.0, 1.75, 0.2, 0.1)),
-        (candidate_growth_bound, (1e3, 1.75, 0.2, 0.1, 0.1)),
-        (candidate_growth_bound, (70.0, 1.75, 0.2, 0.1, 0.0)),
     ],
 )
 def test_hypothesis_violations_raise(fn, args):
@@ -243,22 +230,3 @@ def test_rates_csv_golden_row():
     assert rates_csv([row]) == expected
     bad = CurveRow(2.0, 0.5, 1.75, None, None, False, "why")
     assert rates_csv([bad]).splitlines()[1] == "2.0,0.5,1.75,,,false,why"
-
-
-def test_finite_size_diagnostic():
-    # How close a desk-size instance gets to the asymptotic growth bound:
-    # weight the expected suffix-size counts by (1 - s/log2(n)) and compare.
-    n = 1_000_000
-    log_n = math.log2(n)
-    lbar, c, delta = 1.75, 2.0, 0.2
-    L = round(lbar * log_n)
-    K = round(c * n / L)
-    params = ChannelParams(n=n, L=L, K=K, delta=delta)
-    counts = expected_suffix_size_counts(params)
-    finite = (log_n / n) * math.fsum(
-        (1 - s / log_n) * counts[s] for s in range(int(log_n) + 1)
-    )
-    bound = candidate_growth_bound(c, lbar, delta, 0.1, 0.01)
-    print(f"finite-n weighted suffix mass: {finite:.6f}, growth bound: {bound:.6f}")
-    assert finite > 0
-    assert math.isfinite(bound)

@@ -13,16 +13,11 @@ from ssesim.stats import (
     TypicalityThresholds,
     chain_island_count,
     concentration_experiment,
-    count_prefix_compatible,
     coverage,
-    expected_suffix_size_count,
     expected_suffix_size_counts,
     forward_successor_distances,
-    hoeffding_one_sided,
-    hoeffding_two_sided,
     suffix_size_histogram,
 )
-from ssesim.tritstring import TritString
 
 from conftest import exact_counts_by_enumeration, make_output
 from ground_truth import true_islands, visible_symbols
@@ -127,71 +122,12 @@ def test_expected_counts_match_enumeration():
     assert expected_suffix_size_counts(single) == [1, 0, 0]
 
 
-def test_expected_count_bounds():
-    p = ChannelParams(n=100, L=5, K=3, delta=0.5)
-    with pytest.raises(DomainError):
-        expected_suffix_size_count(p, 6)
-    with pytest.raises(DomainError):
-        expected_suffix_size_count(p, -1)
-
-
-def test_count_prefix_compatible():
-    reads = [TritString.from_text(t) for t in ("1*", "00", "10")]
-    z1 = TritString.from_text("1")
-    assert count_prefix_compatible(reads, z1) == 2
-    z_erased = TritString.from_text("*1")
-    # "1*": nothing to clash; "00": 1 vs 0 at position 2; "10": 0 vs 1.
-    assert count_prefix_compatible(reads, z_erased) == 1
-    with pytest.raises(ValueError):
-        count_prefix_compatible(reads, TritString.from_text(""))
-    with pytest.raises(ValueError):
-        count_prefix_compatible(reads, TritString.from_text("101"))
-
-
-def test_count_prefix_compatible_shrinks_as_probe_grows():
-    rng = np.random.default_rng(7)
-    p = ChannelParams(n=64, L=10, K=12, delta=0.25)
-    out = transmit_codeword(random_codeword(p.n, 7), p, 7)
-    reads = out.reads
-    text = "".join(rng.choice(["0", "1"], size=p.L))
-    counts = [
-        count_prefix_compatible(reads, TritString.from_text(text[:j]))
-        for j in range(1, p.L + 1)
-    ]
-    assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-
-def test_hoeffding_trivial_slack():
-    assert hoeffding_two_sided(100, 0.3, 0.0) == 2.0
-    assert hoeffding_one_sided(100, 0.3, 0.0) == 1.0
-    with pytest.raises(DomainError):
-        hoeffding_two_sided(100, 0.0, 0.1)
-    with pytest.raises(DomainError):
-        hoeffding_one_sided(0, 0.3, 1.0)
-
-
-def test_hoeffding_dominates_binomial_tail():
-    # In their working regime the expressions upper-bound the exact tails.
-    N, p, eps = 400, 0.5, 0.06
-    slack = eps * p * N  # 12
-    true_two = binom.cdf(N * p - slack, N, p) + binom.sf(N * p + slack - 1, N, p)
-    assert hoeffding_two_sided(N, p, eps) >= true_two
-    x = 12.0
-    true_one = binom.sf(N * p + x - 1, N, p)
-    assert hoeffding_one_sided(N, p, x) >= true_one
-
-
 def test_typicality_threshold_formulas():
     p = ChannelParams(n=256, L=16, K=32, delta=0.5)
     th = TypicalityThresholds(p, 0.1)
-    assert math.isclose(th.island_count_cap, 1.1 * 32 * math.exp(-2.0))
-    assert math.isclose(th.visible_coverage_floor, 0.9 * (1 - math.exp(-1.0)))
-    assert math.isclose(th.prefix_match_cap(0.5), 1.1 * 16.0)
-    assert math.isclose(th.prefix_match_cap(0.95), 256**0.1)
-    slack = 0.1 * 256 / 64
-    assert math.isclose(
-        th.suffix_count_cap(3), expected_suffix_size_count(p, 3) + slack
-    )
+    assert math.isclose(th.island_count_ref, 32 * math.exp(-2.0))
+    assert math.isclose(th.visible_coverage_ref, 1 - math.exp(-1.0))
+    assert math.isclose(th.suffix_count_slack, 0.1 * 256 / 64)
     with pytest.raises(DomainError):
         TypicalityThresholds(p, -0.5)
     with pytest.raises(DomainError):
@@ -206,9 +142,10 @@ def test_finite_epsilon_needs_two_symbols():
 
 
 def test_direct_construction_checks_epsilon():
-    """The constructor itself rejects what the caps cannot use: a negative
-    epsilon (whose island cap would fall to or below 0) and a finite one
-    at n = 1 (whose slack divides by log2(1) = 0)."""
+    """The constructor itself rejects what the tests cannot use: a negative
+    epsilon (under which no count is within its tolerance, not even the
+    reference itself) and a finite one at n = 1 (whose slack divides by
+    log2(1) = 0)."""
     with pytest.raises(DomainError):
         TypicalityThresholds(params=ChannelParams(8, 2, 4, 0.0), epsilon=-1.0)
     with pytest.raises(DomainError):
