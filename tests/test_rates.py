@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp
 
+from ssesim.channel import ChannelParams
 from ssesim.errors import DomainError
 from ssesim.rates import (
     CurveRow,
@@ -17,6 +18,7 @@ from ssesim.rates import (
     ssc_capacity,
     ssc_short_rate,
 )
+from ssesim.stats import expected_suffix_size_counts
 
 # Values pinned from high-precision (mpmath, 60 digit) evaluation of the
 # closed forms; regressions here mean the formulas changed, not just noise.
@@ -196,6 +198,8 @@ def test_import_leaves_mpmath_unloaded():
         # overflows, and 50, where the gap comes out negative (-5.5e-5).
         (rate_gap, (1e3, 1.75, 0.2, 0.1)),
         (rate_gap, (70.0, 1.75, 0.2, 0.1)),
+        (rate_gap_limit, (0.0, 1.75, 0.2)),
+        (rate_gap_limit, (2.0, 1.75, 1.0)),
     ],
 )
 def test_hypothesis_violations_raise(fn, args):
@@ -230,3 +234,22 @@ def test_rates_csv_golden_row():
     assert rates_csv([row]) == expected
     bad = CurveRow(2.0, 0.5, 1.75, None, None, False, "why")
     assert rates_csv([bad]).splitlines()[1] == "2.0,0.5,1.75,,,false,why"
+
+
+def test_finite_size_diagnostic():
+    # How close a desk-size instance gets to the asymptotic gap: weight the
+    # expected suffix-size counts by (1 - s/log2(n)) and compare.
+    n = 1_000_000
+    log_n = math.log2(n)
+    lbar, c, delta = 1.75, 2.0, 0.2
+    L = round(lbar * log_n)
+    K = round(c * n / L)
+    params = ChannelParams(n=n, L=L, K=K, delta=delta)
+    counts = expected_suffix_size_counts(params)
+    finite = (log_n / n) * math.fsum(
+        (1 - s / log_n) * counts[s] for s in range(int(log_n) + 1)
+    )
+    gap = rate_gap(c, lbar, delta, 0.1)
+    print(f"finite-n weighted suffix mass: {finite:.6f}, rate gap: {gap:.6f}")
+    assert finite > 0
+    assert math.isfinite(gap) and gap > 0

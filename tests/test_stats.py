@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -122,6 +123,48 @@ def test_expected_counts_match_enumeration():
     assert expected_suffix_size_counts(single) == [1, 0, 0]
 
 
+def test_expected_counts_keep_float_and_fraction_apart():
+    # Equal params with a float and a Fraction delta compare and hash alike,
+    # yet each must get entries of its own type, in either call order.
+    as_float = ChannelParams(n=6, L=3, K=2, delta=0.5)
+    as_fraction = ChannelParams(n=6, L=3, K=2, delta=Fraction(1, 2))
+    assert as_float == as_fraction and hash(as_float) == hash(as_fraction)
+    for first, second in ((as_float, as_fraction), (as_fraction, as_float)):
+        a = expected_suffix_size_counts(first)
+        b = expected_suffix_size_counts(second)
+        assert type(a[1]) is type(first.delta)
+        assert type(b[1]) is type(second.delta)
+    floats = expected_suffix_size_counts(as_float)
+    exact = expected_suffix_size_counts(as_fraction)
+    assert all(isinstance(v, float) for v in floats)
+    assert all(isinstance(v, Fraction) for v in exact)
+    for a, b in zip(floats, exact):
+        assert math.isclose(a, float(b), rel_tol=1e-12)
+
+
+def test_expected_counts_are_a_fresh_list():
+    p = ChannelParams(n=64, L=6, K=8, delta=0.25)
+    first = expected_suffix_size_counts(p)
+    first[0] = -1.0
+    second = expected_suffix_size_counts(p)
+    assert second is not first
+    assert second[0] >= 0
+    assert len(second) == p.L + 1
+
+
+def test_expected_counts_at_erasure_extremes():
+    n, L, K = 6, 3, 2
+    for delta in (Fraction(0), Fraction(1)):
+        p = ChannelParams(n=n, L=L, K=K, delta=delta)
+        assert expected_suffix_size_counts(p) == exact_counts_by_enumeration(
+            n, L, K, delta
+        )
+    # Every symbol erased: every suffix is empty.
+    erased = ChannelParams(n=n, L=L, K=K, delta=Fraction(1))
+    assert expected_suffix_size_counts(erased) == [K, 0, 0, 0]
+    assert expected_suffix_size_counts(ChannelParams(n, L, K, 1.0)) == [K, 0, 0, 0]
+
+
 def test_typicality_threshold_formulas():
     p = ChannelParams(n=256, L=16, K=32, delta=0.5)
     th = TypicalityThresholds(p, 0.1)
@@ -151,6 +194,41 @@ def test_direct_construction_checks_epsilon():
     with pytest.raises(DomainError):
         TypicalityThresholds(params=ChannelParams(1, 1, 3, 0.0), epsilon=0.5)
     assert TypicalityThresholds(ChannelParams(8, 2, 4, 0.0), 0.0).epsilon == 0.0
+
+
+def test_typical_suffix_sizes_ignores_read_order():
+    # The test reads only the histogram of the tuple, not which read has
+    # which size (hand case of the decoder tests: n=16, L=4, K=4).
+    th = TypicalityThresholds(ChannelParams(n=16, L=4, K=4, delta=0.0), 0.5)
+    for omega in itertools.permutations((0, 2, 3, 4)):
+        assert th.typical_suffix_sizes(omega)
+    for omega in itertools.permutations((0, 1, 2, 3)):
+        assert not th.typical_suffix_sizes(omega)
+
+
+def test_typical_coverage_is_two_sided():
+    p = ChannelParams(n=100, L=10, K=10, delta=0.0)  # c = 1
+    th = TypicalityThresholds(p, 0.1)
+    target = 1 - math.exp(-1.0)  # 0.632: the window is [0.569, 0.695]
+    assert math.isclose(th.visible_coverage_ref, target)
+    assert th.typical_coverage(63)
+    assert th.typical_coverage(57) and th.typical_coverage(69)
+    assert not th.typical_coverage(56)  # too little visible
+    assert not th.typical_coverage(70)  # too much visible
+    assert not th.typical_coverage(0) and not th.typical_coverage(p.n)
+
+
+def test_thresholds_accept_fraction_delta():
+    # An exact delta gives the same verdicts as the equal float delta.
+    exact = TypicalityThresholds(ChannelParams(16, 4, 4, Fraction(0)), 0.5)
+    inexact = TypicalityThresholds(ChannelParams(16, 4, 4, 0.0), 0.5)
+    assert math.isclose(exact.visible_coverage_ref, inexact.visible_coverage_ref)
+    for omega in [(0, 2, 3, 4), (0, 0, 2, 3), (0, 1, 2, 3), (0, 0, 0, 0)]:
+        assert exact.typical_suffix_sizes(omega) == inexact.typical_suffix_sizes(
+            omega
+        )
+    for visible in range(17):
+        assert exact.typical_coverage(visible) == inexact.typical_coverage(visible)
 
 
 def test_concentration_deterministic_and_thread_safe():
