@@ -74,6 +74,15 @@ GOLDEN = {
         "07b80278bee70831416d361408cbbd04c2f011a7fec537054c7a2071d6b5988a",
     "concentration --n 37 --length 35 --reads 40 --delta 0.5 --trials 5 --seed 8":
         "98cb98f26355bebea3fa0e9f881f7f271030c4ff4c2a55aeb567758625278de0",
+    # The m_z probe's eligible-read fallback: at delta = 0.85 two of the 205
+    # reads keep 5 of their 10 symbols visible, and seed 0 misses both in
+    # 64 uniform draws, so the first trial's probe draws among them.
+    "concentration --n 1024 --length 10 --reads 205 --delta 0.85 --trials 1"
+    " --mz-per-trial 1 --seed 0":
+        "7497d7a3d56bf568ad3187383d429ff42a63a3d2ba2fe7da2842ae18ffba9641",
+    "concentration --n 1024 --length 10 --reads 205 --delta 0.85 --trials 3"
+    " --mz-per-trial 4 --seed 0 --format csv":
+        "437a07bac5946cfcad0e33581e3bc9e1cce79db2b998cd799aaabf3429c73c9c",
     # Codeword matching on large codebooks: the decode-bigbook geometry
     # (1024 codewords of length 32), then n and codebook size that are not
     # multiples of 8, where 48 codewords hold every read.
