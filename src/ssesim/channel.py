@@ -3,8 +3,9 @@
 A length-``n`` binary codeword is read ``K`` times.  Each read starts at a
 uniformly random position (1-based, wrapping around the end), spans ``L``
 symbols, and then every symbol is independently erased with probability
-``delta``.  The decoder sees the multiset of reads only; start positions and
-the codeword stay in a separate ground-truth record.
+``delta``.  The decoder sees the multiset of reads only, through
+``ChannelOutput.reads``; start positions and the codeword stay in a
+separate ground-truth record.
 
 Randomness follows a splittable scheme: every consumer derives its stream
 from a master seed plus a fixed integer path, so results never depend on
@@ -170,8 +171,9 @@ class ChannelOutput:
     ``values``/``known`` are (K, ceil(L/8)) uint8 bit-planes: bit j (LSB
     first) of row i is symbol j of read i, as ``np.packbits(a, axis=1,
     bitorder="little")`` packs a (K, L) array ``a``.  ``known`` marks the
-    unerased symbols and has no bit set past L; ``values`` holds the
-    symbol values, read only where ``known`` is set.
+    unerased symbols and has no bit set past L; ``values`` holds each
+    read's pre-erasure window, which the decoder's view reads only through
+    ``known``.
     """
 
     params: ChannelParams
@@ -345,8 +347,7 @@ def transmit_codeword(
         carry = span[:, 1:] << np.uint64(1) << (np.uint64(63) - shift)
         span >>= shift
         span[:, :-1] |= carry
-        # ``known`` clears the erased symbols and the bits past L.
-        np.bitwise_and(span.view(np.uint8)[:, :width], known[blk], out=values[blk])
+        values[blk] = span.view(np.uint8)[:, :width]
     starts0 += 1  # the truth record's starts are 1-based
     truth = Truth(message=message, codeword=x, starts=starts0)
     return ChannelOutput(params=params, values=values, known=known, truth=truth)

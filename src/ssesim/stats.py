@@ -35,7 +35,6 @@ from .channel import (
     STAGE_TRIAL,
     ChannelOutput,
     ChannelParams,
-    _packed_extension,
     _round_finite,
     _row_blocks,
     child_seed,
@@ -464,15 +463,12 @@ class ConcentrationSummary:
 
 
 def _probe_z(
-    rng: np.random.Generator,
-    values: np.ndarray,
-    known: np.ndarray,
-    L: int,
-    suffix_size: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """A probe string: a random read re-erased down to exactly
-    ``suffix_size`` visible symbols.  ``values``/``known`` are the reads'
-    packed bit-planes; only the chosen row is unpacked."""
+    rng: np.random.Generator, known: np.ndarray, L: int, suffix_size: int
+) -> tuple[int, np.ndarray]:
+    """A probe: a random read ``r`` re-erased down to exactly
+    ``suffix_size`` visible symbols, returned as ``r`` and its sorted kept
+    positions.  ``known`` is the reads' packed plane; only row r is
+    unpacked."""
     k_reads = known.shape[0]
     for _ in range(64):
         r = int(rng.integers(k_reads))
@@ -491,26 +487,22 @@ def _probe_z(
         r = int(eligible[rng.integers(len(eligible))])
     visible = np.unpackbits(known[r], count=L, bitorder="little")
     keep = rng.choice(np.flatnonzero(visible), size=suffix_size, replace=False)
-    zk = np.zeros(L, dtype=bool)
-    zk[keep] = True
-    zv = np.unpackbits(values[r], count=L, bitorder="little")
-    return np.where(zk, zv, 0).astype(np.uint8), zk
+    return r, np.sort(keep)
 
 
-def _count_matches(ext: np.ndarray, starts: np.ndarray, zv, zk) -> int:
-    """Reads whose true window agrees with the probe's visible symbols.
+def _count_matches(values: np.ndarray, r: int, keep: np.ndarray) -> int:
+    """Reads whose pre-erasure window agrees with read ``r``'s at the kept
+    positions ``keep``, read ``r`` included.
 
-    Matching is against the pre-erasure windows, read as bits of the
-    codeword's packed cyclic extension ``ext`` from the 1-based ``starts``:
-    each read at an independent start agrees with probability exactly
-    2**-size.  Each visible probe symbol keeps only the starts that still
-    agree, so the work shrinks geometrically."""
-    alive = starts
-    for j in np.flatnonzero(zk):
-        pos = alive + (j - 1)
-        shift = pos.astype(np.uint8) & 7  # the low byte holds the bit offset
-        pos >>= 3
-        alive = alive[(ext[pos] >> shift & 1) == zv[j]]
+    ``values`` holds every read's whole window, so a read at an independent
+    start agrees with probability exactly 2**-len(keep).  Each kept
+    position keeps only the rows that still agree, so the work shrinks
+    geometrically."""
+    alive = np.arange(len(values))
+    for j in keep:
+        byte, bit = divmod(int(j), 8)
+        differ = (values[alive, byte] ^ values[r, byte]) >> bit & 1
+        alive = alive[differ == 0]
     return len(alive)
 
 
@@ -523,14 +515,12 @@ def _run_trial(params: ChannelParams, seed: int, t: int, mz_sizes, mz_per_trial:
     hist = suffix_size_histogram(out)
     rng = stage_rng(trial, STAGE_MZ)
     mz_counts = []
-    if mz_sizes:
-        ext = _packed_extension(x, params.L)
-        for s in mz_sizes:
-            counts = []
-            for _ in range(mz_per_trial):
-                zv, zk = _probe_z(rng, out.values, out.known, params.L, s)
-                counts.append(_count_matches(ext, out.truth.starts, zv, zk))
-            mz_counts.append(tuple(counts))
+    for s in mz_sizes:
+        counts = []
+        for _ in range(mz_per_trial):
+            r, keep = _probe_z(rng, out.known, params.L, s)
+            counts.append(_count_matches(out.values, r, keep))
+        mz_counts.append(tuple(counts))
     return islands, rep.phi, rep.phi_v, hist, mz_counts
 
 

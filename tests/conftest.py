@@ -20,7 +20,8 @@ def make_output(
     """Channel output with hand-picked starts (1-based) and erasures.
 
     ``erased`` holds (read index, 0-based position within the read) pairs.
-    The hand-built (K, L) arrays are packed into the output's bit-planes.
+    The hand-built (K, L) arrays are packed into the output's bit-planes;
+    like the channel's, ``values`` keeps each read's whole window.
     """
     n = len(x_text)
     params = ChannelParams(n=n, L=L, K=len(starts), delta=delta)
@@ -28,11 +29,8 @@ def make_output(
     known = np.ones((len(starts), L), dtype=bool)
     for i, s in enumerate(starts):
         for j in range(L):
-            idx = (s - 1 + j) % n
-            if (i, j) in erased:
-                known[i, j] = False
-            else:
-                values[i, j] = int(x_text[idx])
+            values[i, j] = int(x_text[(s - 1 + j) % n])
+            known[i, j] = (i, j) not in erased
     truth = Truth(
         message=None,
         codeword=TritString.from_text(x_text),
