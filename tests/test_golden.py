@@ -39,6 +39,13 @@ GOLDEN = {
         "5b6fa5c2f9fe007316e7db573cf8242ebafae2e3f0ad814d5285f9f773be5f0e",
     "gtau-table --n 1024 --lbar 2 --coverage 2 --delta 0.2":
         "5db3b014b8ad7f126c96889c56bc5528f80d17b0637a5eaf6445a9e917c6e1c3",
+    # The float suffix-size law past the l = 1030 switch to log space in
+    # the binomial pmf, and at K = 1, where every P(D >= g) is the empty
+    # product 1.
+    "gtau-table --n 100000 --length 1100 --reads 10 --delta 0.2":
+        "47e86339a23e79c86173ebd3d6bbbe534a5ac6b89c318c9c043b0c4176c2d063",
+    "gtau-table --n 100 --length 7 --reads 1 --delta 0.3":
+        "1ef27d649ee0fd3c13883158b5764f311b72a791c99cda932da1f5220dda85c8",
     # Sizes the trial kernel works on in blocks: K*L = 1,088,000 read
     # symbols for simulate and about 4.2M per concentration trial, so the
     # erasure draw spans several blocks; the concentration runs also probe
