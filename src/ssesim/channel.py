@@ -231,22 +231,15 @@ def _row_int(row: np.ndarray) -> int:
     return int.from_bytes(row.tobytes(), "little")
 
 
-def _pack_rows(rows: np.ndarray) -> list[int]:
-    """One integer bit-plane per row of a 2-D array, nonzero entries set."""
-    packed = np.packbits(rows, axis=1, bitorder="little")
-    # Lets a temporary argument, such as a fresh draw, be freed before the
-    # integers are built.
-    del rows
-    return [_row_int(row) for row in packed]
-
-
 def _uniform_binary(
     rng: np.random.Generator, count: int, n: int
 ) -> tuple[TritString, ...]:
     """``count`` uniform fully visible strings of length n: one uint8 draw,
     packed in one call and released before the strings are built."""
-    planes = _pack_rows(rng.integers(0, 2, size=(count, n), dtype=np.uint8))
-    return tuple(TritString.binary(v, n) for v in planes)
+    packed = np.packbits(
+        rng.integers(0, 2, size=(count, n), dtype=np.uint8), axis=1, bitorder="little"
+    )
+    return tuple(TritString.binary(_row_int(row), n) for row in packed)
 
 
 def _check_symbols(count: int, what: str) -> None:
@@ -270,11 +263,6 @@ def random_codebook(n: int, count: int, seed) -> tuple[TritString, ...]:
         raise DomainError(f"codebook size {count} outside [1, {DEFAULT_CODEBOOK_CAP}]")
     _check_symbols(count * n, "codebook size times n")
     return _uniform_binary(stage_rng(seed, STAGE_CODEBOOK), count, n)
-
-
-def _sample_starts(params: ChannelParams, seed) -> np.ndarray:
-    rng = stage_rng(seed, STAGE_STARTS)
-    return rng.integers(0, params.n, size=params.K)
 
 
 def cyclic_gaps(sorted_starts: np.ndarray, n: int) -> np.ndarray:
@@ -306,6 +294,16 @@ def _row_blocks(K: int, L: int) -> list[slice]:
     return [slice(i, i + rows) for i in range(0, K, rows)]
 
 
+def _shift_down(span: np.ndarray, shift: np.ndarray) -> None:
+    """Shift each row of little-endian uint64 words down by its own count of
+    0 to 8 bits, in place: the low ``shift`` bits of a word carry into the
+    top of the one below, and zeros fill the top of the last word."""
+    shift = shift.astype(np.uint64)[:, None]
+    carry = span[:, 1:] << np.uint64(1) << (np.uint64(63) - shift)
+    span >>= shift
+    span[:, :-1] |= carry
+
+
 def transmit_codeword(
     x: TritString, params: ChannelParams, seed, message: int | None = None
 ) -> ChannelOutput:
@@ -324,7 +322,7 @@ def transmit_codeword(
         raise DomainError("channel input must be a fully visible binary string")
     K, L = params.K, params.L
     _check_symbols(K * L, "K * L")
-    starts0 = _sample_starts(params, seed)
+    starts0 = stage_rng(seed, STAGE_STARTS).integers(0, params.n, size=K)
     rng = stage_rng(seed, STAGE_ERASURES)
     delta, width = float(params.delta), _plane_width(L)
     # Every read's symbols lie in the width + 1 bytes from its start's byte.
@@ -339,14 +337,10 @@ def transmit_codeword(
         np.greater_equal(rng.random((len(rows), L)), delta, out=mask[:, :L])
         known[blk] = np.packbits(mask, bitorder="little").reshape(-1, width)
         # Each read's span in little-endian uint64 words, shifted down by its
-        # start's bit offset: the low ``shift`` bits of a word carry into
-        # the top of the one below.
+        # start's bit offset.
         span = np.zeros((len(rows), width // 8 + 1), dtype="<u8")
         span.view(np.uint8)[:, : width + 1] = spans[rows >> 3]
-        shift = (rows & 7).astype(np.uint64)[:, None]
-        carry = span[:, 1:] << np.uint64(1) << (np.uint64(63) - shift)
-        span >>= shift
-        span[:, :-1] |= carry
+        _shift_down(span, rows & 7)
         values[blk] = span.view(np.uint8)[:, :width]
     starts0 += 1  # the truth record's starts are 1-based
     truth = Truth(message=message, codeword=x, starts=starts0)

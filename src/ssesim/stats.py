@@ -37,6 +37,7 @@ from .channel import (
     ChannelParams,
     _round_finite,
     _row_blocks,
+    _shift_down,
     child_seed,
     cyclic_gaps,
     random_codeword,
@@ -112,12 +113,10 @@ def coverage(output: ChannelOutput) -> CoverageReport:
     for blk in _row_blocks(output.params.K, L):
         rows = order[blk]
         span = np.zeros((len(rows), width // 8 + 1), dtype="<u8")
-        span.view(np.uint8)[:, :width] = np.take(output.known, rows, axis=0)
-        shift = (first[blk] & 7).astype(np.uint64)[:, None]
-        # The top ``shift`` bits of each word carry into the next one.
-        carry = span >> np.uint64(1) >> (np.uint64(63) - shift)
-        span <<= shift
-        span[:, 1:] |= carry[:, :-1]
+        # Shifting a row up by its bit offset s is placing it one byte in
+        # and shifting it down by 8 - s.
+        span.view(np.uint8)[:, 1 : width + 1] = np.take(output.known, rows, axis=0)
+        _shift_down(span, 8 - (first[blk] & 7))
         byte = first[blk] >> 3
         head = np.flatnonzero(np.diff(byte, prepend=-1))
         span = np.bitwise_or.reduceat(span, head, axis=0).view(np.uint8)
@@ -199,22 +198,6 @@ def suffix_size_histogram(output: ChannelOutput) -> tuple[int, ...]:
     return tuple(int(c) for c in counts)
 
 
-def _overlap_law(n: int, L: int, K: int, exact: bool):
-    """P(overlap = l) for l = 0..L under the successor-distance law."""
-
-    def p_dist_ge(g):
-        # K = 1 has no other reads, so the empty product is 1.
-        if exact:
-            return Fraction(n - g, n) ** (K - 1)
-        return ((n - g) / n) ** (K - 1)
-
-    law = [p_dist_ge(L)]
-    for l in range(1, L + 1):
-        d = L - l
-        law.append(p_dist_ge(d) - p_dist_ge(d + 1))
-    return law
-
-
 def expected_suffix_size_counts(params: ChannelParams) -> list:
     """The full expected histogram, index = suffix size 0..L.
 
@@ -223,11 +206,15 @@ def expected_suffix_size_counts(params: ChannelParams) -> list:
     """
     n, L, K = params.n, params.L, params.K
     exact = isinstance(params.delta, Fraction)
-    law = _overlap_law(n, L, K, exact)
+    one = Fraction(1) if exact else 1.0
     delta = params.delta if exact else float(params.delta)
+    # P(D >= g) for g = 0..L; K = 1 has no other reads, so the empty product
+    # is 1.  The overlap is L - D when D < L, else 0.
+    ge = [((n - g) * one / n) ** (K - 1) for g in range(L + 1)]
+    law = [ge[L]] + [ge[L - l] - ge[L - l + 1] for l in range(1, L + 1)]
     out = []
     for s in range(L + 1):
-        total = Fraction(0) if exact else 0.0
+        total = 0 * one
         comb = 1  # math.comb(l, s), carried along l by exact integer recurrence
         for l in range(s, L + 1):
             total += K * law[l] * _binomial_pmf(comb, l, s, delta)

@@ -155,6 +155,34 @@ def test_gap_matches_high_precision_on_dense_grid():
                 ), (c, lbar, delta, d)
 
 
+@pytest.mark.parametrize(
+    "d,alpha_positive,alpha_negative",
+    [(0.5, 2.2, 2.3), (0.1, 3.6, 3.7), (0.01, 10.5, 10.6)],
+)
+def test_gap_turns_negative_inside_the_domain(d, alpha_positive, alpha_negative):
+    # At lbar 1.75 and delta 0.2 the sign flips between the two alphas, far
+    # below the alpha <= 30 cap, and the 60-digit closed form agrees.
+    lbar, delta = 1.75, 0.2
+    for alpha, sign in [(alpha_positive, 1), (alpha_negative, -1)]:
+        c = alpha * lbar * (1 - delta)
+        want = _rate_gap_60_digits(c, lbar, delta, d)
+        assert sign * want > 0
+        assert math.isclose(rate_gap(c, lbar, delta, d), want, rel_tol=1e-12)
+        # The factor before the bracket is positive: the sign is that of
+        # (alpha, d) at any other (lbar, delta).
+        c2 = alpha * 3.0 * (1 - 0.5)
+        assert sign * rate_gap(c2, 3.0, 0.5, d) > 0
+
+
+@pytest.mark.parametrize("d", [1.0, 2.0, 1e-3, 1e-4])
+def test_gap_positive_at_large_and_small_separation(d):
+    for k in range(1, 61):
+        alpha = k / 2
+        c = alpha * 1.75 * (1 - 0.2)
+        assert rate_gap(c, 1.75, 0.2, d) > 0, alpha
+        assert _rate_gap_60_digits(c, 1.75, 0.2, d) > 0, alpha
+
+
 def test_gap_limit_finite_past_expm1_overflow():
     # alpha = 1e3 / 1.4 is past expm1's overflow at about 709.
     got = rate_gap_limit(1e3, 1.75, 0.2)

@@ -15,6 +15,7 @@ from ssesim.channel import (
     STAGE_ERASURES,
     ChannelParams,
     _ERASURE_BLOCK,
+    _shift_down,
     random_codeword,
     stage_rng,
     transmit_codeword,
@@ -146,6 +147,20 @@ def test_successor_distances_match_all_pairs(n, K):
         assert np.array_equal(forward_successor_distances(starts, n), ahead.min(axis=1))
         largest_tie = max(largest_tie, np.bincount(starts).max())
     assert largest_tie >= min(K, 3)
+
+
+@pytest.mark.parametrize("words", [1, 2, 3])
+def test_shift_down_matches_integer_shifts(words):
+    """Every row of uint64 words, read as one little-endian integer, comes
+    out shifted down by its own count.  ``transmit_codeword`` shifts by 0-7
+    bits and ``coverage`` by 1-8; each count from 0 to 8 appears in turn."""
+    rng = np.random.default_rng(words)
+    span = rng.integers(0, 2**64, size=(45, words), dtype=np.uint64).astype("<u8")
+    span[:9] = np.uint64(2**64 - 1)  # all bits set: every carry is full
+    shift = np.arange(len(span)) % 9
+    want = [int.from_bytes(row.tobytes(), "little") >> int(s) for row, s in zip(span, shift)]
+    _shift_down(span, shift)
+    assert [int.from_bytes(row.tobytes(), "little") for row in span] == want
 
 
 @pytest.mark.parametrize(
