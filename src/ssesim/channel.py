@@ -231,17 +231,6 @@ def _row_int(row: np.ndarray) -> int:
     return int.from_bytes(row.tobytes(), "little")
 
 
-def _uniform_binary(
-    rng: np.random.Generator, count: int, n: int
-) -> tuple[TritString, ...]:
-    """``count`` uniform fully visible strings of length n: one uint8 draw,
-    packed in one call and released before the strings are built."""
-    packed = np.packbits(
-        rng.integers(0, 2, size=(count, n), dtype=np.uint8), axis=1, bitorder="little"
-    )
-    return tuple(TritString.binary(_row_int(row), n) for row in packed)
-
-
 def _check_symbols(count: int, what: str) -> None:
     if count > _MAX_SYMBOLS:
         raise DomainError(f"{what} = {count} exceeds the limit of {_MAX_SYMBOLS} symbols")
@@ -249,20 +238,22 @@ def _check_symbols(count: int, what: str) -> None:
 
 def random_codeword(n: int, seed) -> TritString:
     """Uniform binary codeword of length n."""
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    _check_symbols(n, "n")
-    return _uniform_binary(stage_rng(seed, STAGE_CODEBOOK), 1, n)[0]
+    return random_codebook(n, 1, seed)[0]
 
 
 def random_codebook(n: int, count: int, seed) -> tuple[TritString, ...]:
-    """``count`` i.i.d. uniform binary codewords."""
+    """``count`` i.i.d. uniform binary codewords: one uint8 draw, packed in
+    one call and released before the strings are built."""
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 1 <= count <= DEFAULT_CODEBOOK_CAP:
         raise DomainError(f"codebook size {count} outside [1, {DEFAULT_CODEBOOK_CAP}]")
-    _check_symbols(count * n, "codebook size times n")
-    return _uniform_binary(stage_rng(seed, STAGE_CODEBOOK), count, n)
+    _check_symbols(count * n, "codeword symbols")
+    rng = stage_rng(seed, STAGE_CODEBOOK)
+    packed = np.packbits(
+        rng.integers(0, 2, size=(count, n), dtype=np.uint8), axis=1, bitorder="little"
+    )
+    return tuple(TritString.binary(_row_int(row), n) for row in packed)
 
 
 def cyclic_gaps(sorted_starts: np.ndarray, n: int) -> np.ndarray:

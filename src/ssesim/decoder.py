@@ -199,34 +199,21 @@ def typicality_decode(
     check_omega = config.omega_mode == "typical-only" and check_coverage
     thresholds = TypicalityThresholds(params, config.epsilon)
 
-    @cache
-    def options(i: int, j: int) -> tuple[tuple[int, int], ...]:
-        return _merge_options(reads[i], reads[j])
-
+    options = [[_merge_options(u, v) for v in reads] for u in reads]
     visited = 0
-    seen: set[tuple] = set()
-    survivors: list[tuple[tuple[int, int, int], ...]] = []
-    used = [True] + [False] * (K - 1)
+    seen: dict[tuple, None] = {}  # distinct island sets, in the order first met
 
     def record(islands: list[tuple[int, int, int]], omega: list[int]) -> None:
         nonlocal visited
         visited += 1
         if check_omega and not thresholds.typical_suffix_sizes(omega):
             return
-        key = tuple(sorted(islands))
-        if key in seen:
-            return
-        seen.add(key)
-        if check_coverage:
-            visible = sum(k.bit_count() for _, k, _ in islands)
-            if not thresholds.typical_coverage(visible):
-                return
-        survivors.append(key)
+        seen[tuple(sorted(islands))] = None
 
     def close(last, acc, islands, omega) -> None:
         # Adjacency from the final position back to read 0.
         record(islands + [acc], omega + [0])
-        for l, w in options(last, 0):
+        for l, w in options[last][0]:
             if islands:
                 first = _overlay(acc, islands[0], l)
                 if first is not None:
@@ -240,22 +227,25 @@ def typicality_decode(
                 if ring is not None:
                     record([ring], omega + [w])
 
-    def walk(last, acc, islands, omega) -> None:
-        if all(used):
+    def walk(last, acc, islands, omega, rest) -> None:
+        if not rest:  # ``rest``: the unplaced read indices, ascending
             close(last, acc, islands, omega)
             return
-        for j in range(1, K):
-            if used[j]:
-                continue
-            used[j] = True
-            walk(j, trip[j], islands + [acc], omega + [0])
-            for l, w in options(last, j):
+        for k, j in enumerate(rest):
+            others = rest[:k] + rest[k + 1 :]
+            walk(j, trip[j], islands + [acc], omega + [0], others)
+            for l, w in options[last][j]:
                 merged = _overlay(acc, trip[j], l)
                 if merged is not None:
-                    walk(j, merged, islands, omega + [w])
-            used[j] = False
+                    walk(j, merged, islands, omega + [w], others)
 
-    walk(0, trip[0], [], [])
+    walk(0, trip[0], [], [], tuple(range(1, K)))
+    survivors = [
+        islands
+        for islands in seen
+        if not check_coverage
+        or thresholds.typical_coverage(sum(k.bit_count() for _, k, _ in islands))
+    ]
 
     # Codeword matching.  A merge only fills erasures where both reads
     # agree, so every read is a compatible substring of its island (on a

@@ -29,6 +29,8 @@ def test_params_validation():
         ChannelParams(n=10, L=5, K=2, delta=1.5)
     p = ChannelParams(n=10, L=5, K=4, delta=0.25)
     assert p.c == 2.0
+    with pytest.raises(DomainError, match="n >= 2"):
+        ChannelParams(n=1, L=1, K=1, delta=0).lbar
 
 
 def test_resolve():
@@ -99,6 +101,10 @@ def test_codebook_deterministic_prefix():
     assert random_codebook(24, 4, 10) != small
     with pytest.raises(DomainError):
         random_codebook(16, 0, 5)
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        random_codebook(0, 1, 0)
+    with pytest.raises(DomainError, match="n must be >= 1"):
+        random_codeword(0, 0)
 
 
 def test_transmit_message_bounds():

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -223,6 +224,29 @@ def test_decode_demo(capsys):
     assert out2 == out
     code, _, _ = run(capsys, *argv[:-2], "--seed", "7", "--codebook-size", "1")
     assert code == 2  # needs at least two codewords
+
+
+def test_decode_demo_reports_a_wrong_message(capsys, monkeypatch):
+    from ssesim import cli
+
+    decode = cli.typicality_decode
+
+    def decode_wrongly(codebook, reads, params, config):
+        result = decode(codebook, reads, params, config)
+        # A codeword that does not hold every read cannot be the one sent.
+        wrong = min(set(range(len(codebook))) - set(cli.oracle_decode(codebook, reads)))
+        return dataclasses.replace(result, message=wrong, candidate_codewords=(wrong,))
+
+    monkeypatch.setattr(cli, "typicality_decode", decode_wrongly)
+    argv = (
+        "decode-demo", "--n", "24", "--length", "6", "--reads", "5",
+        "--delta", "0.1", "--codebook-size", "6", "--seed", "7",
+    )
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["outcome"] == "wrong"
+    assert doc["decoded_message"] not in (None, doc["true_message"])
 
 
 def test_gtau_table(capsys):

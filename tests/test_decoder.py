@@ -227,6 +227,10 @@ def test_oracle_rejects_mixed_codeword_lengths():
         oracle_decode(codebook, ts("01"))
 
 
+def test_oracle_of_an_empty_codebook_is_empty():
+    assert oracle_decode((), ts("01", "1*")) == ()
+
+
 def _toy_instance(seed, delta):
     p = ChannelParams(n=24, L=6, K=5, delta=delta)
     codebook = random_codebook(p.n, 6, seed)

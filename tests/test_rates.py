@@ -1,11 +1,14 @@
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from mpmath import mp
 
+import ssesim
 from ssesim.channel import ChannelParams
 from ssesim.errors import DomainError
 from ssesim.rates import (
@@ -202,8 +205,16 @@ def test_gap_accepts_fractions():
 
 def test_import_leaves_mpmath_unloaded():
     code = "import sys, ssesim.cli; print('mpmath' in sys.modules)"
+    # The child imports the same package as this process, whether or not
+    # PYTHONPATH is set: pytest's ``pythonpath`` does not reach children.
+    path = [str(Path(ssesim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env=env,
     )
     assert out.stdout.strip() == "False"
 
@@ -219,6 +230,8 @@ def test_import_leaves_mpmath_unloaded():
         (ssc_capacity, (2.0, 1.0)),
         (ssc_capacity, (0.0, 1.4)),
         (ssc_short_rate, (2.0, 1.4, 0.3)),  # 1.4 * 0.7 <= 1
+        (ssc_short_rate, (2.0, 1.4, 1.0)),
+        (ssc_short_rate, (2.0, 1.4, -0.1)),
         (rate_gap, (2.0, 1.75, 0.2, 0.0)),
         (rate_gap, (2.0, 1.75, 0.2, -0.5)),
         (rate_gap_limit, (2.0, 1.2, 0.2)),

@@ -11,6 +11,7 @@ from ssesim.channel import ChannelParams, random_codeword, transmit_codeword
 from ssesim.errors import DomainError
 from ssesim.stats import (
     CoverageReport,
+    MzSample,
     TypicalityThresholds,
     chain_island_count,
     concentration_experiment,
@@ -112,6 +113,22 @@ def test_expected_counts_past_float_range():
             for l in range(s, L + 1)
         )
         assert math.isclose(counts[s], ref, rel_tol=1e-9)
+
+
+def test_expected_counts_past_float_range_at_erasure_extremes():
+    # C(l, s) exceeds the float range from l = 1030; at delta = 0 or 1 every
+    # binomial term with 0 < s < l is then 0.
+    n, L, K = 100000, 1100, 10
+    erased = expected_suffix_size_counts(ChannelParams(n, L, K, 1.0))
+    assert erased[0] == pytest.approx(K, rel=1e-12)
+    assert erased[1:] == [0.0] * L
+    # Nothing erased: the suffix size is the overlap, so each count is K
+    # times P(overlap = s).
+    clear = expected_suffix_size_counts(ChannelParams(n, L, K, 0.0))
+    assert clear[0] == pytest.approx(K * ((n - L) / n) ** (K - 1), rel=1e-12)
+    for s in range(1, L + 1):
+        p_overlap = ((n - L + s) / n) ** (K - 1) - ((n - L + s - 1) / n) ** (K - 1)
+        assert clear[s] == pytest.approx(K * p_overlap, rel=1e-12)
 
 
 def test_expected_counts_match_enumeration():
@@ -266,6 +283,16 @@ def test_concentration_rejects_bad_targets():
         concentration_experiment(p, 0, 1)
     with pytest.raises(DomainError):
         concentration_experiment(p, 2, 1, mz_targets=(0.5,), mz_per_trial=0)
+    with pytest.raises(DomainError, match="n >= 2"):
+        concentration_experiment(ChannelParams(n=1, L=1, K=1, delta=0.0), 1, 1)
+
+
+def test_mz_sample_without_counts_is_nan():
+    empty = MzSample(
+        tau_target=0.5, suffix_size=1, tau_realized=0.5, counts=(), reference=1.0
+    )
+    assert math.isnan(empty.mean)
+    assert math.isnan(empty.worst_relative_deviation)
 
 
 def test_probe_impossible_when_everything_erased():

@@ -50,6 +50,7 @@ def naive_positions(v: str, u: str, cyclic: bool) -> frozenset[int]:
 def test_text_round_trip():
     for text in ("", "0", "1", "*", "01*10", "***", "10" * 20):
         assert TritString.from_text(text).text == text
+    assert str(TritString.from_text("0*1")) == "0*1"
 
 
 def test_text_round_trip_in_linear_time():
@@ -93,6 +94,8 @@ def test_invalid_planes_rejected():
         TritString(bits=0b10, known=0b01, length=2)
     with pytest.raises(ValueError):
         TritString(bits=0, known=0b100, length=2)
+    with pytest.raises(ValueError, match="non-negative"):
+        TritString(0, 0, -1)
 
 
 def test_compatible_hand():

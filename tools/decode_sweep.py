@@ -1,0 +1,72 @@
+"""The 4320-decode equivalence sweep of the typicality decoder.
+
+    python3 tools/decode_sweep.py
+
+Run from anywhere; the package is imported from ``src/`` next to this
+directory, never from an installed copy.  For (n, L, K, M) in
+(24,6,5,6), (32,8,6,8), (12,5,4,6), seeds 0-119 and delta in 0, 0.1, 0.2,
+it draws ``random_codebook(n, M, seed)``, transmits message ``seed % M``
+with ``transmit(book, seed % M, params, seed)`` and decodes the reads at
+epsilon = inf, 0.5, 2 and 2 with all tuples.  It prints three lines:
+
+- ``decodes``: the sha256 of ``repr((message, candidate_codewords,
+  candidate_islands, tuples_visited))`` of every decode, in that order;
+- ``island_sets``: a sha256 over ``repr(island_sets)``, which also pins
+  the order in which the claim search found the sets;
+- ``cpu_s``: the CPU seconds of the sweep.
+
+A change that must keep every decode the same leaves both digests as they
+are.  The sweep is not part of the test suite: it takes several minutes.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import math
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from ssesim.channel import ChannelParams, random_codebook, transmit  # noqa: E402
+from ssesim.decoder import DecoderConfig, typicality_decode  # noqa: E402
+
+GEOMETRIES = ((24, 6, 5, 6), (32, 8, 6, 8), (12, 5, 4, 6))
+SEEDS = range(120)
+DELTAS = (0.0, 0.1, 0.2)
+CONFIGS = (
+    DecoderConfig(math.inf),
+    DecoderConfig(0.5),
+    DecoderConfig(2.0),
+    DecoderConfig(2.0, omega_mode="all-tuples"),
+)
+
+
+def main() -> None:
+    decodes = hashlib.sha256()
+    island_sets = hashlib.sha256()
+    start = time.process_time()
+    for n, L, K, M in GEOMETRIES:
+        for seed in SEEDS:
+            book = random_codebook(n, M, seed)
+            for delta in DELTAS:
+                params = ChannelParams(n, L, K, delta)
+                reads = transmit(book, seed % M, params, seed).reads
+                for config in CONFIGS:
+                    r = typicality_decode(book, reads, params, config)
+                    fields = (
+                        r.message,
+                        r.candidate_codewords,
+                        r.candidate_islands,
+                        r.tuples_visited,
+                    )
+                    decodes.update(repr(fields).encode())
+                    island_sets.update(repr(r.island_sets).encode())
+    print(f"decodes {decodes.hexdigest()}")
+    print(f"island_sets {island_sets.hexdigest()}")
+    print(f"cpu_s {time.process_time() - start:.1f}")
+
+
+if __name__ == "__main__":
+    main()
