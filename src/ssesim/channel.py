@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError
 from .tritstring import TritString, _cyclic, _mask
@@ -59,8 +58,13 @@ DEFAULT_CODEBOOK_CAP = 4096
 # the channel builds arrays for; n = 1e8 at coverage 2 needs 2e8.
 _MAX_SYMBOLS = 2**30
 # Read symbols per block of whole rows: the erasure uniforms are drawn, and
-# the packed reads filled and scanned, one block at a time.
+# the packed reads filled and scanned, one block at a time.  Codeword symbols
+# are drawn in blocks of the same size.
 _ERASURE_BLOCK = 2**16
+# Bit 7 of each byte of a uint64 word, and the factor that gathers them into
+# its top byte, bit 7 of byte k landing on bit 56 + k.
+_BYTE_TOPS = np.uint64(0x8080808080808080)
+_GATHER_TOPS = np.uint64(0x0002040810204081)
 
 
 def child_seed(seed, *path: int) -> np.random.SeedSequence:
@@ -157,11 +161,28 @@ class Truth:
 
     @cached_property
     def order(self) -> np.ndarray:
-        """Read indices in start order, tied starts in any order: the one
-        sort of the starts that the trial stages share."""
-        order = np.argsort(self.starts)
-        order.setflags(write=False)
-        return order
+        """Read indices in start order, tied starts by index: the one sort
+        of the starts that the trial stages share."""
+        return self._by_start[0]
+
+    @cached_property
+    def sorted_starts(self) -> np.ndarray:
+        """The starts in ``order``."""
+        return self._by_start[1]
+
+    @cached_property
+    def _by_start(self) -> tuple[np.ndarray, np.ndarray]:
+        # One sort of the keys start * 2^bits + index gives both; sorting
+        # values is about three times faster than ``argsort`` here.
+        bits = (len(self.starts) - 1).bit_length()
+        key = self.starts << bits
+        key |= np.arange(len(key))
+        key.sort()
+        order = key & ((1 << bits) - 1)
+        key >>= bits
+        for a in (order, key):
+            a.setflags(write=False)
+        return order, key
 
 
 @dataclass(eq=False)
@@ -242,39 +263,74 @@ def random_codeword(n: int, seed) -> TritString:
 
 
 def random_codebook(n: int, count: int, seed) -> tuple[TritString, ...]:
-    """``count`` i.i.d. uniform binary codewords: one uint8 draw, packed in
-    one call and released before the strings are built."""
+    """``count`` i.i.d. uniform binary codewords: the rows of one
+    ``rng.integers(0, 2, size=(count, n), dtype=np.uint8)`` draw.
+
+    numpy's bounded uint8 sampler returns bit 7 of each byte of the raw
+    64-bit stream, low byte first, so each raw word gives eight symbols.
+    The raw words are drawn a block at a time and each one's bit-7s are
+    gathered into one packed byte; no byte per symbol is built.
+    """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     if not 1 <= count <= DEFAULT_CODEBOOK_CAP:
         raise DomainError(f"codebook size {count} outside [1, {DEFAULT_CODEBOOK_CAP}]")
     _check_symbols(count * n, "codeword symbols")
-    rng = stage_rng(seed, STAGE_CODEBOOK)
-    packed = np.packbits(
-        rng.integers(0, 2, size=(count, n), dtype=np.uint8), axis=1, bitorder="little"
-    )
-    return tuple(TritString.binary(_row_int(row), n) for row in packed)
+    raw = stage_rng(seed, STAGE_CODEBOOK).bit_generator
+    # Bit i of ``packed`` is symbol i of the codewords laid end to end.
+    packed = np.empty((count * n + 7) // 8, dtype=np.uint8)
+    for i in range(0, len(packed), _ERASURE_BLOCK // 8):
+        words = raw.random_raw(min(_ERASURE_BLOCK // 8, len(packed) - i))
+        words &= _BYTE_TOPS
+        words *= _GATHER_TOPS
+        words >>= np.uint64(56)
+        packed[i : i + len(words)] = words
+    full = _mask(n)
+    rows = [
+        _row_int(packed[a >> 3 : (a + n + 7) >> 3]) >> (a & 7) & full
+        for a in range(0, count * n, n)
+    ]
+    del packed, full  # released before the strings are built and checked
+    return tuple(TritString.binary(bits, n) for bits in rows)
 
 
 def cyclic_gaps(sorted_starts: np.ndarray, n: int) -> np.ndarray:
     """Forward distance from each sorted start to the next one, the last
     wrapping round to the first.  A single start gets the gap ``n``."""
     starts = np.asarray(sorted_starts)
-    # Written in place: ``np.diff(append=...)`` copies the starts first.
-    gaps = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=gaps[:-1])
-    gaps[-1] = starts[0] + n - starts[-1]
-    return gaps
+    return _gaps_around(starts, n, slice(0, len(starts)))[1:]
+
+
+def _gaps_around(sorted_starts: np.ndarray, n: int, rows: slice) -> np.ndarray:
+    """The cyclic gaps into and out of the sorted starts in ``rows``: entry
+    i is the forward distance from start ``rows.start + i - 1`` to the next
+    one, wrapping round the ring at both ends.  A block of rows is measured
+    from its own starts and the two beside it."""
+    lo, hi = rows.start, rows.stop
+    edges = sorted_starts[max(lo - 1, 0) : hi + 1]
+    if lo == 0:
+        edges = np.concatenate((sorted_starts[-1:] - n, edges))
+    if hi == len(sorted_starts):
+        edges = np.concatenate((edges, sorted_starts[:1] + n))
+    return edges[1:] - edges[:-1]
+
+
+def _span_words(L: int) -> int:
+    """uint64 words that hold a read's L symbols from its start's byte on."""
+    return _plane_width(L) // 8 + 1
 
 
 def _packed_extension(x: TritString, L: int) -> np.ndarray:
-    """The bits of ``x`` followed by its first L - 1, packed LSB first into
-    uint8 bytes, so that ring position (p + j) mod n is bit p + j for
-    0 <= p < n, 0 <= j < L.  Zero bytes pad it so that the ceil(L/8) + 1
-    bytes from byte p >> 3 on exist for every start p."""
-    size = (x.length - 1) // 8 + _plane_width(L) + 1
+    """The bits of ``x`` followed by its first L - 1, as little-endian uint64
+    words at every byte offset: word p holds bits 8p to 8p + 63, so ring
+    position (p + j) mod n is bit p + j of the words from p >> 3 on, for
+    0 <= p < n, 0 <= j < L.  The bytes are padded with zeros so that the
+    ``_span_words(L)`` words 8 bytes apart from byte p >> 3 exist for every
+    start p."""
+    size = (x.length - 1) // 8 + 8 * _span_words(L)
     ext = _cyclic(x.bits, x.length, _mask(L - 1)).to_bytes(size, "little")
-    return np.frombuffer(ext, dtype=np.uint8)
+    # Unaligned words one byte apart over the one copy of the bytes.
+    return np.ndarray((size - 7,), dtype="<u8", buffer=ext, strides=(1,))
 
 
 def _row_blocks(K: int, L: int) -> list[slice]:
@@ -282,15 +338,17 @@ def _row_blocks(K: int, L: int) -> list[slice]:
     symbols (one read if L is longer): the unit in which a stage draws,
     gathers or unpacks read symbols."""
     rows = max(1, _ERASURE_BLOCK // L)
-    return [slice(i, i + rows) for i in range(0, K, rows)]
+    return [slice(i, min(i + rows, K)) for i in range(0, K, rows)]
 
 
 def _shift_down(span: np.ndarray, shift: np.ndarray) -> None:
     """Shift each row of little-endian uint64 words down by its own count of
-    0 to 8 bits, in place: the low ``shift`` bits of a word carry into the
-    top of the one below, and zeros fill the top of the last word."""
-    shift = shift.astype(np.uint64)[:, None]
-    carry = span[:, 1:] << np.uint64(1) << (np.uint64(63) - shift)
+    0 to 64 bits, in place: the low ``shift`` bits of a word carry into the
+    top of the one below, and zeros fill the top of the last word.  numpy
+    gives 0 for a uint64 shift by 64, so a count of 0 carries nothing and
+    a count of 64 moves every word down one."""
+    shift = shift.astype(np.uint64, copy=False)[:, None]
+    carry = span[:, 1:] << (np.uint64(64) - shift)
     span >>= shift
     span[:, :-1] |= carry
 
@@ -316,21 +374,25 @@ def transmit_codeword(
     starts0 = stage_rng(seed, STAGE_STARTS).integers(0, params.n, size=K)
     rng = stage_rng(seed, STAGE_ERASURES)
     delta, width = float(params.delta), _plane_width(L)
-    # Every read's symbols lie in the width + 1 bytes from its start's byte.
-    spans = sliding_window_view(_packed_extension(x, L), width + 1)
+    # Every read's symbols lie in the span of words 8 bytes apart from its
+    # start's byte.
+    ext = _packed_extension(x, L)
+    apart = 8 * np.arange(_span_words(L))
     values = np.empty((K, width), dtype=np.uint8)
     known = np.empty_like(values)
-    for blk in _row_blocks(K, L):
+    blocks = _row_blocks(K, L)
+    # One block's uniforms, and its rows zero-padded to whole bytes so that
+    # one flat ``packbits`` gives each row its own bytes (packing along axis
+    # 1 is far slower); both are reused by every block.
+    uniform = np.empty((blocks[0].stop, L))
+    mask = np.zeros((blocks[0].stop, 8 * width), dtype=bool)
+    for blk in blocks:
         rows = starts0[blk]
-        # Rows zero-padded to whole bytes, so that one flat ``packbits``
-        # gives each row its own bytes; packing along axis 1 is far slower.
-        mask = np.zeros((len(rows), 8 * width), dtype=bool)
-        np.greater_equal(rng.random((len(rows), L)), delta, out=mask[:, :L])
-        known[blk] = np.packbits(mask, bitorder="little").reshape(-1, width)
-        # Each read's span in little-endian uint64 words, shifted down by its
-        # start's bit offset.
-        span = np.zeros((len(rows), width // 8 + 1), dtype="<u8")
-        span.view(np.uint8)[:, : width + 1] = spans[rows >> 3]
+        r = len(rows)
+        np.greater_equal(rng.random(out=uniform[:r]), delta, out=mask[:r, :L])
+        known[blk] = np.packbits(mask[:r], bitorder="little").reshape(-1, width)
+        # Each read's span, shifted down by its start's bit offset.
+        span = ext[(rows >> 3)[:, None] + apart]
         _shift_down(span, rows & 7)
         values[blk] = span.view(np.uint8)[:, :width]
     starts0 += 1  # the truth record's starts are 1-based

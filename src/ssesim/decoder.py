@@ -199,7 +199,11 @@ def typicality_decode(
     check_omega = config.omega_mode == "typical-only" and check_coverage
     thresholds = TypicalityThresholds(params, config.epsilon)
 
-    options = [[_merge_options(u, v) for v in reads] for u in reads]
+    # A read merges onto itself only in the fold of a lone read (K = 1).
+    options = [
+        [_merge_options(u, v) if i != j or K == 1 else () for j, v in enumerate(reads)]
+        for i, u in enumerate(reads)
+    ]
     visited = 0
     seen: dict[tuple, None] = {}  # distinct island sets, in the order first met
 

@@ -33,8 +33,10 @@ from .channel import (
     STAGE_CODEBOOK,
     STAGE_MZ,
     STAGE_TRIAL,
+    _ERASURE_BLOCK,
     ChannelOutput,
     ChannelParams,
+    _gaps_around,
     _round_finite,
     _row_blocks,
     _shift_down,
@@ -86,49 +88,66 @@ class CoverageReport:
 
 
 def _sorted_starts(output: ChannelOutput) -> np.ndarray:
-    """A fresh array of the 1-based starts in ``truth.order``: the one sort
-    of the starts that the coverage, island and suffix stages read."""
+    """The 1-based starts in ``truth.order``, read-only: the one sort of the
+    starts that the coverage, island and suffix stages read."""
     if output.truth is None:
         raise ValueError("trial statistics need the truth record")
-    return output.truth.starts[output.truth.order]
+    return output.truth.sorted_starts
+
+
+def _gap_blocks(output: ChannelOutput):
+    """Each block of rows in start order, with the cyclic gaps into and out
+    of its rows: entry i + 1 is the gap after the block's row i, and entry
+    i the gap before it.  No stage holds a gap per read."""
+    first = _sorted_starts(output)
+    for blk in _row_blocks(output.params.K, output.params.L):
+        yield blk, _gaps_around(first, output.params.n, blk)
 
 
 def coverage(output: ChannelOutput) -> CoverageReport:
     """Coverage fractions against the ground-truth start positions."""
     n, L = output.params.n, output.params.L
-    first = _sorted_starts(output)
-    first -= 1  # 0-based, in start order
+    starts = _sorted_starts(output)
     order = output.truth.order
-    # Each read covers the positions up to the next start, at most L of them.
-    gaps = cyclic_gaps(first, n)
-    phi = int(np.minimum(gaps, L, out=gaps).sum()) / n
-    del gaps
-    # OR the unerased symbols of one block of reads at a time onto the
-    # unrolled ring as bits.  A row shifted up by its start's bit offset
-    # fills width + 1 bytes from its start's byte, held in little-endian
-    # uint64 words.  Rows are in start order, so rows that share a byte are
-    # adjacent and OR-reduced first, and no byte is written twice at once.
+    # One block of reads at a time, in start order.  phi sums the positions
+    # each read covers up to the next start, at most L of them.  phi_v ORs
+    # the unerased symbols onto the unrolled ring of little-endian uint64
+    # words: a row shifted up by its start's bit offset fills ``words``
+    # words from its start's word on.  Rows that share a word are adjacent
+    # and OR-reduced first, so no word is written twice at once.
     width = output.known.shape[1]
-    ring = np.zeros((n - 1) // 8 + width + 1, dtype=np.uint8)
-    for blk in _row_blocks(output.params.K, L):
-        rows = order[blk]
-        span = np.zeros((len(rows), width // 8 + 1), dtype="<u8")
-        # Shifting a row up by its bit offset s is placing it one byte in
-        # and shifting it down by 8 - s.
-        span.view(np.uint8)[:, 1 : width + 1] = np.take(output.known, rows, axis=0)
-        _shift_down(span, 8 - (first[blk] & 7))
-        byte = first[blk] >> 3
-        head = np.flatnonzero(np.diff(byte, prepend=-1))
-        span = np.bitwise_or.reduceat(span, head, axis=0).view(np.uint8)
-        byte = byte[head]
-        for b in range(width + 1):
-            ring[byte + b] |= span[:, b]
-    # Fold the overhang past n back onto the ring's start; the sorted
-    # starts go first, so that they and the integers are not alive at once.
-    del first
-    bits = int.from_bytes(ring, "little")
-    visible = ((bits & ((1 << n) - 1)) | bits >> n).bit_count()
-    return CoverageReport(phi=phi, phi_v=visible / n)
+    words = (width + 7) // 8 + 1
+    ring = np.zeros((n - 1) // 64 + words, dtype="<u8")
+    covered = 0
+    for blk, gaps in _gap_blocks(output):
+        covered += int(np.minimum(gaps[1:], L).sum())
+        pos = starts[blk] - 1  # 0-based
+        span = np.zeros((len(pos), words), dtype="<u8")
+        # Shifting a row up by its bit offset s is placing it one word in
+        # and shifting it down by 64 - s.
+        span.view(np.uint8)[:, 8 : 8 + width] = np.take(output.known, order[blk], axis=0)
+        _shift_down(span, 64 - (pos & 63))
+        word = pos >> 6
+        head = np.ones(len(word), dtype=bool)  # first row of each word
+        np.not_equal(word[1:], word[:-1], out=head[1:])
+        head = np.flatnonzero(head)
+        span = np.bitwise_or.reduceat(span, head, axis=0)
+        word = word[head]
+        for j in range(words):
+            ring[word + j] |= span[:, j]
+    # Fold the overhang, ring bits n and up, back onto the ring's start, and
+    # count the set bits a block of words at a time.
+    over = ring[n >> 6 :].copy()
+    ring[n >> 6] &= np.uint64((1 << (n & 63)) - 1)
+    ring[(n >> 6) + 1 :] = 0
+    _shift_down(over[None], np.array([n & 63]))
+    ring[: len(over)] |= over
+    block = _ERASURE_BLOCK // 64
+    visible = sum(
+        int.from_bytes(ring[i : i + block], "little").bit_count()
+        for i in range(0, len(ring), block)
+    )
+    return CoverageReport(phi=covered / n, phi_v=visible / n)
 
 
 def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:
@@ -144,9 +163,11 @@ def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:
 
 
 def _successor_distances(gaps: np.ndarray) -> np.ndarray:
-    """Successor distances in start order, in place of the cyclic ``gaps``
-    between the sorted starts.  A read that shares its start with the one
-    before it is at distance 0 from it, so the order within a tie is free."""
+    """Successor distances in start order, in place of the ``gaps`` between
+    consecutive sorted starts: each gap after the first becomes the
+    distance of the read it leads out of, or 0 where the gap into that read
+    is 0.  A read that shares its start with the one before it is at
+    distance 0 from it, so the order within a tie is free."""
     gaps[1:][gaps[:-1] == 0] = 0
     return gaps
 
@@ -159,8 +180,8 @@ def chain_island_count(output: ChannelOutput) -> int:
     >= L: reads that wrap the whole circle (every gap < L) give 0, although
     they form one circular island.
     """
-    gaps = cyclic_gaps(_sorted_starts(output), output.params.n)
-    return int(np.count_nonzero(gaps >= output.params.L))
+    L = output.params.L
+    return sum(int(np.count_nonzero(gaps[1:] >= L)) for _, gaps in _gap_blocks(output))
 
 
 # Set bits per byte value (np.bitwise_count needs numpy 2) and, for
@@ -175,26 +196,28 @@ def _popcount_rows(plane: np.ndarray) -> np.ndarray:
     return np.take(_POPCOUNT, plane) @ np.ones(plane.shape[-1], dtype=np.int64)
 
 
-def _suffix_sizes(output: ChannelOutput) -> np.ndarray:
-    """Each read's true merging-suffix size, in start order."""
-    n, L = output.params.n, output.params.L
-    dist = _successor_distances(cyclic_gaps(_sorted_starts(output), n))
-    # Each read's overlap-length suffix starts at position L - overlap.  Its
-    # size replaces that position, one block of rows in start order at a time.
-    sizes = np.minimum(dist, L, out=dist)
+def _suffix_size_blocks(output: ChannelOutput):
+    """Each read's true merging-suffix size, one block of rows in start
+    order at a time."""
+    L = output.params.L
     order = output.truth.order
     byte_starts = 8 * np.arange(output.known.shape[1])
-    for blk in _row_blocks(output.params.K, L):
-        offsets = sizes[blk, None] - byte_starts
+    for blk, gaps in _gap_blocks(output):
+        # Each read's overlap-length suffix begins at position
+        # L - overlap = min(distance, L).
+        begin = np.minimum(_successor_distances(gaps)[1:], L)
+        offsets = begin[:, None] - byte_starts
         tail = np.take(_BITS_FROM, np.clip(offsets, 0, 8, out=offsets))
         rows = np.take(output.known, order[blk], axis=0)
-        sizes[blk] = _popcount_rows(np.bitwise_and(rows, tail, out=rows))
-    return sizes
+        yield _popcount_rows(np.bitwise_and(rows, tail, out=rows))
 
 
 def suffix_size_histogram(output: ChannelOutput) -> tuple[int, ...]:
     """Counts of reads by true merging-suffix size; index = size, 0..L."""
-    counts = np.bincount(_suffix_sizes(output), minlength=output.params.L + 1)
+    counts = np.zeros(output.params.L + 1, dtype=np.int64)
+    for sizes in _suffix_size_blocks(output):
+        block = np.bincount(sizes)
+        counts[: len(block)] += block
     return tuple(int(c) for c in counts)
 
 
@@ -482,14 +505,21 @@ def _count_matches(values: np.ndarray, r: int, keep: np.ndarray) -> int:
     positions ``keep``, read ``r`` included.
 
     ``values`` holds every read's whole window, so a read at an independent
-    start agrees with probability exactly 2**-len(keep).  Each kept
-    position keeps only the rows that still agree, so the work shrinks
-    geometrically."""
-    alive = np.arange(len(values))
-    for j in keep:
-        byte, bit = divmod(int(j), 8)
-        differ = (values[alive, byte] ^ values[r, byte]) >> bit & 1
-        alive = alive[differ == 0]
+    start agrees with probability exactly 2**-len(keep).  The kept
+    positions make one byte mask.  The first pass tests every row on the
+    byte that holds the most kept bits, and each further byte keeps only
+    the rows that still agree, so the work shrinks geometrically."""
+    if not len(keep):
+        return len(values)
+    marked = np.zeros(8 * values.shape[1], dtype=bool)
+    marked[keep] = True
+    mask = np.packbits(marked, bitorder="little")
+    want = values[r] & mask
+    by_bits = np.argsort(-_POPCOUNT[mask].astype(np.int64), kind="stable")
+    first, *rest = by_bits[: np.count_nonzero(mask)]
+    alive = np.flatnonzero((values[:, first] & mask[first]) == want[first])
+    for b in rest:
+        alive = alive[(values[alive, b] & mask[b]) == want[b]]
     return len(alive)
 
 

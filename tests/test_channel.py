@@ -5,10 +5,12 @@ import pytest
 from scipy import stats as sps
 
 from ssesim.channel import (
+    STAGE_CODEBOOK,
     ChannelOutput,
     ChannelParams,
     random_codebook,
     random_codeword,
+    stage_rng,
     transmit,
     transmit_codeword,
 )
@@ -105,6 +107,27 @@ def test_codebook_deterministic_prefix():
         random_codebook(0, 1, 0)
     with pytest.raises(DomainError, match="n must be >= 1"):
         random_codeword(0, 0)
+
+
+@pytest.mark.parametrize(
+    "n,count",
+    [(1, 1), (7, 3), (8, 5), (13, 17), (64, 4), (100, 9), (1001, 2), (10007, 13), (2**16 + 3, 1)],
+)
+def test_codebook_is_the_uint8_draw(n, count):
+    """The codebook packs the rows of numpy's bounded uint8 draw, which it
+    rebuilds from the raw 64-bit words a block at a time.  The sizes cross
+    byte, word and block boundaries, with n % 8 != 0 among them."""
+    want = np.packbits(
+        stage_rng(count, STAGE_CODEBOOK).integers(0, 2, size=(count, n), dtype=np.uint8),
+        axis=1,
+        bitorder="little",
+    )
+    got = [x.bits.to_bytes(want.shape[1], "little") for x in random_codebook(n, count, count)]
+    assert got == [row.tobytes() for row in want], (
+        f"numpy {np.__version__} no longer returns bit 7 of each raw byte from "
+        "Generator.integers(0, 2, dtype=np.uint8); NEP 19 does not freeze that "
+        "sampler, and every codeword stream and golden digest depends on it"
+    )
 
 
 def test_transmit_message_bounds():

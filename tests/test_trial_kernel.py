@@ -23,7 +23,7 @@ from ssesim.channel import (
 from ssesim.stats import (
     _count_matches,
     _run_trial,
-    _suffix_sizes,
+    _suffix_size_blocks,
     chain_island_count,
     coverage,
     forward_successor_distances,
@@ -120,7 +120,8 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
         # in the trial's one sort order of the starts.
         dist = forward_successor_distances(starts0, n)
         reference = _reference_suffix_sizes(out, dist)[out.truth.order]
-        assert np.array_equal(_suffix_sizes(out), reference)
+        sizes = np.concatenate(list(_suffix_size_blocks(out)))
+        assert np.array_equal(sizes, reference)
 
         rng = np.random.default_rng(seed)
         probes = [np.zeros(L, dtype=bool), np.ones(L, dtype=bool)]
@@ -131,6 +132,30 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
             assert _count_matches(out.values, r, np.flatnonzero(zk)) == (
                 _reference_matches(clean, zv, zk)
             )
+
+
+@pytest.mark.parametrize("n,L,K", [(40, 5, 30), (300, 47, 200), (200, 64, 50), (500, 131, 40)])
+def test_count_matches_edge_probes(n, L, K):
+    """Probes that keep nothing, whole or partial single bytes, or a few
+    positions spread over several bytes (and the words of reads longer
+    than 64), against the direct comparison of the unpacked windows."""
+    p = ChannelParams(n=n, L=L, K=K, delta=0.3)
+    out = transmit_codeword(random_codeword(n, 4), p, 4)
+    starts0 = out.truth.starts - 1
+    symbols = np.frombuffer(out.truth.codeword.text.encode(), dtype=np.uint8) - ord("0")
+    clean = symbols[_window_index(starts0, L, n)]
+    rng = np.random.default_rng(L)
+    for r in (0, K - 1, int(rng.integers(K))):
+        assert _count_matches(out.values, r, np.array([], dtype=np.int64)) == K
+        keeps = [np.arange(lo, min(lo + 8, L)) for lo in range(0, L, 8)]
+        keeps += [np.arange(lo, min(lo + 8, L), 3) for lo in range(0, L, 8)]
+        keeps += [np.sort(rng.choice(L, size=min(size, L), replace=False)) for size in (2, 3, 4, 12)]
+        keeps += [np.array([0, L - 1]), np.arange(0, L, 8)]
+        for keep in keeps:
+            zk = np.zeros(L, dtype=bool)
+            zk[keep] = True
+            want = _reference_matches(clean, np.where(zk, clean[r], 0), zk)
+            assert _count_matches(out.values, r, keep) == want
 
 
 @pytest.mark.parametrize("n,K", [(5, 30), (7, 12), (40, 60), (1, 4), (100, 1)])
@@ -153,11 +178,12 @@ def test_successor_distances_match_all_pairs(n, K):
 def test_shift_down_matches_integer_shifts(words):
     """Every row of uint64 words, read as one little-endian integer, comes
     out shifted down by its own count.  ``transmit_codeword`` shifts by 0-7
-    bits and ``coverage`` by 1-8; each count from 0 to 8 appears in turn."""
+    bits and ``coverage`` by 1-64; each count from 0 to 64 appears in turn,
+    on rows with all bits set (every carry full) and on random rows."""
     rng = np.random.default_rng(words)
-    span = rng.integers(0, 2**64, size=(45, words), dtype=np.uint64).astype("<u8")
-    span[:9] = np.uint64(2**64 - 1)  # all bits set: every carry is full
-    shift = np.arange(len(span)) % 9
+    span = rng.integers(0, 2**64, size=(3 * 65, words), dtype=np.uint64).astype("<u8")
+    span[:65] = np.uint64(2**64 - 1)
+    shift = np.arange(len(span)) % 65
     want = [int.from_bytes(row.tobytes(), "little") >> int(s) for row, s in zip(span, shift)]
     _shift_down(span, shift)
     assert [int.from_bytes(row.tobytes(), "little") for row in span] == want
@@ -176,29 +202,28 @@ def test_blocked_erasure_draw_equals_one_draw(K, L):
 
 def test_trial_memory_is_a_few_bytes_per_symbol():
     """One trial at n = 2^20 (L = 40, K = 52,429) peaks at most at a
-    quarter byte per read symbol plus 2 bytes per codeword position.
+    quarter byte per read symbol plus 1.85 bytes per codeword position.
 
     The bound comes from what a trial has to hold.  The reads' ``values``
     and ``known`` are bit-planes of K ceil(L/8) bytes each, K L / 4 for
     both when 8 divides L.  Every stage goes over them a block of
     ``_ERASURE_BLOCK`` symbols at a time, so its per-symbol temporaries,
-    the rows it takes in start order included, are a fixed size.  Per
-    codeword position there are only bits: the codeword's two integer
-    planes (n / 4 bytes), and its packed cyclic extension, which only the
+    the rows it takes in start order and the cyclic gaps of those rows
+    included, are a fixed size.  Per codeword position there are only
+    bits: the codeword's two integer planes (4 bytes per 30 bits each,
+    0.27 n for both), and its packed cyclic extension, which only the
     channel reads, and the phi_v ring (n / 8 bytes each).  The rest is
-    int64 arrays of length K, at 8 c / L = 0.4 bytes per position each:
-    the starts and their sort order, which the stages share, and at most
-    two more at once (sorted starts and their gaps, or distances).  The
-    m_z probes match on the read planes and hold only the rows that still
-    agree.  The peak is about 2.37 n, when ``coverage`` holds the sorted
-    starts and their gaps beside the starts and their order; the n-byte
-    uint8 draw of the codeword (1.1 n) is gone before the reads exist.  A
-    second cyclic extension and int64 positions over the starts in the m_z
-    probes (2.55 n), or an n-byte phi_v line beside the sort order (3.2 n),
-    breaks the bound; so do the reads held as two (K, L) byte arrays
-    (2 K L = 4 n) and an int64 index or a float64 erasure draw over all
-    K L symbols.  tracemalloc sees numpy's allocations, so the peak is a
-    count of bytes, not a timing.
+    three int64 arrays of length K, at 8 c / L = 0.4 bytes per position
+    each: the starts, their sort order and the sorted starts, which the
+    stages share.  The m_z probes match on the read planes and hold only
+    the rows that still agree.  The peak, measured at 1.78 n past K L / 4,
+    is in the suffix stage: those 1.97 n and one block's temporaries; the
+    bound leaves 0.07 n (73 KB) over it.  A fourth int64 array over K,
+    such as the whole gaps array the stages once built (0.4 n), breaks
+    it; so do an n-byte phi_v line, the reads held as two (K, L) byte
+    arrays (2 K L = 4 n) and an int64 index or a float64 erasure draw
+    over all K L symbols.  tracemalloc sees numpy's
+    allocations, so the peak is a count of bytes, not a timing.
     """
     p = ChannelParams.resolve(2**20, 0.2, lbar=2, c=2)
     _run_trial(p, 7, 0, [10, 17], 2)  # first-call caches out of the count
@@ -208,20 +233,24 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= p.K * p.L / 4 + 2.0 * p.n
+    assert peak <= p.K * p.L / 4 + 1.85 * p.n
 
 
 def test_random_codeword_memory_is_bounded():
-    """tracemalloc peak of ``random_codeword(2**20)`` stays within 1.5 n
+    """tracemalloc peak of ``random_codeword(2**20)`` stays within 0.9 n
     bytes plus 64 KiB.
 
-    The uint8 draw (n bytes) lives only until it is packed (n / 8), so the
-    peak is 1.125 n.  After that the packed rows, one row's bytes, the
-    value integer and the masks ``TritString`` builds and checks each take
-    n / 8 bytes, and no more than five of them are alive at once (0.625 n).
-    The 64 KiB cover interpreter and numpy bookkeeping.  A bool or
-    ``np.where`` copy of the draw (n bytes each), or the draw kept alive
-    while the integers are built, breaks the bound.
+    No byte per symbol is built: the raw words are drawn 64 KiB at a time,
+    at most two blocks alive at once, and gathered into the packed bits
+    (n / 8).  The codeword's integer is cut from those bytes (a copy of
+    n / 8 and an n-bit Python int, 4 bytes per 30 bits or 0.133 n, masked
+    into another), and the packed bits go before the string is built.
+    The peak, measured at 0.864 n, is in ``TritString.binary``: the value
+    integer, the all-ones known plane and the masks its checks build,
+    about six n-bit integers alive at once.  The bound leaves 0.036 n plus
+    64 KiB (102 KB) over it for interpreter and numpy bookkeeping.  The
+    uint8 draw of one byte per symbol (n bytes), or the packed bits kept
+    alive while the string is checked, breaks the bound.
     """
     n = 2**20
     random_codeword(1000, 3)  # first-call caches out of the count
@@ -231,4 +260,4 @@ def test_random_codeword_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.5 * n + 64 * 1024
+    assert peak <= 0.9 * n + 64 * 1024
