@@ -217,13 +217,14 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
     each: the starts, their sort order and the sorted starts, which the
     stages share.  The m_z probes match on the read planes and hold only
     the rows that still agree.  The peak, measured at 1.78 n past K L / 4,
-    is in the suffix stage: those 1.97 n and one block's temporaries; the
-    bound leaves 0.07 n (73 KB) over it.  A fourth int64 array over K,
-    such as the whole gaps array the stages once built (0.4 n), breaks
-    it; so do an n-byte phi_v line, the reads held as two (K, L) byte
-    arrays (2 K L = 4 n) and an int64 index or a float64 erasure draw
-    over all K L symbols.  tracemalloc sees numpy's
-    allocations, so the peak is a count of bytes, not a timing.
+    is in the suffix stage: the 1.97 n held from the sort on (planes,
+    codeword and the three arrays over K) and one block's temporaries
+    (0.31 n).  The bound leaves 0.07 n (73 KB) over it.  A fourth int64
+    array over K, such as a whole array of gaps or distances (0.4 n),
+    breaks it; so do an n-byte phi_v line, the reads held as two (K, L)
+    byte arrays (2 K L = 4 n) and an int64 index or a float64 erasure draw
+    over all K L symbols.  tracemalloc sees numpy's allocations, so the
+    peak is a count of bytes, not a timing.
     """
     p = ChannelParams.resolve(2**20, 0.2, lbar=2, c=2)
     _run_trial(p, 7, 0, [10, 17], 2)  # first-call caches out of the count
