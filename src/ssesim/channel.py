@@ -61,10 +61,6 @@ _MAX_SYMBOLS = 2**30
 # the packed reads filled and scanned, one block at a time.  Codeword symbols
 # are drawn in blocks of the same size.
 _ERASURE_BLOCK = 2**16
-# Bit 7 of each byte of a uint64 word, and the factor that gathers them into
-# its top byte, bit 7 of byte k landing on bit 56 + k.
-_BYTE_TOPS = np.uint64(0x8080808080808080)
-_GATHER_TOPS = np.uint64(0x0002040810204081)
 
 
 def child_seed(seed, *path: int) -> np.random.SeedSequence:
@@ -268,8 +264,8 @@ def random_codebook(n: int, count: int, seed) -> tuple[TritString, ...]:
 
     numpy's bounded uint8 sampler returns bit 7 of each byte of the raw
     64-bit stream, low byte first, so each raw word gives eight symbols.
-    The raw words are drawn a block at a time and each one's bit-7s are
-    gathered into one packed byte; no byte per symbol is built.
+    The raw words are drawn a block at a time, their bytes shifted down to
+    those bits and packed; no byte per symbol outlives its block.
     """
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
@@ -280,18 +276,17 @@ def random_codebook(n: int, count: int, seed) -> tuple[TritString, ...]:
     # Bit i of ``packed`` is symbol i of the codewords laid end to end.
     packed = np.empty((count * n + 7) // 8, dtype=np.uint8)
     for i in range(0, len(packed), _ERASURE_BLOCK // 8):
-        words = raw.random_raw(min(_ERASURE_BLOCK // 8, len(packed) - i))
-        words &= _BYTE_TOPS
-        words *= _GATHER_TOPS
-        words >>= np.uint64(56)
-        packed[i : i + len(words)] = words
+        k = min(_ERASURE_BLOCK // 8, len(packed) - i)
+        draw = raw.random_raw(k).astype("<u8", copy=False).view(np.uint8)
+        draw >>= 7
+        packed[i : i + k] = np.packbits(draw, bitorder="little")
     full = _mask(n)
-    rows = [
+    # One codeword's value integer at a time, each sharing the one ``full``.
+    rows = (
         _row_int(packed[a >> 3 : (a + n + 7) >> 3]) >> (a & 7) & full
         for a in range(0, count * n, n)
-    ]
-    del packed, full  # released before the strings are built and checked
-    return tuple(TritString.binary(bits, n) for bits in rows)
+    )
+    return tuple(TritString(bits, full, n) for bits in rows)
 
 
 def cyclic_gaps(sorted_starts: np.ndarray, n: int) -> np.ndarray:

@@ -114,7 +114,7 @@ def _merge_options(u: TritString, v: TritString) -> tuple[tuple[int, int], ...]:
     for l in range(1, min(len(u), len(v)) + 1):
         if not is_l_compatible(u, v, l):
             continue
-        w = u.suffix(l).size
+        w = (u.known >> (u.length - l)).bit_count()
         if w > 0:
             opts.append((l, w))
     return tuple(opts)

@@ -14,6 +14,11 @@ the exact law of that statistic:
 and the expected count at size ``s`` is ``K * sum_l P(overlap = l) *
 P(Binomial(l, 1 - delta) = s)``.  Passing a ``Fraction`` delta keeps the
 whole computation in exact rational arithmetic.
+
+``coverage`` measures the visible fraction on a ring of uint64 words, one
+bit per codeword position: each block of reads' erasure masks is ORed on
+in read order at their starts, and the set bits are counted with
+``np.bitwise_count`` (numpy >= 2.0).
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .channel import (
     STAGE_CODEBOOK,
     STAGE_MZ,
     STAGE_TRIAL,
-    _ERASURE_BLOCK,
     ChannelOutput,
     ChannelParams,
     _gaps_around,
@@ -106,47 +110,39 @@ def _gap_blocks(output: ChannelOutput):
 
 def coverage(output: ChannelOutput) -> CoverageReport:
     """Coverage fractions against the ground-truth start positions."""
-    n, L = output.params.n, output.params.L
-    starts = _sorted_starts(output)
-    order = output.truth.order
-    # One block of reads at a time, in start order.  phi sums the positions
-    # each read covers up to the next start, at most L of them.  phi_v ORs
-    # the unerased symbols onto the unrolled ring of little-endian uint64
-    # words: a row shifted up by its start's bit offset fills ``words``
-    # words from its start's word on.  Rows that share a word are adjacent
-    # and OR-reduced first, so no word is written twice at once.
+    n, K, L = output.params.n, output.params.K, output.params.L
+    # phi sums the positions each read covers up to the next start, at most
+    # L of them, one block of reads in start order at a time.
+    covered = sum(
+        int(np.minimum(gaps[1:], L).sum()) for _, gaps in _gap_blocks(output)
+    )
+    # phi_v ORs the unerased symbols of one block of reads at a time, in
+    # read order, onto the unrolled ring of little-endian uint64 words: a
+    # row shifted up by its start's bit offset fills ``words`` words from
+    # its start's word on.  ``ufunc.at`` applies every row of a repeated
+    # word, so rows that share a word need no grouping.
+    starts = output.truth.starts
     width = output.known.shape[1]
     words = (width + 7) // 8 + 1
     ring = np.zeros((n - 1) // 64 + words, dtype="<u8")
-    covered = 0
-    for blk, gaps in _gap_blocks(output):
-        covered += int(np.minimum(gaps[1:], L).sum())
+    for blk in _row_blocks(K, L):
         pos = starts[blk] - 1  # 0-based
         span = np.zeros((len(pos), words), dtype="<u8")
         # Shifting a row up by its bit offset s is placing it one word in
         # and shifting it down by 64 - s.
-        span.view(np.uint8)[:, 8 : 8 + width] = np.take(output.known, order[blk], axis=0)
+        span.view(np.uint8)[:, 8 : 8 + width] = output.known[blk]
         _shift_down(span, 64 - (pos & 63))
         word = pos >> 6
-        head = np.ones(len(word), dtype=bool)  # first row of each word
-        np.not_equal(word[1:], word[:-1], out=head[1:])
-        head = np.flatnonzero(head)
-        span = np.bitwise_or.reduceat(span, head, axis=0)
-        word = word[head]
         for j in range(words):
-            ring[word + j] |= span[:, j]
+            np.bitwise_or.at(ring, word + j, span[:, j])
     # Fold the overhang, ring bits n and up, back onto the ring's start, and
-    # count the set bits a block of words at a time.
+    # count the set bits.
     over = ring[n >> 6 :].copy()
     ring[n >> 6] &= np.uint64((1 << (n & 63)) - 1)
     ring[(n >> 6) + 1 :] = 0
     _shift_down(over[None], np.array([n & 63]))
     ring[: len(over)] |= over
-    block = _ERASURE_BLOCK // 64
-    visible = sum(
-        int.from_bytes(ring[i : i + block], "little").bit_count()
-        for i in range(0, len(ring), block)
-    )
+    visible = int(np.bitwise_count(ring).sum())
     return CoverageReport(phi=covered / n, phi_v=visible / n)
 
 
@@ -184,16 +180,15 @@ def chain_island_count(output: ChannelOutput) -> int:
     return sum(int(np.count_nonzero(gaps[1:] >= L)) for _, gaps in _gap_blocks(output))
 
 
-# Set bits per byte value (np.bitwise_count needs numpy 2) and, for
-# t = 0..8, the mask of bits t..7 of a byte: its symbols at or past the t-th.
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# For t = 0..8, the mask of bits t..7 of a byte: its symbols at or past the
+# t-th.
 _BITS_FROM = np.array([(0xFF << t) & 0xFF for t in range(9)], dtype=np.uint8)
 
 
 def _popcount_rows(plane: np.ndarray) -> np.ndarray:
     """Set bits per row of a packed uint8 plane."""
     # A product with ones sums short rows faster than ``sum(axis=-1)``.
-    return np.take(_POPCOUNT, plane) @ np.ones(plane.shape[-1], dtype=np.int64)
+    return np.bitwise_count(plane) @ np.ones(plane.shape[-1], dtype=np.int64)
 
 
 def _suffix_size_blocks(output: ChannelOutput):
@@ -515,7 +510,7 @@ def _count_matches(values: np.ndarray, r: int, keep: np.ndarray) -> int:
     marked[keep] = True
     mask = np.packbits(marked, bitorder="little")
     want = values[r] & mask
-    by_bits = np.argsort(-_POPCOUNT[mask].astype(np.int64), kind="stable")
+    by_bits = np.argsort(-np.bitwise_count(mask).astype(np.int64), kind="stable")
     first, *rest = by_bits[: np.count_nonzero(mask)]
     alive = np.flatnonzero((values[:, first] & mask[first]) == want[first])
     for b in rest:

@@ -66,10 +66,12 @@ class TritString:
     def __post_init__(self) -> None:
         if self.length < 0:
             raise ValueError("length must be non-negative")
-        full = _mask(self.length)
-        if self.known & ~full:
+        if self.known >> self.length:
             raise ValueError("visibility mask has bits beyond the string length")
-        if self.bits & ~self.known:
+        # A fully visible string only needs its value bits inside its length,
+        # a test that builds no n-bit temporary.
+        full = self.known.bit_count() == self.length
+        if self.bits >> self.length if full else self.bits & ~self.known:
             raise ValueError("value bits are only allowed at unerased positions")
 
     @classmethod

@@ -4,11 +4,16 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ssesim
 from ssesim.cli import main, parse_grid
 
 
@@ -144,6 +149,23 @@ def test_rate_curve_csv(capsys, tmp_path):
     code, out, _ = run(capsys, *argv[:-2])  # same command to stdout
     assert code == 0
     assert out.encode() == first
+
+
+@pytest.mark.parametrize("module", ["ssesim", "ssesim.cli"])
+def test_module_entry_points(capsys, module):
+    """``python -m ssesim`` and ``python -m ssesim.cli`` print what ``main``
+    prints for the same arguments."""
+    argv = ["rate-curve", "--c-grid", "1:2:0.5", "--lbar", "2"]
+    # The child imports the same package as this process: pytest's
+    # ``pythonpath`` does not reach children.
+    path = [str(Path(ssesim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    child = subprocess.run(
+        [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
+    )
+    code, out, _ = run(capsys, *argv)
+    assert (child.returncode, code) == (0, 0)
+    assert child.stdout == out
 
 
 def test_simulate_views(capsys, tmp_path):

@@ -96,6 +96,15 @@ def test_invalid_planes_rejected():
         TritString(bits=0, known=0b100, length=2)
     with pytest.raises(ValueError, match="non-negative"):
         TritString(0, 0, -1)
+    # Fully visible: a value bit at the length is past the string.
+    with pytest.raises(ValueError, match="only allowed at unerased positions"):
+        TritString(bits=0b100, known=0b11, length=2)
+    # Partly visible: a value bit under an erasure.
+    with pytest.raises(ValueError, match="only allowed at unerased positions"):
+        TritString(bits=0b010, known=0b101, length=3)
+    # Both faults: the visibility mask is checked first.
+    with pytest.raises(ValueError, match="beyond the string length"):
+        TritString(bits=0b1010, known=0b101, length=2)
 
 
 def test_compatible_hand():
