@@ -280,6 +280,7 @@ def random_codebook(n: int, count: int, seed) -> tuple[TritString, ...]:
         draw = raw.random_raw(k).astype("<u8", copy=False).view(np.uint8)
         draw >>= 7
         packed[i : i + k] = np.packbits(draw, bitorder="little")
+    del draw  # the last raw block, not needed while the codewords are cut
     full = _mask(n)
     # One codeword's value integer at a time, each sharing the one ``full``.
     rows = (

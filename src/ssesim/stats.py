@@ -91,21 +91,16 @@ class CoverageReport:
             raise ValueError("need 0 <= phi_v <= phi <= 1")
 
 
-def _sorted_starts(output: ChannelOutput) -> np.ndarray:
-    """The 1-based starts in ``truth.order``, read-only: the one sort of the
-    starts that the coverage, island and suffix stages read."""
-    if output.truth is None:
-        raise ValueError("trial statistics need the truth record")
-    return output.truth.sorted_starts
-
-
 def _gap_blocks(output: ChannelOutput):
-    """Each block of rows in start order, with the cyclic gaps into and out
-    of its rows: entry i + 1 is the gap after the block's row i, and entry
-    i the gap before it.  No stage holds a gap per read."""
-    first = _sorted_starts(output)
+    """Each block of reads in start order, as its read indices with the
+    cyclic gaps into and out of them: gap entry i + 1 is the gap after the
+    block's read i, and entry i the gap before it.  The one ``truth is
+    None`` check of the trial stages; no stage holds a gap per read."""
+    truth = output.truth
+    if truth is None:
+        raise ValueError("trial statistics need the truth record")
     for blk in _row_blocks(output.params.K, output.params.L):
-        yield blk, _gaps_around(first, output.params.n, blk)
+        yield truth.order[blk], _gaps_around(truth.sorted_starts, output.params.n, blk)
 
 
 def coverage(output: ChannelOutput) -> CoverageReport:
@@ -120,7 +115,8 @@ def coverage(output: ChannelOutput) -> CoverageReport:
     # read order, onto the unrolled ring of little-endian uint64 words: a
     # row shifted up by its start's bit offset fills ``words`` words from
     # its start's word on.  ``ufunc.at`` applies every row of a repeated
-    # word, so rows that share a word need no grouping.
+    # word, so rows that share a word need no grouping.  The phi loop has
+    # already checked the truth record.
     starts = output.truth.starts
     width = output.known.shape[1]
     words = (width + 7) // 8 + 1
@@ -180,11 +176,6 @@ def chain_island_count(output: ChannelOutput) -> int:
     return sum(int(np.count_nonzero(gaps[1:] >= L)) for _, gaps in _gap_blocks(output))
 
 
-# For t = 0..8, the mask of bits t..7 of a byte: its symbols at or past the
-# t-th.
-_BITS_FROM = np.array([(0xFF << t) & 0xFF for t in range(9)], dtype=np.uint8)
-
-
 def _popcount_rows(plane: np.ndarray) -> np.ndarray:
     """Set bits per row of a packed uint8 plane."""
     # A product with ones sums short rows faster than ``sum(axis=-1)``.
@@ -195,16 +186,16 @@ def _suffix_size_blocks(output: ChannelOutput):
     """Each read's true merging-suffix size, one block of rows in start
     order at a time."""
     L = output.params.L
-    order = output.truth.order
     byte_starts = 8 * np.arange(output.known.shape[1])
-    for blk, gaps in _gap_blocks(output):
-        # Each read's overlap-length suffix begins at position
-        # L - overlap = min(distance, L).
+    for reads, gaps in _gap_blocks(output):
+        # Each read's overlap-length suffix begins at position L - overlap =
+        # min(distance, L); each byte keeps its bits from there on through a
+        # uint8 shift, which gives 0 for a shift by 8 (int64 counts promote).
         begin = np.minimum(_successor_distances(gaps)[1:], L)
-        offsets = begin[:, None] - byte_starts
-        tail = np.take(_BITS_FROM, np.clip(offsets, 0, 8, out=offsets))
-        rows = np.take(output.known, order[blk], axis=0)
-        yield _popcount_rows(np.bitwise_and(rows, tail, out=rows))
+        offsets = np.clip(begin[:, None] - byte_starts, 0, 8).astype(np.uint8)
+        rows = np.take(output.known, reads, axis=0)
+        rows &= np.uint8(0xFF) << offsets
+        yield _popcount_rows(rows)
 
 
 def suffix_size_histogram(output: ChannelOutput) -> tuple[int, ...]:
@@ -407,8 +398,7 @@ class ConcentrationSummary:
 
     @property
     def suffix_count_means(self) -> tuple[float, ...]:
-        arr = np.asarray(self.suffix_counts, dtype=np.float64)
-        return tuple(math.fsum(arr[:, s]) / self.trials for s in range(arr.shape[1]))
+        return tuple(math.fsum(col) / self.trials for col in zip(*self.suffix_counts))
 
     @property
     def suffix_count_refs(self) -> tuple[float, ...]:

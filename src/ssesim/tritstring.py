@@ -87,11 +87,6 @@ class TritString:
         known = int(rev.replace("0", "1").replace(ERASED, "0") or "0", 2)
         return cls(bits, known, len(text))
 
-    @classmethod
-    def binary(cls, bits: int, length: int) -> "TritString":
-        """Fully visible string with the given value bits."""
-        return cls(bits, _mask(length), length)
-
     @property
     def text(self) -> str:
         size = (self.length + 7) // 8
@@ -113,12 +108,6 @@ class TritString:
 
     def __str__(self) -> str:
         return self.text
-
-    def suffix(self, length: int) -> "TritString":
-        if not 0 <= length <= self.length:
-            raise ValueError(f"suffix length {length} out of range [0, {self.length}]")
-        shift = self.length - length
-        return TritString(self.bits >> shift, self.known >> shift, length)
 
 
 def compatible(u: TritString, v: TritString) -> bool:

@@ -45,10 +45,22 @@ def make_output(
 
 
 def exact_counts_by_enumeration(n, L, K, delta):
-    """Expected suffix-size histogram by brute force over all start tuples."""
+    """Expected suffix-size histogram by brute force over the start tuples
+    whose first start is 0.  Every distance is a difference of starts, so
+    each such tuple stands for its n rotations."""
+    tuples = ((0, *rest) for rest in product(range(n), repeat=K - 1))
+    return _counts_over(tuples, Fraction(1, n ** (K - 1)), n, L, K, delta)
+
+
+def exact_counts_over_all_tuples(n, L, K, delta):
+    """The same histogram over all n^K start tuples: the cross-check of the
+    rotation argument."""
+    return _counts_over(product(range(n), repeat=K), Fraction(1, n**K), n, L, K, delta)
+
+
+def _counts_over(tuples, weight, n, L, K, delta):
     out = [Fraction(0)] * (L + 1)
-    weight = Fraction(1, n**K)
-    for starts in product(range(n), repeat=K):
+    for starts in tuples:
         for i in range(K):
             if K == 1:
                 d = n

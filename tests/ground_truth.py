@@ -30,11 +30,10 @@ def true_ordering(output):
     starts = np.asarray(output.truth.starts, dtype=np.int64)
     order = np.argsort(starts, kind="stable")
     overlaps = np.maximum(0, L - cyclic_gaps(starts[order], n))
+    zeta, overlaps = tuple(int(r) for r in order), tuple(int(o) for o in overlaps)
     reads = output.reads
-    omega = tuple(
-        reads[int(r)].suffix(int(o)).size if o else 0 for r, o in zip(order, overlaps)
-    )
-    return tuple(int(r) for r in order), tuple(int(o) for o in overlaps), omega
+    omega = tuple((reads[r].known >> (L - o)).bit_count() for r, o in zip(zeta, overlaps))
+    return zeta, overlaps, omega
 
 
 def _assemble(reads, zeta, merge_overlap):

@@ -8,6 +8,7 @@ from ssesim.channel import (
     STAGE_CODEBOOK,
     ChannelOutput,
     ChannelParams,
+    Truth,
     random_codebook,
     random_codeword,
     stage_rng,
@@ -200,3 +201,12 @@ def test_output_arrays_read_only():
         out.values[0, 0] = 1
     with pytest.raises(ValueError):
         out.truth.starts[0] = 5
+
+
+def test_truth_sorts_tied_starts_by_index():
+    truth = Truth(None, TritString.from_text("0" * 8), np.array([5, 5, 1, 5]))
+    assert list(truth.order) == [2, 0, 1, 3]
+    assert list(truth.sorted_starts) == [1, 5, 5, 5]
+    for a in (truth.order, truth.sorted_starts):
+        with pytest.raises(ValueError):
+            a[0] = 0

@@ -21,7 +21,11 @@ from ssesim.stats import (
     suffix_size_histogram,
 )
 
-from conftest import exact_counts_by_enumeration, make_output
+from conftest import (
+    exact_counts_by_enumeration,
+    exact_counts_over_all_tuples,
+    make_output,
+)
 from ground_truth import true_islands, visible_symbols
 
 
@@ -75,8 +79,13 @@ def test_chain_island_count():
     assert islands([5, 5, 9], 10, 3) == 2
     # Every gap is 2 < 3: the reads wrap the circle and no gap closes an island.
     assert islands([0, 2, 4], 6, 3) == 0
-    with pytest.raises(ValueError):
-        chain_island_count(replace(make_output("0" * 6, [1], 3), truth=None))
+
+
+@pytest.mark.parametrize("stage", [coverage, chain_island_count, suffix_size_histogram])
+def test_trial_stages_need_the_truth_record(stage):
+    out = replace(make_output("0" * 6, [1], 3), truth=None)
+    with pytest.raises(ValueError, match="need the truth record"):
+        stage(out)
 
 
 def test_suffix_histogram_hand_case():
@@ -138,6 +147,13 @@ def test_expected_counts_match_enumeration():
     assert expected_suffix_size_counts(p) == exact_counts_by_enumeration(n, L, K, delta)
     single = ChannelParams(n=5, L=2, K=1, delta=Fraction(0))
     assert expected_suffix_size_counts(single) == [1, 0, 0]
+
+
+@pytest.mark.parametrize("n, L, K", [(5, 2, 1), (6, 3, 2), (9, 4, 3)])
+def test_enumeration_by_rotation_matches_all_tuples(n, L, K):
+    for delta in (Fraction(0), Fraction(1, 3), Fraction(1)):
+        by_rotation = exact_counts_by_enumeration(n, L, K, delta)
+        assert by_rotation == exact_counts_over_all_tuples(n, L, K, delta)
 
 
 def test_expected_counts_keep_float_and_fraction_apart():

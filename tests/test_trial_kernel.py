@@ -238,21 +238,21 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
 
 
 def test_random_codeword_memory_is_bounded():
-    """tracemalloc peak of ``random_codeword(2**20)`` stays within 0.65 n
-    bytes plus 64 KiB.
+    """tracemalloc peak of ``random_codeword(2**20)`` stays within 0.56 n
+    bytes.
 
     No byte per symbol is built: the raw words are drawn 64 KiB at a time
     and packed into the codeword's bits (n / 8 = 0.125 n), and the last
-    block stays referenced until the function returns (64 KiB = 0.0625 n
-    here).  The all-ones known plane is one n-bit Python int, 4 bytes per
-    30 bits or 0.133 n.  The value integer is cut from the packed bits as
-    a copy of n / 8 bytes, an n-bit int, the int shifted down and the
-    shift masked, at most two of them (0.267 n) alive at once.  That gives
-    the measured peak of 0.589 n; the string's checks build no n-bit
-    temporary.  The bound leaves 0.06 n plus 64 KiB (130 KB) over it for
-    interpreter and numpy bookkeeping.  The uint8 draw of one byte per
-    symbol (n bytes), or validity checks that build the complements of the
-    two planes (0.267 n more), break the bound.
+    raw block is let go before the codeword is cut.  The all-ones known
+    plane is one n-bit Python int, 4 bytes per 30 bits or 0.133 n.  The
+    value integer is cut from the packed bits as a copy of n / 8 bytes, an
+    n-bit int, the int shifted down and the shift masked, at most two of
+    them (0.267 n) alive at once.  That gives the measured peak of 0.527 n;
+    the string's checks build no n-bit temporary.  The bound leaves 0.033 n
+    (35 KB) over it for interpreter and numpy bookkeeping.  The uint8 draw
+    of one byte per symbol (n bytes), validity checks that build the
+    complements of the two planes (0.267 n more), or the last raw block
+    kept alive (64 KiB = 0.0625 n here) break the bound.
     """
     n = 2**20
     random_codeword(1000, 3)  # first-call caches out of the count
@@ -262,4 +262,4 @@ def test_random_codeword_memory_is_bounded():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.65 * n + 64 * 1024
+    assert peak <= 0.56 * n

@@ -76,19 +76,6 @@ def test_measure_and_size():
     assert u.size == 3
 
 
-def test_prefix_suffix():
-    u = TritString.from_text("01*10")
-    assert u.suffix(2).text == "10"
-    assert u.suffix(0).text == ""
-    with pytest.raises(ValueError):
-        u.suffix(6)
-
-
-def test_binary_constructor():
-    assert TritString.binary(0b101, 3).text == "101"
-    assert TritString.binary(0b101, 4).text == "1010"
-
-
 def test_invalid_planes_rejected():
     with pytest.raises(ValueError):
         TritString(bits=0b10, known=0b01, length=2)
@@ -194,7 +181,7 @@ def test_merge_matches_naive(a, b, l):
     if l > min(len(a), len(b)):
         return
     u, v = TritString.from_text(a), TritString.from_text(b)
-    if not naive_l_compatible(a, b, l) or u.suffix(l).size == 0:
+    if not naive_l_compatible(a, b, l) or a[-l:] == ERASED * l:
         with pytest.raises(MergeError):
             merge(u, v, l)
         return
