@@ -12,6 +12,7 @@ scale.
 from .channel import (
     ChannelOutput,
     ChannelParams,
+    Codebook,
     Truth,
     child_seed,
     cyclic_gaps,

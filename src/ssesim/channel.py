@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,6 +38,7 @@ __all__ = [
     "ChannelParams",
     "Truth",
     "ChannelOutput",
+    "Codebook",
     "random_codeword",
     "random_codebook",
     "cyclic_gaps",
@@ -253,12 +255,52 @@ def _check_symbols(count: int, what: str) -> None:
         raise DomainError(f"{what} = {count} exceeds the limit of {_MAX_SYMBOLS} symbols")
 
 
+class Codebook(Sequence):
+    """A read-only codebook of ``len(rows)`` codewords of length ``n``,
+    held packed: bit j (LSB first) of row i is symbol j of codeword i, as
+    in ``ChannelOutput``'s planes, with no bit set past n.  Every codeword
+    is fully visible.
+
+    Indexing builds that one codeword's ``TritString``; slicing gives a
+    ``Codebook`` of the rows, and two codebooks are equal when their
+    lengths and rows are.
+    """
+
+    __slots__ = ("rows", "n")
+
+    def __init__(self, rows: np.ndarray, n: int) -> None:
+        if rows.ndim != 2 or rows.shape[1] != _plane_width(n) or rows.dtype != np.uint8:
+            raise ValueError(f"codebook rows must be uint8 arrays of width {_plane_width(n)}")
+        if n % 8 and np.any(rows[:, -1] >> (n % 8)):
+            raise ValueError(f"codebook rows have bits set past the length {n}")
+        rows.setflags(write=False)
+        self.rows = rows
+        self.n = n
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Codebook(self.rows[i], self.n)
+        # The value before the mask: freeing the mask's n-bit temporary
+        # first raises glibc's mmap threshold, and the row's bytes and int
+        # would then stay in the heap (+1.3 MB of peak RSS at n = 1e7).
+        bits = _row_int(self.rows[i])
+        return TritString(bits, _mask(self.n), self.n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Codebook):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.rows, other.rows)
+
+
 def random_codeword(n: int, seed) -> TritString:
     """Uniform binary codeword of length n."""
     return random_codebook(n, 1, seed)[0]
 
 
-def random_codebook(n: int, count: int, seed) -> tuple[TritString, ...]:
+def random_codebook(n: int, count: int, seed) -> Codebook:
     """``count`` i.i.d. uniform binary codewords: the rows of one
     ``rng.integers(0, 2, size=(count, n), dtype=np.uint8)`` draw.
 
@@ -273,21 +315,53 @@ def random_codebook(n: int, count: int, seed) -> tuple[TritString, ...]:
         raise DomainError(f"codebook size {count} outside [1, {DEFAULT_CODEBOOK_CAP}]")
     _check_symbols(count * n, "codeword symbols")
     raw = stage_rng(seed, STAGE_CODEBOOK).bit_generator
-    # Bit i of ``packed`` is symbol i of the codewords laid end to end.
-    packed = np.empty((count * n + 7) // 8, dtype=np.uint8)
-    for i in range(0, len(packed), _ERASURE_BLOCK // 8):
-        k = min(_ERASURE_BLOCK // 8, len(packed) - i)
+    # Bit i of ``packed`` is symbol i of the codewords laid end to end,
+    # followed by one zero byte.
+    size = (count * n + 7) // 8
+    packed = np.empty(size + 1, dtype=np.uint8)
+    packed[size] = 0
+    for i in range(0, size, _ERASURE_BLOCK // 8):
+        k = min(_ERASURE_BLOCK // 8, size - i)
         draw = raw.random_raw(k).astype("<u8", copy=False).view(np.uint8)
         draw >>= 7
         packed[i : i + k] = np.packbits(draw, bitorder="little")
     del draw  # the last raw block, not needed while the codewords are cut
-    full = _mask(n)
-    # One codeword's value integer at a time, each sharing the one ``full``.
-    rows = (
-        _row_int(packed[a >> 3 : (a + n + 7) >> 3]) >> (a & 7) & full
-        for a in range(0, count * n, n)
-    )
-    return tuple(TritString(bits, full, n) for bits in rows)
+    return Codebook(_codeword_rows(packed, n, count), n)
+
+
+def _codeword_rows(packed: np.ndarray, n: int, count: int) -> np.ndarray:
+    """The ``count`` codewords of ``n`` bits laid end to end in ``packed``,
+    which holds a byte past them, as rows of ``_plane_width(n)`` bytes
+    with no bit set past n.
+
+    Codewords i and i + q, for q = 8 / gcd(n, 8), start at the same bit of
+    a byte and q * n / 8 bytes apart, so each of the q classes of rows is
+    shifted into place from one strided view of the bytes, a block of rows
+    at a time; no byte per symbol is built.
+    """
+    width = _plane_width(n)
+    if n % 8 == 0 or count == 1:
+        rows = packed[: count * width].reshape(count, width)
+    else:
+        rows = np.empty((count, width), dtype=np.uint8)
+        q = 8 // math.gcd(n, 8)
+        for i in range(min(q, count)):
+            out = rows[i::q]
+            src = np.ndarray(
+                (len(out), width + 1),
+                dtype=np.uint8,
+                buffer=packed,
+                offset=i * n >> 3,
+                strides=(q * n // 8, 1),
+            )
+            # numpy gives 0 for a uint8 shift by 8, so class 0 is a copy.
+            s = i * n & 7
+            for blk in _row_blocks(len(out), n):
+                np.right_shift(src[blk, :-1], s, out=out[blk])
+                out[blk] |= src[blk, 1:] << (8 - s)
+    if n % 8:
+        rows[:, -1] &= _mask(n % 8)
+    return rows
 
 
 def cyclic_gaps(sorted_starts: np.ndarray, n: int) -> np.ndarray:
@@ -330,9 +404,9 @@ def _packed_extension(x: TritString, L: int) -> np.ndarray:
 
 
 def _row_blocks(K: int, L: int) -> list[slice]:
-    """Slices of whole reads, in order, of at most ``_ERASURE_BLOCK``
-    symbols (one read if L is longer): the unit in which a stage draws,
-    gathers or unpacks read symbols."""
+    """Slices of whole rows of L symbols out of K, in order, of at most
+    ``_ERASURE_BLOCK`` symbols (one row if L is longer): the unit in which
+    a stage draws, gathers or unpacks read symbols, or cuts codewords."""
     rows = max(1, _ERASURE_BLOCK // L)
     return [slice(i, min(i + rows, K)) for i in range(0, K, rows)]
 
@@ -397,7 +471,7 @@ def transmit_codeword(
 
 
 def transmit(
-    codebook: tuple[TritString, ...], w: int, params: ChannelParams, seed
+    codebook: Sequence[TritString], w: int, params: ChannelParams, seed
 ) -> ChannelOutput:
     """Transmit codeword ``w`` (0-based index into the codebook)."""
     if not 0 <= w < len(codebook):

@@ -26,8 +26,14 @@ search is exponential in the number of reads, so it refuses more than
 ``_HARD_READ_CAP`` (8) of them.  With thresholds disabled
 (``epsilon = inf``) the two agree exactly.
 
-Every codeword test, of reads and of islands alike, is one lane-packed
-shift-and pass (``_holds_every_read``) over the codewords still in play.
+The codebook is held as packed uint8 rows, one per codeword: a
+``channel.Codebook`` is used as it is, and any other sequence of codewords
+is packed once on entry (``_planes``).  Every codeword test, of reads and
+of islands alike, is a lane-packed shift-and pass (``_holds_every_read``):
+the rows still in play fill one byte-aligned lane each of one integer per
+bit-plane, the most visible needle runs first, and the lanes are rebuilt
+from the surviving rows whenever a codeword is ruled out, so the test's
+cost shrinks with its survivors.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import ChannelParams
+from .channel import ChannelParams, Codebook
 from .errors import DomainError
 from .stats import TypicalityThresholds
 from .tritstring import (
@@ -128,43 +134,73 @@ def oracle_decode(
     alone.  All codewords must share one length.
     """
     needles = _needles(reads)
-    if len({len(x) for x in codebook}) > 1:
-        raise DomainError("codewords must share one length")
-    if not codebook:
+    bits, known, n = _planes(codebook)
+    if not len(bits):
         return ()
-    n = len(codebook[0])
     if any(l > n for _, _, l in needles):
         raise DomainError(f"a read is longer than the codewords (n={n})")
-    return tuple(np.flatnonzero(_holds_every_read(codebook, n, needles)).tolist())
+    return tuple(np.flatnonzero(_holds_every_read(bits, known, n, needles)).tolist())
+
+
+def _planes(codebook: Sequence[TritString]) -> tuple[np.ndarray, np.ndarray | None, int]:
+    """The codebook as packed rows: its value rows, its visibility rows
+    (None when every codeword is fully visible) and its codeword length
+    (0 for no codewords).  A ``Codebook`` is used as it is; any other
+    sequence of codewords, erased ones included, is packed once."""
+    if isinstance(codebook, Codebook):
+        return codebook.rows, None, codebook.n
+    lengths = {len(x) for x in codebook}
+    if len(lengths) > 1:
+        raise DomainError("codewords must share one length")
+    n = max(lengths, default=0)
+    width = (n + 7) // 8
+
+    def pack(ints) -> np.ndarray:
+        raw = b"".join(v.to_bytes(width, "little") for v in ints)
+        return np.frombuffer(raw, dtype=np.uint8).reshape(len(codebook), width)
+
+    return pack(x.bits for x in codebook), pack(x.known for x in codebook), n
 
 
 def _holds_every_read(
-    words: Sequence[TritString], n: int, needles: list[tuple[int, int, int]]
+    bits: np.ndarray,
+    known: np.ndarray | None,
+    n: int,
+    needles: list[tuple[int, int, int]],
 ) -> np.ndarray:
-    """Bool per codeword of length ``n``: it holds every needle triple, each
+    """Bool per packed codeword row of length ``n`` (``known`` None when
+    every codeword is fully visible): it holds every needle triple, each
     no longer than n, cyclically.
 
-    Codeword i, followed by its first ``longest needle - 1`` symbols, fills
-    byte-aligned lane i of one integer per bit-plane, and each needle runs
-    the shift-and kernel once over all lanes still live.
+    The i-th live row, followed by its first ``longest needle - 1``
+    symbols, fills byte-aligned lane i of one integer per bit-plane, and
+    each needle runs the shift-and kernel once over all lanes.  The most
+    visible needles run first, as they rule out the most codewords, and
+    the lanes are rebuilt from the surviving rows whenever one is ruled
+    out, so the cost shrinks with the survivors.
     """
     extra = max([0] + [l - 1 for _, _, l in needles])
     lane = (n + extra + 7) // 8  # bytes; no window leaves its lane
-    head = int.from_bytes(_mask(extra).to_bytes(lane, "little") * len(words), "little")
 
-    def plane(ints: list[int]) -> int:
-        lanes = b"".join(v.to_bytes(lane, "little") for v in ints)
-        return _cyclic(int.from_bytes(lanes, "little"), n, head)
+    def repeat(pattern: int, count: int) -> int:
+        return int.from_bytes(pattern.to_bytes(lane, "little") * count, "little")
 
-    hb = plane([x.bits for x in words])
-    hk = plane([x.known for x in words])
-    first = np.frombuffer(_mask(n).to_bytes(lane, "little"), dtype=np.uint8)
-    alive = np.ones(len(words), dtype=bool)
-    for v in needles:
-        starts = int.from_bytes((alive[:, None] * first).tobytes(), "little")
-        hits = _shift_and(v, hb, hk, starts)
-        raw = hits.to_bytes(len(words) * lane, "little")
-        alive = np.frombuffer(raw, dtype=np.uint8).reshape(len(words), lane).any(axis=1)
+    def plane(rows: np.ndarray) -> int:
+        padded = np.pad(rows, ((0, 0), (0, lane - rows.shape[1])))
+        head = repeat(_mask(extra), len(rows))
+        return _cyclic(int.from_bytes(padded.tobytes(), "little"), n, head)
+
+    alive = np.ones(len(bits), dtype=bool)
+    count = -1  # lanes built for this many rows; none yet
+    for v in sorted(needles, key=lambda v: v[1].bit_count(), reverse=True):
+        live = np.flatnonzero(alive)
+        if len(live) != count:
+            count = len(live)
+            hb = plane(bits[live])
+            hk = repeat(_mask(n + extra), count) if known is None else plane(known[live])
+            starts = repeat(_mask(n), count)
+        hits = _shift_and(v, hb, hk, starts).to_bytes(count * lane, "little")
+        alive[live] = np.frombuffer(hits, dtype=np.uint8).reshape(count, lane).any(axis=1)
         if not alive.any():
             break
     return alive
@@ -189,7 +225,8 @@ def typicality_decode(
         )
     if K != params.K:
         raise DomainError(f"params expect {params.K} reads; got {K}")
-    if any(len(x) != params.n for x in codebook):
+    bits, known, n = _planes(codebook)
+    if len(bits) and n != params.n:
         raise DomainError(f"params expect codewords of length n={params.n}")
     if any(l != params.L for _, _, l in trip):
         raise DomainError(f"params expect reads of length L={params.L}")
@@ -257,14 +294,15 @@ def typicality_decode(
     # islands of a claim therefore holds every read and is one of the
     # oracle's; only those are tested, in one lane pass per claim.  An
     # island longer than n (overclaimed chains can exceed n) matches nothing.
-    oracle = np.flatnonzero(_holds_every_read(codebook, params.n, trip))
-    words = [codebook[w] for w in oracle]
+    oracle = np.flatnonzero(_holds_every_read(bits, known, params.n, trip))
+    bits = bits[oracle]
+    known = None if known is None else known[oracle]
     held = np.zeros(len(oracle), dtype=bool)
     for islands in survivors:
         if held.all():
             break
         if all(l <= params.n for _, _, l in islands):
-            held |= _holds_every_read(words, params.n, islands)
+            held |= _holds_every_read(bits, known, params.n, islands)
     ordered = tuple(oracle[held].tolist())
     message = ordered[0] if len(ordered) == 1 else None
     return DecodeResult(

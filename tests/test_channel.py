@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from ssesim.channel import (
     STAGE_CODEBOOK,
     ChannelOutput,
     ChannelParams,
+    Codebook,
     Truth,
     random_codebook,
     random_codeword,
@@ -102,6 +104,11 @@ def test_codebook_deterministic_prefix():
     assert large[:4] == small
     assert random_codebook(24, 4, 9) == small
     assert random_codebook(24, 4, 10) != small
+    assert isinstance(large[:4], Codebook)
+    assert list(large[2:5]) == [large[2], large[3], large[4]]
+    assert large[-1] == large[7]
+    with pytest.raises(IndexError):
+        large[8]
     with pytest.raises(DomainError):
         random_codebook(16, 0, 5)
     with pytest.raises(DomainError, match="n must be >= 1"):
@@ -129,6 +136,43 @@ def test_codebook_is_the_uint8_draw(n, count):
         "Generator.integers(0, 2, dtype=np.uint8); NEP 19 does not freeze that "
         "sampler, and every codeword stream and golden digest depends on it"
     )
+
+
+def test_codebook_rows_hold_the_codewords():
+    """Each packed row is its codeword's value plane; the rows are
+    read-only and may hold no bit past n."""
+    book = random_codebook(13, 5, 4)
+    assert book.rows.shape == (5, 2) and not book.rows.flags.writeable
+    for row, x in zip(book.rows, book):
+        assert x.size == x.length == 13
+        assert x.bits == int.from_bytes(row.tobytes(), "little")
+    rows = book.rows.copy()
+    rows[3, 1] |= 0x20  # symbol 13
+    with pytest.raises(ValueError, match="past the length 13"):
+        Codebook(rows, 13)
+    with pytest.raises(ValueError, match="width 1"):
+        Codebook(rows, 8)
+
+
+@pytest.mark.parametrize("n", [1001, 8191, 8192])
+def test_codebook_memory_is_packed(n):
+    """A codebook of 4096 codewords keeps its packed rows, M * ceil(n/8)
+    bytes, and next to nothing else; while the rows are cut from the drawn
+    bytes both are alive, plus one block of rows' temporaries.  One
+    TritString per codeword (two n-bit ints each) or a byte per symbol
+    breaks the bounds."""
+    count = 4096
+    size = count * ((n + 7) // 8)
+    random_codebook(n, 3, 1)  # first-call caches out of the count
+    tracemalloc.start()
+    try:
+        book = random_codebook(n, count, 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(book) == count
+    assert held <= 1.05 * size + 64 * 1024
+    assert peak <= 2.25 * size + 256 * 1024
 
 
 def test_transmit_message_bounds():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ssesim.channel import ChannelParams, random_codebook, transmit
+from ssesim import decoder
+from ssesim.channel import ChannelParams, Codebook, random_codebook, transmit
 from ssesim.decoder import (
     DecoderConfig,
     SearchSpaceError,
@@ -20,6 +21,13 @@ from ground_truth import _assemble, true_islands, true_ordering, visible_symbols
 
 def ts(*texts):
     return [TritString.from_text(t) for t in texts]
+
+
+def packed(codebook):
+    """A ``Codebook`` of the rows of fully visible codewords."""
+    n = len(codebook[0])
+    raw = b"".join(x.bits.to_bytes((n + 7) // 8, "little") for x in codebook)
+    return Codebook(np.frombuffer(raw, dtype=np.uint8).reshape(len(codebook), -1), n)
 
 
 def rotations(s):
@@ -217,8 +225,28 @@ def test_oracle_matches_per_shift_loop(size, n):
             reads[:1] + [TritString.from_text(codebook[-1].text[:1])],  # length 1
             reads + [TritString.from_text(codebook[0].text)],  # length n
         ]
+        # The fully visible codewords also go in as packed rows.
+        books = [codebook, packed(codebook)] if trial < 2 else [codebook]
         for case in cases:
-            assert oracle_decode(codebook, case) == _oracle_by_shifts(codebook, case)
+            want = _oracle_by_shifts(codebook, case)
+            for book in books:
+                assert oracle_decode(book, case) == want
+
+
+def test_codeword_test_stops_once_no_codeword_is_left(monkeypatch):
+    """The most visible read runs first; once it has ruled out every
+    codeword, no other read is tested."""
+    kernel = decoder._shift_and
+    calls = []
+    monkeypatch.setattr(
+        decoder, "_shift_and", lambda v, *planes: calls.append(v) or kernel(v, *planes)
+    )
+    codebook = ts("0000", "0011", "0101")
+    reads = ts("1*", "111", "*1")  # no codeword holds 111
+    for book in (codebook, packed(codebook)):
+        calls.clear()
+        assert oracle_decode(book, reads) == ()
+        assert calls == [(0b111, 0b111, 3)]
 
 
 def test_oracle_rejects_mixed_codeword_lengths():
@@ -229,6 +257,7 @@ def test_oracle_rejects_mixed_codeword_lengths():
 
 def test_oracle_of_an_empty_codebook_is_empty():
     assert oracle_decode((), ts("01", "1*")) == ()
+    assert oracle_decode(random_codebook(8, 4, 0)[:0], ts("01", "1*")) == ()
 
 
 def _toy_instance(seed, delta):
@@ -237,6 +266,15 @@ def _toy_instance(seed, delta):
     w = seed % len(codebook)
     out = transmit(codebook, w, p, seed)
     return p, codebook, w, out
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_decode_of_an_empty_codebook_finds_nothing(delta):
+    p, codebook, w, out = _toy_instance(5, delta)
+    for book in ((), codebook[:0]):
+        result = typicality_decode(book, out.reads, p)
+        assert result.candidate_codewords == ()
+        assert result.message is None
 
 
 def test_matches_oracle_with_filters_off():
@@ -319,7 +357,8 @@ def test_decode_deterministic_and_input_agnostic():
     a = typicality_decode(codebook, out.reads, p)
     b = typicality_decode(codebook, out.reads, p)
     c = typicality_decode(codebook, list(out.reads), p)
-    assert a == b == c
+    d = typicality_decode(list(codebook), out.reads, p)
+    assert a == b == c == d
 
 
 def test_island_texts_render_on_first_access(monkeypatch):

@@ -19,6 +19,7 @@ import ssesim
 PUBLIC_NAMES = [
     "ChannelOutput",
     "ChannelParams",
+    "Codebook",
     "ConcentrationSummary",
     "CoverageReport",
     "CurveRow",
