@@ -283,11 +283,11 @@ class Codebook(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return Codebook(self.rows[i], self.n)
-        # The value before the mask: freeing the mask's n-bit temporary
-        # first raises glibc's mmap threshold, and the row's bytes and int
-        # would then stay in the heap (+1.3 MB of peak RSS at n = 1e7).
-        bits = _row_int(self.rows[i])
-        return TritString(bits, _mask(self.n), self.n)
+        # The mask before the value: in the other order glibc kept the
+        # row's freed bytes in the heap, and a conc-1e7 trial (n = 1e7)
+        # peaked 1.2 MB higher in the benchmark's worker.
+        full = _mask(self.n)
+        return TritString(_row_int(self.rows[i]), full, self.n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Codebook):
