@@ -9,8 +9,10 @@ advances exactly n positions.  Claims whose merges hit a symbol conflict are
 discarded.
 
 The module has two entry points and one matcher.  Both take the decoder's
-view only: a sequence of read ``TritString``s, and a codebook whose
-codewords share one length n.
+view only: a sequence of read ``TritString``s, and a ``channel.Codebook``.
+The paper's codewords are i.i.d. uniform binary strings, so erasures hit
+reads, never codewords; a ``Codebook`` holds exactly that, fully visible
+codewords of one length n, and any other codebook is refused.
 
 ``oracle_decode`` is the information-theoretic reference: it keeps the
 codewords that contain every read individually as a compatible cyclic
@@ -26,14 +28,12 @@ search is exponential in the number of reads, so it refuses more than
 ``_HARD_READ_CAP`` (8) of them.  With thresholds disabled
 (``epsilon = inf``) the two agree exactly.
 
-The codebook is held as packed uint8 rows, one per codeword: a
-``channel.Codebook`` is used as it is, and any other sequence of codewords
-is packed once on entry (``_planes``).  Every codeword test, of reads and
-of islands alike, is a lane-packed shift-and pass (``_holds_every_read``):
-the rows still in play fill one byte-aligned lane each of one integer per
-bit-plane, the most visible needle runs first, and the lanes are rebuilt
-from the surviving rows whenever a codeword is ruled out, so the test's
-cost shrinks with its survivors.
+Every codeword test, of reads and of islands alike, is a lane-packed
+shift-and pass (``_holds_every_read``) on the codebook's packed uint8
+rows: the rows still in play fill one byte-aligned lane each of one
+integer per bit-plane, the most visible needle runs first, and the lanes
+are rebuilt from the surviving rows whenever a codeword is ruled out, so
+the test's cost shrinks with its survivors.
 """
 
 from __future__ import annotations
@@ -114,6 +114,11 @@ def _needles(reads: Sequence[TritString]) -> list[tuple[int, int, int]]:
     return [(r.bits, r.known, r.length) for r in reads]
 
 
+def _check_codebook(codebook: Codebook) -> None:
+    if not isinstance(codebook, Codebook):
+        raise DomainError(f"expected a Codebook; got {type(codebook).__name__}")
+
+
 def _merge_options(u: TritString, v: TritString) -> tuple[tuple[int, int], ...]:
     """Feasible (overlap, raw suffix size) pairs for merging u onto v."""
     opts = []
@@ -126,51 +131,26 @@ def _merge_options(u: TritString, v: TritString) -> tuple[tuple[int, int], ...]:
     return tuple(opts)
 
 
-def oracle_decode(
-    codebook: Sequence[TritString], reads: Sequence[TritString]
-) -> tuple[int, ...]:
+def oracle_decode(codebook: Codebook, reads: Sequence[TritString]) -> tuple[int, ...]:
     """Codebook indices whose codeword contains every read as a compatible
     cyclic substring.  The tightest test any decoder can apply per read
-    alone.  All codewords must share one length.
+    alone.
     """
     needles = _needles(reads)
-    bits, known, n = _planes(codebook)
-    if not len(bits):
+    _check_codebook(codebook)
+    n = codebook.n
+    if not len(codebook):
         return ()
     if any(l > n for _, _, l in needles):
         raise DomainError(f"a read is longer than the codewords (n={n})")
-    return tuple(np.flatnonzero(_holds_every_read(bits, known, n, needles)).tolist())
-
-
-def _planes(codebook: Sequence[TritString]) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """The codebook as packed rows: its value rows, its visibility rows
-    (None when every codeword is fully visible) and its codeword length
-    (0 for no codewords).  A ``Codebook`` is used as it is; any other
-    sequence of codewords, erased ones included, is packed once."""
-    if isinstance(codebook, Codebook):
-        return codebook.rows, None, codebook.n
-    lengths = {len(x) for x in codebook}
-    if len(lengths) > 1:
-        raise DomainError("codewords must share one length")
-    n = max(lengths, default=0)
-    width = (n + 7) // 8
-
-    def pack(ints) -> np.ndarray:
-        raw = b"".join(v.to_bytes(width, "little") for v in ints)
-        return np.frombuffer(raw, dtype=np.uint8).reshape(len(codebook), width)
-
-    return pack(x.bits for x in codebook), pack(x.known for x in codebook), n
+    return tuple(np.flatnonzero(_holds_every_read(codebook.rows, n, needles)).tolist())
 
 
 def _holds_every_read(
-    bits: np.ndarray,
-    known: np.ndarray | None,
-    n: int,
-    needles: list[tuple[int, int, int]],
+    rows: np.ndarray, n: int, needles: list[tuple[int, int, int]]
 ) -> np.ndarray:
-    """Bool per packed codeword row of length ``n`` (``known`` None when
-    every codeword is fully visible): it holds every needle triple, each
-    no longer than n, cyclically.
+    """Bool per packed, fully visible codeword row of length ``n``: it
+    holds every needle triple, each no longer than n, cyclically.
 
     The i-th live row, followed by its first ``longest needle - 1``
     symbols, fills byte-aligned lane i of one integer per bit-plane, and
@@ -190,14 +170,14 @@ def _holds_every_read(
         head = repeat(_mask(extra), len(rows))
         return _cyclic(int.from_bytes(padded.tobytes(), "little"), n, head)
 
-    alive = np.ones(len(bits), dtype=bool)
+    alive = np.ones(len(rows), dtype=bool)
     count = -1  # lanes built for this many rows; none yet
     for v in sorted(needles, key=lambda v: v[1].bit_count(), reverse=True):
         live = np.flatnonzero(alive)
         if len(live) != count:
             count = len(live)
-            hb = plane(bits[live])
-            hk = repeat(_mask(n + extra), count) if known is None else plane(known[live])
+            hb = plane(rows[live])
+            hk = repeat(_mask(n + extra), count)
             starts = repeat(_mask(n), count)
         hits = _shift_and(v, hb, hk, starts).to_bytes(count * lane, "little")
         alive[live] = np.frombuffer(hits, dtype=np.uint8).reshape(count, lane).any(axis=1)
@@ -207,7 +187,7 @@ def _holds_every_read(
 
 
 def typicality_decode(
-    codebook: Sequence[TritString],
+    codebook: Codebook,
     reads: Sequence[TritString],
     params: ChannelParams,
     config: DecoderConfig = DecoderConfig(),
@@ -225,8 +205,8 @@ def typicality_decode(
         )
     if K != params.K:
         raise DomainError(f"params expect {params.K} reads; got {K}")
-    bits, known, n = _planes(codebook)
-    if len(bits) and n != params.n:
+    _check_codebook(codebook)
+    if codebook.n != params.n:
         raise DomainError(f"params expect codewords of length n={params.n}")
     if any(l != params.L for _, _, l in trip):
         raise DomainError(f"params expect reads of length L={params.L}")
@@ -294,15 +274,14 @@ def typicality_decode(
     # islands of a claim therefore holds every read and is one of the
     # oracle's; only those are tested, in one lane pass per claim.  An
     # island longer than n (overclaimed chains can exceed n) matches nothing.
-    oracle = np.flatnonzero(_holds_every_read(bits, known, params.n, trip))
-    bits = bits[oracle]
-    known = None if known is None else known[oracle]
+    oracle = np.flatnonzero(_holds_every_read(codebook.rows, params.n, trip))
+    rows = codebook.rows[oracle]
     held = np.zeros(len(oracle), dtype=bool)
     for islands in survivors:
         if held.all():
             break
         if all(l <= params.n for _, _, l in islands):
-            held |= _holds_every_read(bits, known, params.n, islands)
+            held |= _holds_every_read(rows, params.n, islands)
     ordered = tuple(oracle[held].tolist())
     message = ordered[0] if len(ordered) == 1 else None
     return DecodeResult(

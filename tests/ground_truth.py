@@ -1,5 +1,6 @@
 """Ground-truth ordering of reads and their islands, the reference that the
-decoder and coverage tests compare against.
+decoder and coverage tests compare against, and a plain enumerator of the
+decoder's claims.
 
 Against ground truth, reads are ordered cyclically by start position and
 consecutive reads overlap by ``max(0, L - gap)`` symbols.  Maximal runs of
@@ -12,10 +13,21 @@ kernels.  Windows of one codeword never clash, so a clash fails an
 assertion.
 """
 
+import itertools
+
 import numpy as np
 
 from ssesim.channel import cyclic_gaps
-from ssesim.tritstring import TritString, _fold, _overlay
+from ssesim.stats import TypicalityThresholds
+from ssesim.tritstring import (
+    MergeError,
+    TritString,
+    _fold,
+    _overlay,
+    compatible_substring_positions,
+    is_l_compatible,
+    merge,
+)
 
 
 def true_ordering(output):
@@ -92,3 +104,87 @@ def true_islands(output):
 def visible_symbols(islands):
     """Unerased symbols summed over ``islands``."""
     return sum(i.size for i in islands)
+
+
+def _fold_text(chain, l):
+    """``chain`` closed onto itself, its l-suffix laid over its l-prefix,
+    symbol by symbol; None where they clash."""
+    text = chain.text
+    ring = list(text[: len(text) - l])
+    for p, s in enumerate(text[len(text) - l :]):
+        if s != "*":
+            if ring[p] not in ("*", s):
+                return None
+            ring[p] = s
+    return TritString.from_text("".join(ring))
+
+
+def _claim_islands(chain, choices, n):
+    """The islands of one claim: reads ``chain`` in cyclic order, where
+    ``choices[i]`` is None (a break) or the ``(l, w)`` merge from position
+    i to i + 1 (the last back to 0).  None when a merge clashes, or when a
+    claim with no break folds into a ring whose chain does not advance
+    exactly n."""
+    islands, acc = [], chain[0]
+    try:
+        for v, choice in zip(chain[1:], choices):
+            if choice is None:
+                islands.append(acc)
+                acc = v
+            else:
+                acc = merge(acc, v, choice[0])
+        last = choices[-1]
+        if last is None:
+            return islands + [acc]
+        if islands:
+            return [merge(acc, islands[0], last[0])] + islands[1:]
+    except MergeError:
+        return None
+    if len(acc) - last[0] != n:
+        return None
+    ring = _fold_text(acc, last[0])
+    return None if ring is None else [ring]
+
+
+def enumerate_claims(book, reads, params, config):
+    """``(tuples_visited, island_sets, candidate_codewords)`` of
+    ``typicality_decode`` by brute force: every order of reads 1..K-1 after
+    read 0, and per cyclic adjacency a break or any ``(l, w)`` overlap with
+    ``is_l_compatible`` and a positive suffix size w.  ``island_sets`` is a
+    set of sorted raw ``(bits, known, length)`` triples."""
+    K, n = len(reads), params.n
+    thresholds = TypicalityThresholds(params, config.epsilon)
+    visited, island_sets = 0, set()
+    for rest in itertools.permutations(range(1, K)):
+        chain = [reads[i] for i in (0,) + rest]
+        options = []
+        for u, v in zip(chain, chain[1:] + chain[:1]):
+            merges = [
+                (l, (u.known >> (u.length - l)).bit_count())
+                for l in range(1, min(len(u), len(v)) + 1)
+                if is_l_compatible(u, v, l)
+            ]
+            options.append([None] + [(l, w) for l, w in merges if w > 0])
+        for choices in itertools.product(*options):
+            islands = _claim_islands(chain, choices, n)
+            if islands is None:
+                continue
+            visited += 1
+            omega = [0 if c is None else c[1] for c in choices]
+            typical = thresholds.typical_suffix_sizes(omega)
+            if config.omega_mode == "typical-only" and not typical:
+                continue
+            if thresholds.typical_coverage(sum(i.size for i in islands)):
+                island_sets.add(tuple(sorted((i.bits, i.known, i.length) for i in islands)))
+    held = [
+        [TritString(*t) for t in s] for s in island_sets if all(t[2] <= n for t in s)
+    ]
+    candidates = tuple(
+        i
+        for i, x in enumerate(book)
+        if any(
+            all(compatible_substring_positions(t, x, cyclic=True) for t in s)
+            for s in held
+        )
+    )
+    return visited, island_sets, candidates

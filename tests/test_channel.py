@@ -140,7 +140,8 @@ def test_codebook_is_the_uint8_draw(n, count):
 
 def test_codebook_rows_hold_the_codewords():
     """Each packed row is its codeword's value plane; the rows are
-    read-only and may hold no bit past n."""
+    read-only, one 2-D uint8 array of width ceil(n/8) with no bit past n.
+    This is the decoders' only check of a codebook."""
     book = random_codebook(13, 5, 4)
     assert book.rows.shape == (5, 2) and not book.rows.flags.writeable
     for row, x in zip(book.rows, book):
@@ -152,6 +153,9 @@ def test_codebook_rows_hold_the_codewords():
         Codebook(rows, 13)
     with pytest.raises(ValueError, match="width 1"):
         Codebook(rows, 8)
+    for bad in (book.rows[0], book.rows.astype(np.int64)):  # a 1-D row; not uint8
+        with pytest.raises(ValueError, match="must be uint8 arrays of width 2"):
+            Codebook(bad, 13)
 
 
 @pytest.mark.parametrize("n", [1001, 8191, 8192])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ssesim import decoder
 from ssesim.channel import ChannelParams, Codebook, random_codebook, transmit
@@ -16,7 +18,13 @@ from ssesim.stats import TypicalityThresholds
 from ssesim.tritstring import TritString
 
 from conftest import make_output
-from ground_truth import _assemble, true_islands, true_ordering, visible_symbols
+from ground_truth import (
+    _assemble,
+    enumerate_claims,
+    true_islands,
+    true_ordering,
+    visible_symbols,
+)
 
 
 def ts(*texts):
@@ -28,6 +36,11 @@ def packed(codebook):
     n = len(codebook[0])
     raw = b"".join(x.bits.to_bytes((n + 7) // 8, "little") for x in codebook)
     return Codebook(np.frombuffer(raw, dtype=np.uint8).reshape(len(codebook), -1), n)
+
+
+def book(*texts):
+    """A ``Codebook`` of binary codeword texts."""
+    return packed(ts(*texts))
 
 
 def rotations(s):
@@ -75,7 +88,7 @@ def test_filter_islands():
 
 
 def test_full_coverage_toy_decodes():
-    codebook = ts("00000000", "01101001", "11111111", "00110011")
+    codebook = book("00000000", "01101001", "11111111", "00110011")
     reads = ts("0110", "0100", "0101")
     p = ChannelParams(n=8, L=4, K=3, delta=0.0)
     result = typicality_decode(codebook, reads, p)
@@ -86,8 +99,7 @@ def test_full_coverage_toy_decodes():
 
 
 def test_duplicate_codewords_block_decoding():
-    x = TritString.from_text("01101001")
-    codebook = [x, x]
+    codebook = book("01101001", "01101001")
     reads = ts("0110", "0100", "0101")
     p = ChannelParams(n=8, L=4, K=3, delta=0.0)
     result = typicality_decode(codebook, reads, p)
@@ -97,7 +109,7 @@ def test_duplicate_codewords_block_decoding():
 
 
 def test_read_count_guards():
-    codebook = ts("0011")
+    codebook = book("0011")
     p9 = ChannelParams(n=16, L=2, K=9, delta=0.0)
     with pytest.raises(SearchSpaceError):
         typicality_decode(codebook, ts(*["01"] * 9), p9)
@@ -112,7 +124,7 @@ def test_read_count_guards():
 
 
 def test_matching_wraps_the_cycle():
-    codebook = ts("0001")
+    codebook = book("0001")
     reads = ts("10")  # present only across the wrap of 0001
     p = ChannelParams(n=4, L=2, K=1, delta=0.0)
     assert typicality_decode(codebook, reads, p).message == 0
@@ -124,7 +136,7 @@ def test_island_longer_than_n_matches_nothing():
     # island 1110*, longer than n = 4.  Its cyclic extension of 0111 reads
     # 1110 then erasures, so a match that did not reject long islands would
     # keep codeword 0.
-    codebook = ts("0111", "1000", "0001", "0011")
+    codebook = book("0111", "1000", "0001", "0011")
     reads = ts("111", "11*", "10*")
     p = ChannelParams(n=4, L=3, K=3, delta=0.2)
     config = DecoderConfig(epsilon=0.2, omega_mode="all-tuples")
@@ -139,25 +151,20 @@ def test_island_longer_than_n_matches_nothing():
     [
         # codewords shorter than n
         lambda: typicality_decode(
-            ts("0110", "1111"), ts("01", "11", "10"), ChannelParams(16, 2, 3, 0.0)
+            book("0110", "1111"), ts("01", "11", "10"), ChannelParams(16, 2, 3, 0.0)
         ),
         # reads shorter than L
         lambda: typicality_decode(
-            ts("0110", "1111"), ts("01", "11"), ChannelParams(4, 4, 2, 0.0)
-        ),
-        # one codeword of the wrong length
-        lambda: typicality_decode(
-            ts("01101001", "0110"), ts("0110", "1001"), ChannelParams(8, 4, 2, 0.0)
+            book("0110", "1111"), ts("01", "11"), ChannelParams(4, 4, 2, 0.0)
         ),
         # one read of the wrong length
         lambda: typicality_decode(
-            ts("01101001"), ts("0110", "100"), ChannelParams(8, 4, 2, 0.0)
+            book("01101001"), ts("0110", "100"), ChannelParams(8, 4, 2, 0.0)
         ),
         # the oracle: a read longer than a codeword
-        lambda: oracle_decode(ts("0110", "1111"), ts("01101")),
+        lambda: oracle_decode(book("0110", "1111"), ts("01101")),
     ],
-    ids=["short-codewords", "short-reads", "one-short-codeword", "one-short-read",
-         "oracle-long-read"],
+    ids=["short-codewords", "short-reads", "one-short-read", "oracle-long-read"],
 )
 def test_lengths_must_match(decode):
     with pytest.raises(DomainError):
@@ -183,11 +190,8 @@ def _oracle_by_shifts(codebook, reads):
     return tuple(out)
 
 
-def _random_trits(rng, length, delta):
-    values, erased = rng.integers(0, 2, length), rng.random(length) < delta
-    return TritString.from_text(
-        "".join("*" if e else str(v) for v, e in zip(values, erased))
-    )
+def _random_word(rng, length):
+    return TritString.from_text("".join(map(str, rng.integers(0, 2, length))))
 
 
 def _reads_from(rng, codebook, count, delta):
@@ -214,9 +218,8 @@ def _reads_from(rng, codebook, count, delta):
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 30, 65])
 def test_oracle_matches_per_shift_loop(size, n):
     rng = np.random.default_rng([size, n])
-    for trial in range(4):
-        # Trials 0 and 1 have fully visible codewords, 2 and 3 erased ones.
-        codebook = [_random_trits(rng, n, 0.3 * (trial >= 2)) for _ in range(size)]
+    for _ in range(4):
+        codebook = [_random_word(rng, n) for _ in range(size)]
         reads = _reads_from(rng, codebook, int(rng.integers(1, 6)), 0.2)
         cases = [
             reads,
@@ -225,12 +228,9 @@ def test_oracle_matches_per_shift_loop(size, n):
             reads[:1] + [TritString.from_text(codebook[-1].text[:1])],  # length 1
             reads + [TritString.from_text(codebook[0].text)],  # length n
         ]
-        # The fully visible codewords also go in as packed rows.
-        books = [codebook, packed(codebook)] if trial < 2 else [codebook]
+        rows = packed(codebook)
         for case in cases:
-            want = _oracle_by_shifts(codebook, case)
-            for book in books:
-                assert oracle_decode(book, case) == want
+            assert oracle_decode(rows, case) == _oracle_by_shifts(codebook, case)
 
 
 def test_codeword_test_stops_once_no_codeword_is_left(monkeypatch):
@@ -241,23 +241,22 @@ def test_codeword_test_stops_once_no_codeword_is_left(monkeypatch):
     monkeypatch.setattr(
         decoder, "_shift_and", lambda v, *planes: calls.append(v) or kernel(v, *planes)
     )
-    codebook = ts("0000", "0011", "0101")
     reads = ts("1*", "111", "*1")  # no codeword holds 111
-    for book in (codebook, packed(codebook)):
-        calls.clear()
-        assert oracle_decode(book, reads) == ()
-        assert calls == [(0b111, 0b111, 3)]
-
-
-def test_oracle_rejects_mixed_codeword_lengths():
-    codebook = ts("0110", "01101", "1001")
-    with pytest.raises(DomainError, match="one length"):
-        oracle_decode(codebook, ts("01"))
+    assert oracle_decode(book("0000", "0011", "0101"), reads) == ()
+    assert calls == [(0b111, 0b111, 3)]
 
 
 def test_oracle_of_an_empty_codebook_is_empty():
-    assert oracle_decode((), ts("01", "1*")) == ()
     assert oracle_decode(random_codebook(8, 4, 0)[:0], ts("01", "1*")) == ()
+
+
+def test_decoders_take_a_codebook():
+    p = ChannelParams(n=4, L=2, K=1, delta=0.0)
+    for codebook in (ts("0001"), [], ()):
+        with pytest.raises(DomainError, match="Codebook"):
+            oracle_decode(codebook, ts("10"))
+        with pytest.raises(DomainError, match="Codebook"):
+            typicality_decode(codebook, ts("10"), p)
 
 
 def _toy_instance(seed, delta):
@@ -271,10 +270,9 @@ def _toy_instance(seed, delta):
 @pytest.mark.parametrize("delta", [0.0, 0.1])
 def test_decode_of_an_empty_codebook_finds_nothing(delta):
     p, codebook, w, out = _toy_instance(5, delta)
-    for book in ((), codebook[:0]):
-        result = typicality_decode(book, out.reads, p)
-        assert result.candidate_codewords == ()
-        assert result.message is None
+    result = typicality_decode(codebook[:0], out.reads, p)
+    assert result.candidate_codewords == ()
+    assert result.message is None
 
 
 def test_matches_oracle_with_filters_off():
@@ -340,6 +338,36 @@ def test_true_islands_among_candidates():
             assert texts in result.candidate_islands
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(2, 16),
+    L=st.integers(1, 6),
+    K=st.integers(1, 5),
+    delta=st.sampled_from([0.0, 0.2, 0.5]),
+    epsilon=st.sampled_from([math.inf, 0.5, 2.0]),
+    omega_mode=st.sampled_from(["typical-only", "all-tuples"]),
+    size=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+# One read: its only claim is a break, as L <= n symbols cannot fold into n.
+@example(n=9, L=4, K=1, delta=0.2, epsilon=math.inf, omega_mode="all-tuples", size=2, seed=0)
+# Reads 110, 101, 011, 001 of 100110: rings that advance exactly n, and
+# overclaimed islands longer than n.
+@example(n=6, L=3, K=4, delta=0.0, epsilon=math.inf, omega_mode="all-tuples", size=2, seed=0)
+def test_decoder_matches_the_claim_enumerator(n, L, K, delta, epsilon, omega_mode, size, seed):
+    """The claim search against ``ground_truth.enumerate_claims``, an
+    independent brute-force reference."""
+    params = ChannelParams(n, min(L, n), K, delta)
+    config = DecoderConfig(epsilon, omega_mode)
+    codebook = random_codebook(n, size, seed)
+    reads = transmit(codebook, seed % size, params, seed).reads
+    result = typicality_decode(codebook, reads, params, config)
+    visited, island_sets, candidates = enumerate_claims(codebook, reads, params, config)
+    assert result.tuples_visited == visited
+    assert set(result.island_sets) == island_sets
+    assert result.candidate_codewords == candidates
+
+
 def test_candidates_monotone_in_epsilon():
     for seed in range(12):
         p, codebook, w, out = _toy_instance(seed, 0.1)
@@ -357,8 +385,7 @@ def test_decode_deterministic_and_input_agnostic():
     a = typicality_decode(codebook, out.reads, p)
     b = typicality_decode(codebook, out.reads, p)
     c = typicality_decode(codebook, list(out.reads), p)
-    d = typicality_decode(list(codebook), out.reads, p)
-    assert a == b == c == d
+    assert a == b == c
 
 
 def test_island_texts_render_on_first_access(monkeypatch):

@@ -15,8 +15,11 @@ epsilon = inf, 0.5, 2 and 2 with all tuples.  It prints three lines:
   the order in which the claim search found the sets;
 - ``cpu_s``: the CPU seconds of the sweep.
 
+Each digest line ends in ``ok`` when it equals the recorded digest below
+and in ``MISMATCH`` otherwise, and any mismatch makes the exit status 1.
 A change that must keep every decode the same leaves both digests as they
-are.  The sweep is not part of the test suite: it takes several minutes.
+are; a change that alters the search on purpose records its new digests
+here.  The sweep is not part of the test suite: it takes several minutes.
 """
 
 from __future__ import annotations
@@ -41,9 +44,13 @@ CONFIGS = (
     DecoderConfig(2.0),
     DecoderConfig(2.0, omega_mode="all-tuples"),
 )
+EXPECTED = {
+    "decodes": "3476f4af8f1e858b0cb29c03ad119512bda424f5b5901d2f5ed2a625b1997dde",
+    "island_sets": "32ed571258f567f2d15b0d7a6df24da5295e88d076af323934f089aba5977980",
+}
 
 
-def main() -> None:
+def main() -> int:
     decodes = hashlib.sha256()
     island_sets = hashlib.sha256()
     start = time.process_time()
@@ -63,10 +70,16 @@ def main() -> None:
                     )
                     decodes.update(repr(fields).encode())
                     island_sets.update(repr(r.island_sets).encode())
-    print(f"decodes {decodes.hexdigest()}")
-    print(f"island_sets {island_sets.hexdigest()}")
-    print(f"cpu_s {time.process_time() - start:.1f}")
+    cpu_s = time.process_time() - start
+    status = 0
+    for name, digest in (("decodes", decodes), ("island_sets", island_sets)):
+        got = digest.hexdigest()
+        ok = got == EXPECTED[name]
+        status |= not ok
+        print(f"{name} {got} {'ok' if ok else 'MISMATCH'}")
+    print(f"cpu_s {cpu_s:.1f}")
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
