@@ -152,10 +152,15 @@ class Truth:
 
     message: int | None
     codeword: TritString
-    starts: np.ndarray  # (K,) int64, 1-based
+    starts: np.ndarray  # (K,) int32 from the channel, 1-based
 
     def __post_init__(self) -> None:
-        self.starts.setflags(write=False)
+        s = self.starts
+        if s.dtype != np.int32 and len(s):
+            info = np.iinfo(np.int32)
+            if s.min() < info.min or s.max() > info.max:
+                raise ValueError("starts must fit in int32")
+        s.setflags(write=False)
 
     @cached_property
     def order(self) -> np.ndarray:
@@ -170,17 +175,18 @@ class Truth:
 
     @cached_property
     def _by_start(self) -> tuple[np.ndarray, np.ndarray]:
-        # One sort of the keys start * 2^bits + index gives both; sorting
-        # values is about three times faster than ``argsort`` here.
-        bits = (len(self.starts) - 1).bit_length()
-        key = self.starts << bits
-        key |= np.arange(len(key))
+        # One sort of the int64 keys start * 2^32 + index gives both: the
+        # key's low int32 half is the index and its high half the start, so
+        # after the sort the two halves are ``order`` and ``sorted_starts``,
+        # two int32 views of the one key.  Sorting values is about three
+        # times faster than ``argsort`` here.
+        K = len(self.starts)
+        key = np.arange(K, dtype="<i8")
+        halves = key.view("<i4").reshape(K, 2)
+        halves[:, 1] = self.starts
         key.sort()
-        order = key & ((1 << bits) - 1)
-        key >>= bits
-        for a in (order, key):
-            a.setflags(write=False)
-        return order, key
+        halves.setflags(write=False)
+        return halves[:, 0], halves[:, 1]
 
 
 @dataclass(eq=False)
@@ -378,11 +384,13 @@ def _gaps_around(sorted_starts: np.ndarray, n: int, rows: slice) -> np.ndarray:
     from its own starts and the two beside it."""
     lo, hi = rows.start, rows.stop
     edges = sorted_starts[max(lo - 1, 0) : hi + 1]
+    # The wrapped edges and the gaps are int64: an int32 start plus n can
+    # pass 2^31 - 1.
     if lo == 0:
-        edges = np.concatenate((sorted_starts[-1:] - n, edges))
+        edges = np.concatenate((sorted_starts[-1:] - np.int64(n), edges))
     if hi == len(sorted_starts):
-        edges = np.concatenate((edges, sorted_starts[:1] + n))
-    return edges[1:] - edges[:-1]
+        edges = np.concatenate((edges, sorted_starts[:1] + np.int64(n)))
+    return np.subtract(edges[1:], edges[:-1], dtype=np.int64)
 
 
 def _span_words(L: int) -> int:
@@ -435,13 +443,16 @@ def transmit_codeword(
     fills arrays in row-major order, so the erasures equal those of a single
     ``random((K, L)) >= delta`` draw.
     """
+    # Starts lie in [1, n], so n <= 2^30 keeps them in int32.
+    _check_symbols(params.n, "n")
     if x.length != params.n:
         raise DomainError(f"codeword length {x.length} != n={params.n}")
     if x.size != params.n:
         raise DomainError("channel input must be a fully visible binary string")
     K, L = params.K, params.L
     _check_symbols(K * L, "K * L")
-    starts0 = stage_rng(seed, STAGE_STARTS).integers(0, params.n, size=K)
+    # For n < 2^32 numpy draws int32 and int64 from the same 32-bit stream.
+    starts0 = stage_rng(seed, STAGE_STARTS).integers(0, params.n, size=K, dtype=np.int32)
     rng = stage_rng(seed, STAGE_ERASURES)
     delta, width = float(params.delta), _plane_width(L)
     # Every read's symbols lie in the span of words 8 bytes apart from its

@@ -7,10 +7,13 @@ from scipy import stats as sps
 
 from ssesim.channel import (
     STAGE_CODEBOOK,
+    STAGE_STARTS,
     ChannelOutput,
     ChannelParams,
     Codebook,
     Truth,
+    _gaps_around,
+    cyclic_gaps,
     random_codebook,
     random_codeword,
     stage_rng,
@@ -138,6 +141,48 @@ def test_codebook_is_the_uint8_draw(n, count):
     )
 
 
+@pytest.mark.parametrize("n", [1, 2, 1000, 10**7, 2**30])
+def test_starts_are_the_int64_draw(n):
+    """The channel draws its starts as int32, which for any n below 2^32
+    numpy serves from the same 32-bit stream as the int64 draw, also when
+    the draw is split into blocks."""
+    K = 5000
+    want = stage_rng(n, STAGE_STARTS).integers(0, n, size=K)
+    whole = stage_rng(n, STAGE_STARTS).integers(0, n, size=K, dtype=np.int32)
+    rng = stage_rng(n, STAGE_STARTS)
+    split = [rng.integers(0, n, size=k, dtype=np.int32) for k in (1, 1699, 3300)]
+    assert np.array_equal(whole, want) and np.array_equal(np.concatenate(split), want), (
+        f"numpy {np.__version__} no longer draws Generator.integers(0, n, "
+        "dtype=np.int32) from the int64 draw's stream; NEP 19 does not freeze "
+        "that sampler, and every start stream and golden digest depends on it"
+    )
+
+
+def test_transmit_holds_int32_starts_and_one_sort_key():
+    p = ChannelParams(n=1000, L=9, K=300, delta=0.2)
+    out = transmit_codeword(random_codeword(p.n, 4), p, 4)
+    truth = out.truth
+    assert truth.starts.dtype == np.int32
+    want = stage_rng(4, STAGE_STARTS).integers(0, p.n, size=p.K) + 1
+    assert np.array_equal(truth.starts, want)
+    # ``order`` and ``sorted_starts`` are the interleaved int32 halves of
+    # one int64 key array, so they share its buffer but no byte of it.
+    key = truth.order.base
+    assert key is truth.sorted_starts.base and key.nbytes == 8 * p.K
+    assert np.may_share_memory(truth.order, truth.sorted_starts)
+    assert np.array_equal(truth.order, np.argsort(want, kind="stable"))
+    assert np.array_equal(truth.sorted_starts, np.sort(want))
+
+
+def test_transmit_refuses_codewords_past_int32_starts():
+    """n above 2^30 is refused before any other check; the all-erased
+    string of that length costs nothing to build."""
+    n = 2**30 + 1
+    p = ChannelParams(n=n, L=1, K=1, delta=0.0)
+    with pytest.raises(DomainError, match=f"n = {n} exceeds the limit"):
+        transmit_codeword(TritString(0, 0, n), p, 0)
+
+
 def test_codebook_rows_hold_the_codewords():
     """Each packed row is its codeword's value plane; the rows are
     read-only, one 2-D uint8 array of width ceil(n/8) with no bit past n.
@@ -258,3 +303,37 @@ def test_truth_sorts_tied_starts_by_index():
     for a in (truth.order, truth.sorted_starts):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def test_truth_refuses_starts_past_int32():
+    x = TritString.from_text("0" * 8)
+    for bad in ([1, 2**31], [-(2**31) - 1, 3]):
+        with pytest.raises(ValueError, match="int32"):
+            Truth(None, x, np.array(bad, dtype=np.int64))
+    edge = np.array([2**31 - 1, -(2**31), 7], dtype=np.int64)
+    truth = Truth(None, x, edge)
+    assert list(truth.sorted_starts) == [-(2**31), 7, 2**31 - 1]
+    assert list(truth.order) == [1, 2, 0]
+
+
+@pytest.mark.parametrize(
+    "starts", [[2**30], [2**30, 2**30], [1, 2**30], [3, 2**29, 2**30, 2**30]]
+)
+def test_gaps_do_not_overflow_int32_starts(starts):
+    """At n = 2^30 the wrapped edge, the first start plus n, passes
+    2^31 - 1, so the edges of int32 starts are widened and the gaps come
+    out int64, as they do for int64 starts.  (In int32 the wrapped edge's
+    overflow would cancel in its difference, since every gap is at most
+    n; the int64 gaps keep the stages' arithmetic on them out of int32.)"""
+    n = 2**30
+    sorted_starts = np.array(starts, dtype=np.int32)
+    K = len(starts)
+    # Gap i runs from start i to the next, the last one round the ring.
+    want = [b - a for a, b in zip(starts, starts[1:])] + [starts[0] + n - starts[-1]]
+    gaps = cyclic_gaps(sorted_starts, n)
+    assert gaps.dtype == np.int64 and gaps.tolist() == want and gaps.sum() == n
+    for lo in range(K):
+        for hi in range(lo + 1, K + 1):
+            around = _gaps_around(sorted_starts, n, slice(lo, hi))
+            assert around.dtype == np.int64
+            assert around.tolist() == [want[(lo - 1) % K], *want[lo:hi]]

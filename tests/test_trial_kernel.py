@@ -202,7 +202,7 @@ def test_blocked_erasure_draw_equals_one_draw(K, L):
 
 def test_trial_memory_is_a_few_bytes_per_symbol():
     """One trial at n = 2^20 (L = 40, K = 52,429) peaks at most at a
-    quarter byte per read symbol plus 1.85 bytes per codeword position.
+    quarter byte per read symbol plus 1.25 bytes per codeword position.
 
     The bound comes from what a trial has to hold.  The reads' ``values``
     and ``known`` are bit-planes of K ceil(L/8) bytes each, K L / 4 for
@@ -212,19 +212,22 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
     included, are a fixed size.  Per codeword position there are only
     bits: the codeword's two integer planes (4 bytes per 30 bits each,
     0.27 n for both), and its packed cyclic extension, which only the
-    channel reads, and the phi_v ring (n / 8 bytes each).  The rest is
-    three int64 arrays of length K, at 8 c / L = 0.4 bytes per position
-    each: the starts, their sort order and the sorted starts, which the
-    stages share.  The m_z probes match on the read planes and hold only
-    the rows that still agree.  The peak, measured at 1.78 n past K L / 4,
-    is in the suffix stage: the 1.97 n held from the sort on (planes,
-    codeword and the three arrays over K) and one block's temporaries
-    (0.31 n).  The bound leaves 0.07 n (73 KB) over it.  A fourth int64
-    array over K, such as a whole array of gaps or distances (0.4 n),
-    breaks it; so do an n-byte phi_v line, the reads held as two (K, L)
-    byte arrays (2 K L = 4 n) and an int64 index or a float64 erasure draw
-    over all K L symbols.  tracemalloc sees numpy's allocations, so the
-    peak is a count of bytes, not a timing.
+    channel reads, and the phi_v ring (n / 8 bytes each).  Per read there
+    are 12 bytes, at 4 c / L = 0.2 bytes per position for every 4: the
+    int32 starts (0.2 n) and, from the sort on, one int64 key (0.4 n)
+    whose int32 halves are the sort order and the sorted starts, which
+    the stages share.  The m_z probes match on the read planes and hold
+    only the rows that still agree.  The peak, measured at 1.21 n past
+    K L / 4, is in the channel: the codeword, its extension and the starts
+    (0.59 n) with one block's float64 erasure uniforms (0.5 n here) and its
+    mask and spans.  The suffix stage comes to 1.12 n: the 0.87 n held from
+    the sort on and one block's temporaries.  The bound leaves 0.045 n
+    (47 KB) over the peak.  Starts drawn as int64 (0.2 n more), an order
+    or sorted starts held beside the key (0.2 n each), a whole int64 array
+    of gaps or distances (0.4 n), an n-byte phi_v line, the reads held as
+    two (K, L) byte arrays (2 K L = 4 n) and an int64 index or a float64
+    erasure draw over all K L symbols break it.  tracemalloc sees numpy's
+    allocations, so the peak is a count of bytes, not a timing.
     """
     p = ChannelParams.resolve(2**20, 0.2, lbar=2, c=2)
     _run_trial(p, 7, 0, [10, 17], 2)  # first-call caches out of the count
@@ -234,7 +237,7 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= p.K * p.L / 4 + 1.85 * p.n
+    assert peak <= p.K * p.L / 4 + 1.25 * p.n
 
 
 def test_random_codeword_memory_is_bounded():
