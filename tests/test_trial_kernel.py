@@ -213,7 +213,7 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
     bits: the codeword's two integer planes (4 bytes per 30 bits each,
     0.27 n for both), and its packed cyclic extension, which only the
     channel reads, and the phi_v ring (n / 8 bytes each).  Per read there
-    are 12 bytes, at 4 c / L = 0.2 bytes per position for every 4: the
+    are 12 bytes, each 4 of them 4 c / L = 0.2 bytes per position: the
     int32 starts (0.2 n) and, from the sort on, one int64 key (0.4 n)
     whose int32 halves are the sort order and the sorted starts, which
     the stages share.  The m_z probes match on the read planes and hold
