@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from functools import cache
 
 from .channel import (
     STAGE_MESSAGE,
@@ -191,7 +192,13 @@ def _cmd_gtau_table(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The command-line parser, built on first use and reused after.
+
+    Reuse is safe: a parse keeps its state in the ``Namespace`` it
+    returns, and the ``append`` options copy their list before adding.
+    """
     parser = _Parser(prog="ssesim", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -166,7 +166,8 @@ def _holds_every_read(
         return int.from_bytes(pattern.to_bytes(lane, "little") * count, "little")
 
     def plane(rows: np.ndarray) -> int:
-        padded = np.pad(rows, ((0, 0), (0, lane - rows.shape[1])))
+        padded = np.zeros((len(rows), lane), dtype=np.uint8)
+        padded[:, : rows.shape[1]] = rows
         head = repeat(_mask(extra), len(rows))
         return _cyclic(int.from_bytes(padded.tobytes(), "little"), n, head)
 

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssesim
-from ssesim.cli import main, parse_grid
+from ssesim.cli import _build_parser, main, parse_grid
 
 
 def run(capsys, *argv):
@@ -151,11 +151,8 @@ def test_rate_curve_csv(capsys, tmp_path):
     assert out.encode() == first
 
 
-@pytest.mark.parametrize("module", ["ssesim", "ssesim.cli"])
-def test_module_entry_points(capsys, module):
-    """``python -m ssesim`` and ``python -m ssesim.cli`` print what ``main``
-    prints for the same arguments."""
-    argv = ["rate-curve", "--c-grid", "1:2:0.5", "--lbar", "2"]
+def run_child(module, *argv):
+    """Run ``python -m module argv`` in a fresh process."""
     # The child imports the same package as this process: pytest's
     # ``pythonpath`` does not reach children.
     path = [str(Path(ssesim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
@@ -163,9 +160,46 @@ def test_module_entry_points(capsys, module):
     child = subprocess.run(
         [sys.executable, "-m", module, *argv], capture_output=True, text=True, env=env
     )
+    return child.returncode, child.stdout, child.stderr
+
+
+@pytest.mark.parametrize("module", ["ssesim", "ssesim.cli"])
+def test_module_entry_points(capsys, module):
+    """``python -m ssesim`` and ``python -m ssesim.cli`` print what ``main``
+    prints for the same arguments."""
+    argv = ["rate-curve", "--c-grid", "1:2:0.5", "--lbar", "2"]
+    child_code, child_out, _ = run_child(module, *argv)
     code, out, _ = run(capsys, *argv)
-    assert (child.returncode, code) == (0, 0)
-    assert child.stdout == out
+    assert (child_code, code) == (0, 0)
+    assert child_out == out
+
+
+def test_reused_parser_keeps_no_state(capsys):
+    """``main`` builds its parser once per process.  Calls that follow
+    ones with appended values, a usage error or another command print and
+    return what each prints and returns in a fresh process."""
+    assert _build_parser() is _build_parser()
+    geometry = (
+        "concentration", "--n", "256", "--delta", "0.2", "--length", "16",
+        "--coverage", "1.5", "--trials", "2", "--seed", "5",
+    )
+    decode = (
+        "decode-demo", "--n", "24", "--length", "6", "--reads", "4",
+        "--delta", "0.1", "--codebook-size", "4",
+    )
+    curve = ("rate-curve", "--c-grid", "1:2:0.5", "--lbar", "2")
+    calls = [
+        (*geometry, "--mz-tau", "0.5", "--mz-tau", "0.85"),
+        geometry,
+        decode,  # no --seed: a usage error
+        (*decode, "--seed", "3"),
+        (*curve, "--delta", "0.0", "--delta", "0.2"),
+        curve,
+    ]
+    results = [run(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in results] == [0, 0, 64, 0, 0, 0]
+    for argv, result in zip(calls, results):
+        assert result == run_child("ssesim", *argv), argv
 
 
 def test_simulate_views(capsys, tmp_path):

@@ -4,9 +4,19 @@ The digests pin the seeded sample streams (starts, erasures, codebooks,
 per-trial statistics) and every rendered number, so a refactor that is
 meant to keep output byte-identical is checked against them.  Regenerate a
 digest only in a change that means to alter that output, and say so.
+
+``golden_fields.json`` pins the same outputs field by field: for each argv,
+the sha256 of each top-level JSON value's exact text, or of each CSV
+column (see ``field_digests``).  A change that only adds fields re-pins
+the whole-output digest and adds digests for its new fields; every
+existing field's digest must hold.
 """
 
+import csv
 import hashlib
+import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -104,9 +114,46 @@ GOLDEN = {
         "00b3d72e135b2b048d6191d296ea785a25cdba09a2c52fab6d7ec6e960b4351e",
 }
 
+FIELDS = json.loads((Path(__file__).parent / "golden_fields.json").read_text())
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _json_fields(text: str) -> dict[str, str]:
+    """Each top-level key of a JSON object, with its value's exact text."""
+    decoder = json.JSONDecoder()
+    skip = re.compile(r"[\s,]*")
+    fields = {}
+    i = skip.match(text, text.index("{") + 1).end()
+    while text[i] != "}":
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = skip.match(text, text.index(":", i) + 1).end()
+        end = decoder.raw_decode(text, i)[1]
+        fields[key] = text[i:end]
+        i = skip.match(text, end).end()
+    return fields
+
+
+def field_digests(text: str) -> dict[str, str]:
+    """The sha256 of each top-level JSON value's text, or of each CSV
+    column's cells joined by newlines, by key or column name."""
+    if text.startswith("{"):
+        fields = _json_fields(text)
+    else:
+        header, *rows = csv.reader(text.splitlines())
+        fields = {name: "\n".join(row[i] for row in rows) for i, name in enumerate(header)}
+    return {name: _sha256(value) for name, value in fields.items()}
+
+
+def test_every_golden_argv_is_pinned_field_by_field():
+    assert sorted(FIELDS) == sorted(GOLDEN)
+
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_cli_output_is_byte_identical(capsys, argv):
     assert main(argv.split()) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[argv]
+    assert _sha256(out) == GOLDEN[argv]
+    assert field_digests(out) == FIELDS[argv]
