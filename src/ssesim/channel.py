@@ -59,10 +59,20 @@ DEFAULT_CODEBOOK_CAP = 4096
 # Largest codeword length n, read-symbol count K*L or codebook size count*n
 # the channel builds arrays for; n = 1e8 at coverage 2 needs 2e8.
 _MAX_SYMBOLS = 2**30
-# Read symbols per block of whole rows: the erasure uniforms are drawn, and
-# the packed reads filled and scanned, one block at a time.  Codeword symbols
-# are drawn in blocks of the same size.
-_ERASURE_BLOCK = 2**16
+# Read symbols per block of whole rows: the read windows are gathered, and
+# the packed reads scanned, one block at a time.  Codeword symbols are drawn
+# in blocks of the same size.
+_ROW_BLOCK = 2**17
+# Read symbols per chunk of whole rows over which the erasure rounds run
+# (one row if L is longer); strings are cut into rows in blocks of as many
+# bits.  It is part of the erasure stream's definition: a chunk's rounds
+# draw before the next chunk's.  A chunk's kept lanes, live lanes, one
+# round's raw words and the words they are spread onto are 128 KiB each,
+# 512 KiB in all.
+_ERASURE_CHUNK = 2**20
+# A read symbol is kept iff random() >= delta, where random() = U / 2^53 for
+# the top 53 bits U of one raw word: iff U >= ceil(delta * 2^53).
+_U_BITS = 53
 
 
 def child_seed(seed, *path: int) -> np.random.SeedSequence:
@@ -322,49 +332,51 @@ def random_codebook(n: int, count: int, seed) -> Codebook:
     _check_symbols(count * n, "codeword symbols")
     raw = stage_rng(seed, STAGE_CODEBOOK).bit_generator
     # Bit i of ``packed`` is symbol i of the codewords laid end to end,
-    # followed by one zero byte.
+    # followed by eight zero bytes.
     size = (count * n + 7) // 8
-    packed = np.empty(size + 1, dtype=np.uint8)
-    packed[size] = 0
-    for i in range(0, size, _ERASURE_BLOCK // 8):
-        k = min(_ERASURE_BLOCK // 8, size - i)
+    packed = np.empty(size + 8, dtype=np.uint8)
+    packed[size:] = 0
+    for i in range(0, size, _ROW_BLOCK // 8):
+        k = min(_ROW_BLOCK // 8, size - i)
         draw = raw.random_raw(k).astype("<u8", copy=False).view(np.uint8)
         draw >>= 7
         packed[i : i + k] = np.packbits(draw, bitorder="little")
     del draw  # the last raw block, not needed while the codewords are cut
-    return Codebook(_codeword_rows(packed, n, count), n)
+    return Codebook(_cut_rows(packed, n, count), n)
 
 
-def _codeword_rows(packed: np.ndarray, n: int, count: int) -> np.ndarray:
-    """The ``count`` codewords of ``n`` bits laid end to end in ``packed``,
-    which holds a byte past them, as rows of ``_plane_width(n)`` bytes
-    with no bit set past n.
+def _cut_rows(packed: np.ndarray, n: int, count: int) -> np.ndarray:
+    """The ``count`` strings of ``n`` bits laid end to end in ``packed``,
+    which holds 8 bytes past them, as rows of ``_plane_width(n)`` bytes
+    with no bit set past n: codewords, or a chunk's erasure masks.
 
-    Codewords i and i + q, for q = 8 / gcd(n, 8), start at the same bit of
+    Strings i and i + q, for q = 8 / gcd(n, 8), start at the same bit of
     a byte and q * n / 8 bytes apart, so each of the q classes of rows is
-    shifted into place from one strided view of the bytes, a block of rows
-    at a time; no byte per symbol is built.
+    read as one strided view of unaligned little-endian uint64 words,
+    ``_span_words(n)`` from each string's first byte, and shifted down into
+    place, a block of rows whose words hold ``_ERASURE_CHUNK`` bits at a
+    time; no byte per symbol is built.
     """
     width = _plane_width(n)
     if n % 8 == 0 or count == 1:
         rows = packed[: count * width].reshape(count, width)
     else:
         rows = np.empty((count, width), dtype=np.uint8)
+        words = _span_words(n)
         q = 8 // math.gcd(n, 8)
-        for i in range(min(q, count)):
-            out = rows[i::q]
-            src = np.ndarray(
-                (len(out), width + 1),
-                dtype=np.uint8,
-                buffer=packed,
-                offset=i * n >> 3,
-                strides=(q * n // 8, 1),
-            )
-            # numpy gives 0 for a uint8 shift by 8, so class 0 is a copy.
-            s = i * n & 7
-            for blk in _row_blocks(len(out), n):
-                np.right_shift(src[blk, :-1], s, out=out[blk])
-                out[blk] |= src[blk, 1:] << (8 - s)
+        for blk in _row_blocks(count, 64 * words, _ERASURE_CHUNK):
+            span = np.empty((blk.stop - blk.start, words), dtype="<u8")
+            for i in range(blk.start, min(blk.start + q, blk.stop)):
+                out = span[i - blk.start :: q]
+                out[...] = np.ndarray(
+                    out.shape,
+                    dtype="<u8",
+                    buffer=packed,
+                    offset=i * n >> 3,
+                    strides=(q * n // 8, 8),
+                )
+                _shift_down(out, i * n & 7)
+            rows[blk] = span.view(np.uint8)[:, :width]
     if n % 8:
         rows[:, -1] &= _mask(n % 8)
     return rows
@@ -411,24 +423,90 @@ def _packed_extension(x: TritString, L: int) -> np.ndarray:
     return np.ndarray((size - 7,), dtype="<u8", buffer=ext, strides=(1,))
 
 
-def _row_blocks(K: int, L: int) -> list[slice]:
+def _row_blocks(K: int, L: int, symbols: int = _ROW_BLOCK) -> list[slice]:
     """Slices of whole rows of L symbols out of K, in order, of at most
-    ``_ERASURE_BLOCK`` symbols (one row if L is longer): the unit in which
-    a stage draws, gathers or unpacks read symbols, or cuts codewords."""
-    rows = max(1, _ERASURE_BLOCK // L)
+    ``symbols`` symbols (one row if L is longer): by default the unit in
+    which a stage gathers or scans read symbols."""
+    rows = max(1, symbols // L)
     return [slice(i, min(i + rows, K)) for i in range(0, K, rows)]
 
 
-def _shift_down(span: np.ndarray, shift: np.ndarray) -> None:
+def _shift_down(span: np.ndarray, shift) -> None:
     """Shift each row of little-endian uint64 words down by its own count of
-    0 to 64 bits, in place: the low ``shift`` bits of a word carry into the
-    top of the one below, and zeros fill the top of the last word.  numpy
-    gives 0 for a uint64 shift by 64, so a count of 0 carries nothing and
-    a count of 64 moves every word down one."""
-    shift = shift.astype(np.uint64, copy=False)[:, None]
+    0 to 64 bits, or all rows by one count, in place: the low ``shift`` bits
+    of a word carry into the top of the one below, and zeros fill the top of
+    the last word.  numpy gives 0 for a uint64 shift by 64, so a count of 0
+    carries nothing and a count of 64 moves every word down one."""
+    shift = np.asarray(shift, dtype=np.uint64)[..., None]
     carry = span[:, 1:] << (np.uint64(64) - shift)
     span >>= shift
     span[:, :-1] |= carry
+
+
+def _kept_lanes(raw: np.random.BitGenerator, size: int, threshold: int) -> np.ndarray:
+    """Which of ``size`` read symbols are kept, bit i of the little-endian
+    uint64 words returned (and of their bytes) for symbol i, followed by one
+    zero word: a symbol is kept iff its 53-bit uniform U >= ``threshold``.
+
+    The comparison runs bit-sliced.  Symbol i is lane i % 64 of word i // 64,
+    and the words run in rounds from U's most significant bit down: each
+    round draws one raw word for each word with a lane still tied with the
+    threshold, in word order, and bit j of that draw is the next bit of
+    lane j's U.  A lane is decided at the first bit where it differs from
+    the threshold; once the threshold's remaining bits are all 0, a tied
+    lane is at least the threshold whatever its own, so it is kept and the
+    rounds stop.  So threshold 0 keeps every symbol and 2^53 erases every
+    one, and neither draws a word.
+
+    The word arrays are cut down to the undecided words once fewer than
+    half of them are undecided; until then a round's draws are spread onto
+    the undecided words in order, and a decided word, with no live lane,
+    is left as it is."""
+    words = -(-size // 64)
+    out = np.zeros(words + 1, dtype="<u8")
+    if threshold >> _U_BITS:
+        return out
+    keep = out[:words]  # cleared lane by lane as lanes are erased
+    keep[:] = np.uint64(2**64 - 1)
+    keep[-1] >>= np.uint64(-size % 64)
+    if not threshold:
+        return out
+    live = keep.copy()  # lanes still tied with the threshold
+    index = None  # the words in ``keep`` and ``live``, once compacted
+    undecided = None  # the words of ``live`` with a live lane, if not all
+    m = words  # raw words in the next round
+    last = (threshold & -threshold).bit_length() - 1
+    for b in range(_U_BITS - 1, last - 1, -1):
+        u = raw.random_raw(m)
+        if undecided is not None:
+            # A decided word's entry is cleared by ``u &= live``.
+            draw, u = u, np.empty_like(live)
+            u[undecided] = draw
+            del draw
+        u &= live  # the tied lanes whose bit is 1
+        live ^= u  # the tied lanes whose bit is 0
+        if threshold >> b & 1:
+            # The threshold's bit is 1: a 0 puts a lane below it, erased.
+            keep ^= live
+            live = u
+        # Otherwise a 1 puts a lane above it, kept, and a 0 keeps it tied.
+        del u
+        m = np.count_nonzero(live)
+        if m == len(live):
+            continue
+        if not m:
+            break
+        undecided = live != 0
+        if 2 * m < len(live):
+            if index is None:
+                index = np.flatnonzero(undecided)
+            else:
+                out[index] = keep
+                index = index[undecided]
+            keep, live, undecided = keep[undecided], live[undecided], None
+    if index is not None:
+        out[index] = keep
+    return out
 
 
 def transmit_codeword(
@@ -439,9 +517,11 @@ def transmit_codeword(
     with probability delta.  Starts and erasures draw from separate
     substreams of ``seed``.
 
-    The reads are built a block of rows at a time and packed.  The generator
-    fills arrays in row-major order, so the erasures equal those of a single
-    ``random((K, L)) >= delta`` draw.
+    The reads are built a block of rows at a time and packed.  The erasures
+    are drawn by ``_kept_lanes`` over the read symbols laid end to end in
+    row order, one chunk of ``_ERASURE_CHUNK`` symbols' whole rows at a
+    time: a symbol is kept with probability (2^53 - T) / 2^53 for
+    T = ceil(delta * 2^53), as by ``random() >= delta``.
     """
     # Starts lie in [1, n], so n <= 2^30 keeps them in int32.
     _check_symbols(params.n, "n")
@@ -453,25 +533,24 @@ def transmit_codeword(
     _check_symbols(K * L, "K * L")
     # For n < 2^32 numpy draws int32 and int64 from the same 32-bit stream.
     starts0 = stage_rng(seed, STAGE_STARTS).integers(0, params.n, size=K, dtype=np.int32)
-    rng = stage_rng(seed, STAGE_ERASURES)
-    delta, width = float(params.delta), _plane_width(L)
+    raw = stage_rng(seed, STAGE_ERASURES).bit_generator
+    threshold = math.ceil(float(params.delta) * 2**_U_BITS)
+    width = _plane_width(L)
     # Every read's symbols lie in the span of words 8 bytes apart from its
-    # start's byte.
+    # start's byte.  The extension is built before the known plane is
+    # filled: the other way round, a fresh process at n = 1e8 peaked 7 MB
+    # higher in RSS.
     ext = _packed_extension(x, L)
     apart = 8 * np.arange(_span_words(L))
-    values = np.empty((K, width), dtype=np.uint8)
-    known = np.empty_like(values)
-    blocks = _row_blocks(K, L)
-    # One block's uniforms, and its rows zero-padded to whole bytes so that
-    # one flat ``packbits`` gives each row its own bytes (packing along axis
-    # 1 is far slower); both are reused by every block.
-    uniform = np.empty((blocks[0].stop, L))
-    mask = np.zeros((blocks[0].stop, 8 * width), dtype=bool)
-    for blk in blocks:
+    known = np.empty((K, width), dtype=np.uint8)
+    for blk in _row_blocks(K, L, _ERASURE_CHUNK):
+        r = blk.stop - blk.start
+        kept = _kept_lanes(raw, r * L, threshold)
+        known[blk] = _cut_rows(kept.view(np.uint8), L, r)
+    del kept  # the last chunk's lanes, not needed while the windows are read
+    values = np.empty_like(known)
+    for blk in _row_blocks(K, L):
         rows = starts0[blk]
-        r = len(rows)
-        np.greater_equal(rng.random(out=uniform[:r]), delta, out=mask[:r, :L])
-        known[blk] = np.packbits(mask[:r], bitorder="little").reshape(-1, width)
         # Each read's span, shifted down by its start's bit offset.
         span = ext[(rows >> 3)[:, None] + apart]
         _shift_down(span, rows & 7)

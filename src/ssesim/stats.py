@@ -177,7 +177,7 @@ def chain_island_count(output: ChannelOutput) -> int:
 
 
 def _popcount_rows(plane: np.ndarray) -> np.ndarray:
-    """Set bits per row of a packed uint8 plane."""
+    """Set bits per row of a packed plane of uint8 bytes or uint64 words."""
     # A product with ones sums short rows faster than ``sum(axis=-1)``.
     return np.bitwise_count(plane) @ np.ones(plane.shape[-1], dtype=np.int64)
 
@@ -186,16 +186,21 @@ def _suffix_size_blocks(output: ChannelOutput):
     """Each read's true merging-suffix size, one block of rows in start
     order at a time."""
     L = output.params.L
-    byte_starts = 8 * np.arange(output.known.shape[1])
+    width = output.known.shape[1]
+    word_starts = 64 * np.arange((width + 7) // 8)
+    all_ones = np.uint64(2**64 - 1)
     for reads, gaps in _gap_blocks(output):
         # Each read's overlap-length suffix begins at position L - overlap =
-        # min(distance, L); each byte keeps its bits from there on through a
-        # uint8 shift, which gives 0 for a shift by 8 (int64 counts promote).
+        # min(distance, L); each little-endian word of a row, zero-padded to
+        # whole words, keeps its bits from there on through one uint64
+        # shift, which gives 0 for a shift by 64.
         begin = np.minimum(_successor_distances(gaps)[1:], L)
-        offsets = np.clip(begin[:, None] - byte_starts, 0, 8).astype(np.uint8)
-        rows = np.take(output.known, reads, axis=0)
-        rows &= np.uint8(0xFF) << offsets
-        yield _popcount_rows(rows)
+        shift = np.clip(begin[:, None] - word_starts, 0, 64).astype(np.uint64)
+        rows = np.zeros((len(reads), 8 * len(word_starts)), dtype=np.uint8)
+        rows[:, :width] = np.take(output.known, reads, axis=0)
+        words = rows.view("<u8")
+        words &= all_ones << shift
+        yield _popcount_rows(words)
 
 
 def suffix_size_histogram(output: ChannelOutput) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from ssesim.channel import (
     ChannelParams,
     Codebook,
     Truth,
+    _ROW_BLOCK,
     _gaps_around,
     cyclic_gaps,
     random_codebook,
@@ -122,7 +123,7 @@ def test_codebook_deterministic_prefix():
 
 @pytest.mark.parametrize(
     "n,count",
-    [(1, 1), (7, 3), (8, 5), (13, 17), (64, 4), (100, 9), (1001, 2), (10007, 13), (2**16 + 3, 1)],
+    [(1, 1), (7, 3), (8, 5), (13, 17), (64, 4), (100, 9), (1001, 2), (10007, 13), (_ROW_BLOCK + 3, 1)],
 )
 def test_codebook_is_the_uint8_draw(n, count):
     """The codebook packs the rows of numpy's bounded uint8 draw, which it

@@ -6,15 +6,19 @@ window index, scatter ``idx[known]`` and take a reversed ``cumsum``: the
 direct forms of the statistics, kept here only as the check.
 """
 
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from ssesim import channel
 from ssesim.channel import (
     STAGE_ERASURES,
     ChannelParams,
-    _ERASURE_BLOCK,
+    _ROW_BLOCK,
+    _kept_lanes,
     _shift_down,
     random_codeword,
     stage_rng,
@@ -50,7 +54,7 @@ CASES = [
     (64, 60, 5, 0.3),
     (40, 8, 12, 0.3),
     (100, 70, 6, 0.3),
-    (1000, 13, 3 * (_ERASURE_BLOCK // 13) + 5, 0.4),
+    (1000, 13, 3 * (_ROW_BLOCK // 13) + 5, 0.4),
     (13, 11, 9, 0.3),
     (37, 35, 40, 0.5),
     (203, 29, 25, 0.2),
@@ -189,45 +193,152 @@ def test_shift_down_matches_integer_shifts(words):
     assert [int.from_bytes(row.tobytes(), "little") for row in span] == want
 
 
-@pytest.mark.parametrize(
-    "K,L",
-    [(5000, 47), (3 * _ERASURE_BLOCK // 40 + 7, 40), (2, _ERASURE_BLOCK + 3), (1, 3)],
-)
-def test_blocked_erasure_draw_equals_one_draw(K, L):
-    p = ChannelParams(n=max(L, 64), L=L, K=K, delta=0.3)
-    single = stage_rng(11, STAGE_ERASURES).random((K, L)) >= 0.3
+def _reference_kept(K, L, delta, seed):
+    """Every read symbol's erasure decision, rebuilt lane by lane in plain
+    Python from the raw words of the erasure substream, as a (K, L) bool
+    array.
+
+    The rows' symbols are laid end to end one chunk of ``_ERASURE_CHUNK``
+    symbols' whole rows at a time, and symbol i of a chunk is lane i % 64
+    of word i // 64.  A symbol is kept iff its 53-bit uniform U >= T =
+    ceil(delta * 2^53).  Round b, for b from 52 down, compares bit b: each
+    word with a lane still tied with T draws one raw word, in word order,
+    whose bit j is bit b of lane j's U, and a lane whose bit differs from
+    T's is decided.  Once T's bits b and below are all 0, every tied lane is
+    kept and the chunk's rounds end."""
+    raw = stage_rng(seed, STAGE_ERASURES).bit_generator
+    T = math.ceil(float(delta) * 2**53)
+    rows = max(1, channel._ERASURE_CHUNK // L)
+    kept = []
+    for first in range(0, K, rows):
+        size = (min(first + rows, K) - first) * L
+        if T == 2**53:
+            kept += [False] * size
+            continue
+        decided = [None] * size
+        tied = [list(range(w, min(w + 64, size))) for w in range(0, size, 64)]
+        for b in range(52, -1, -1):
+            if T % 2 ** (b + 1) == 0:
+                break
+            t_bit = T >> b & 1
+            for lanes in tied:
+                if not lanes:
+                    continue
+                u = int(raw.random_raw())
+                still = []
+                for i in lanes:
+                    u_bit = u >> i % 64 & 1
+                    if u_bit == t_bit:
+                        still.append(i)
+                    else:
+                        decided[i] = bool(u_bit)
+                lanes[:] = still
+        kept += [d is not False for d in decided]
+    return np.array(kept, dtype=bool).reshape(K, L)
+
+
+# (K, L, delta, chunk): K * L not a multiple of 64, down to one partial
+# word; dyadic deltas, where a lane tied with T once T's remaining bits are
+# 0 is kept; several chunks at the stream's own chunk size (dyadic, so the
+# reference stays quick) and, at non-dyadic deltas, at a small chunk, where
+# every chunk runs its rounds to the end, also with rows longer than one.
+ERASURE_CASES = [
+    (300, 47, 0.3, None),
+    (7, 9, 0.2, None),
+    (1, 3, 0.7, None),
+    (64, 1, 0.4, None),
+    (2000, 13, 0.5, None),
+    (2000, 13, 0.25, None),
+    (2 * (channel._ERASURE_CHUNK // 40) + 7, 40, 0.5, None),
+    (3 * (2**12 // 47) + 5, 47, 0.3, 2**12),
+    (300, 61, 0.1, 2**10),
+    (5, 5000, 0.2, 2**12),
+]
+
+
+@pytest.mark.parametrize("K,L,delta,chunk", ERASURE_CASES)
+def test_erasures_match_lane_by_lane_reference(monkeypatch, K, L, delta, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(channel, "_ERASURE_CHUNK", chunk)
+    p = ChannelParams(n=max(L, 64), L=L, K=K, delta=delta)
     out = transmit_codeword(random_codeword(p.n, 11), p, 11)
-    assert np.array_equal(_unpacked(out.known, L), single)
+    assert np.array_equal(_unpacked(out.known, L), _reference_kept(K, L, delta, 11))
+    if L % 8:
+        assert not np.any(out.known[:, -1] >> (L % 8))
+
+
+@pytest.mark.parametrize("threshold,kept", [(0, True), (2**53, False)])
+def test_erasure_extremes_draw_no_raw_word(threshold, kept):
+    """T = 0 (delta 0) keeps every symbol and T = 2^53 (delta 1) erases
+    every one, without a raw word drawn; so do the deltas through
+    ``transmit_codeword``, a ``Fraction`` delta as its float."""
+    raw = np.random.PCG64(3)
+    state = raw.state
+    lanes = _kept_lanes(raw, 200, threshold)
+    assert raw.state == state
+    want = [2**64 - 1] * 3 + [2**8 - 1, 0] if kept else [0] * 5
+    assert [int(w) for w in lanes] == want
+    for delta in ((0.0, Fraction(0)) if kept else (1.0, Fraction(1))):
+        p = ChannelParams(n=50, L=13, K=30, delta=delta)
+        out = transmit_codeword(random_codeword(50, 3), p, 3)
+        assert _unpacked(out.known, 13).all() if kept else not out.known.any()
+    p = ChannelParams(n=50, L=13, K=30, delta=Fraction(3, 10))
+    q = ChannelParams(n=50, L=13, K=30, delta=0.3)
+    x = random_codeword(50, 4)
+    assert np.array_equal(transmit_codeword(x, p, 4).known, transmit_codeword(x, q, 4).known)
+
+
+def test_erasure_rates_at_delta_0_2():
+    """Over 10M read symbols at delta = 0.2 (ten chunks), the kept fraction
+    and the rate of kept adjacent pairs within a read lie within 5 standard
+    errors of 0.8 and 0.64.  Adjacent pairs share a symbol, so the pair
+    count's variance adds their covariance p^3 - p^4 to the per-pair
+    variance p^2 (1 - p^2)."""
+    K, L, keep = 212_766, 47, 0.8
+    p = ChannelParams(n=1000, L=L, K=K, delta=0.2)
+    known = _unpacked(transmit_codeword(random_codeword(1000, 5), p, 5).known, L)
+    symbols = K * L
+    assert symbols >= 10**7
+    kept = np.count_nonzero(known) / symbols
+    assert abs(kept - keep) <= 5 * math.sqrt(keep * (1 - keep) / symbols)
+    pairs = np.count_nonzero(known[:, 1:] & known[:, :-1]) / (K * (L - 1))
+    row_var = (L - 1) * keep**2 * (1 - keep**2) + 2 * (L - 2) * (keep**3 - keep**4)
+    assert abs(pairs - keep**2) <= 5 * math.sqrt(K * row_var) / (K * (L - 1))
 
 
 def test_trial_memory_is_a_few_bytes_per_symbol():
     """One trial at n = 2^20 (L = 40, K = 52,429) peaks at most at a
-    quarter byte per read symbol plus 1.25 bytes per codeword position.
+    quarter byte per read symbol plus 1.21 bytes per codeword position.
 
     The bound comes from what a trial has to hold.  The reads' ``values``
     and ``known`` are bit-planes of K ceil(L/8) bytes each, K L / 4 for
     both when 8 divides L.  Every stage goes over them a block of
-    ``_ERASURE_BLOCK`` symbols at a time, so its per-symbol temporaries,
+    ``_ROW_BLOCK`` symbols at a time, so its per-symbol temporaries,
     the rows it takes in start order and the cyclic gaps of those rows
-    included, are a fixed size.  Per codeword position there are only
-    bits: the codeword's two integer planes (4 bytes per 30 bits each,
-    0.27 n for both), and its packed cyclic extension, which only the
-    channel reads, and the phi_v ring (n / 8 bytes each).  Per read there
-    are 12 bytes, each 4 of them 4 c / L = 0.2 bytes per position: the
-    int32 starts (0.2 n) and, from the sort on, one int64 key (0.4 n)
-    whose int32 halves are the sort order and the sorted starts, which
-    the stages share.  The m_z probes match on the read planes and hold
-    only the rows that still agree.  The peak, measured at 1.21 n past
-    K L / 4, is in the channel: the codeword, its extension and the starts
-    (0.59 n) with one block's float64 erasure uniforms (0.5 n here) and its
-    mask and spans.  The suffix stage comes to 1.12 n: the 0.87 n held from
-    the sort on and one block's temporaries.  The bound leaves 0.045 n
-    (47 KB) over the peak.  Starts drawn as int64 (0.2 n more), an order
-    or sorted starts held beside the key (0.2 n each), a whole int64 array
-    of gaps or distances (0.4 n), an n-byte phi_v line, the reads held as
-    two (K, L) byte arrays (2 K L = 4 n) and an int64 index or a float64
-    erasure draw over all K L symbols break it.  tracemalloc sees numpy's
-    allocations, so the peak is a count of bytes, not a timing.
+    included, are a fixed size.  The erasures are drawn a chunk of
+    ``_ERASURE_CHUNK`` symbols (2^20) at a time, in four arrays of one
+    uint64 per 64 symbols (the kept lanes, the live lanes, one round's raw
+    words and the words they are spread onto), 512 KiB, or 0.5 n here.
+    Per codeword position there are only bits: the codeword's two integer
+    planes (4 bytes per 30 bits each, 0.27 n for both), and its packed
+    cyclic extension, which only the channel reads, and the phi_v ring
+    (n / 8 bytes each).  Per read there are 12 bytes, each 4 of them
+    4 c / L = 0.2 bytes per position: the int32 starts (0.2 n) and, from
+    the sort on, one int64 key (0.4 n) whose int32 halves are the sort
+    order and the sorted starts, which the stages share.  The m_z probes
+    match on the read planes and hold only the rows that still agree.
+    The peak, measured at 1.17 n past K L / 4, is in the coverage stage:
+    the 0.87 n held from the sort on, the phi_v ring (0.125 n) and one
+    block's temporaries.  The channel comes to 0.99 n: the codeword, its
+    extension and the starts, the known plane (0.25 n of the K L / 4) and
+    one chunk's erasure state; the suffix stage to 1.07 n.  The bound
+    leaves 0.038 n (40 KB) over the peak.  Starts drawn as int64 (0.2 n
+    more), an order or sorted starts held beside the key (0.2 n each), a
+    whole int64 array of gaps or distances (0.4 n), an n-byte phi_v line,
+    the reads held as two (K, L) byte arrays (2 K L = 4 n), an int64 index
+    over all K L symbols, or a float64 erasure uniform per symbol of one
+    block (1.0 n) break it.  tracemalloc sees numpy's allocations, so the
+    peak is a count of bytes, not a timing.
     """
     p = ChannelParams.resolve(2**20, 0.2, lbar=2, c=2)
     _run_trial(p, 7, 0, [10, 17], 2)  # first-call caches out of the count
@@ -237,14 +348,14 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= p.K * p.L / 4 + 1.25 * p.n
+    assert peak <= p.K * p.L / 4 + 1.21 * p.n
 
 
 def test_random_codeword_memory_is_bounded():
     """tracemalloc peak of ``random_codeword(2**20)`` stays within 0.56 n
     bytes.
 
-    No byte per symbol is built: the raw words are drawn 64 KiB at a time
+    No byte per symbol is built: the raw words are drawn 128 KiB at a time
     and packed into the codeword's bits (n / 8 = 0.125 n), and the last
     raw block is let go before the codeword is cut.  The all-ones known
     plane is one n-bit Python int, 4 bytes per 30 bits or 0.133 n.  The
@@ -255,7 +366,7 @@ def test_random_codeword_memory_is_bounded():
     (35 KB) over it for interpreter and numpy bookkeeping.  The uint8 draw
     of one byte per symbol (n bytes), validity checks that build the
     complements of the two planes (0.267 n more), or the last raw block
-    kept alive (64 KiB = 0.0625 n here) break the bound.
+    kept alive (128 KiB = 0.125 n here) break the bound.
     """
     n = 2**20
     random_codeword(1000, 3)  # first-call caches out of the count

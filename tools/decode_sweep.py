@@ -45,8 +45,8 @@ CONFIGS = (
     DecoderConfig(2.0, omega_mode="all-tuples"),
 )
 EXPECTED = {
-    "decodes": "3476f4af8f1e858b0cb29c03ad119512bda424f5b5901d2f5ed2a625b1997dde",
-    "island_sets": "32ed571258f567f2d15b0d7a6df24da5295e88d076af323934f089aba5977980",
+    "decodes": "0819e0c2143090ff9fa646476fc68971777dfa06502130eb574ef2d86aee0a45",
+    "island_sets": "c39a009365f64a5f46b1773cd8c8a45254d765fb4d102c5a48abe9d55414f11b",
 }
 
 
