@@ -56,9 +56,11 @@ STAGE_MZ = 5
 
 DEFAULT_CODEBOOK_CAP = 4096
 
-# Largest codeword length n, read-symbol count K*L or codebook size count*n
-# the channel builds arrays for; n = 1e8 at coverage 2 needs 2e8.
+# Largest codeword length n or codebook size count*n the channel builds
+# arrays for, and largest read-symbol count K*L: n = 1e9 at coverage 2
+# needs K*L = 2e9, held packed in K*L/4 bytes.
 _MAX_SYMBOLS = 2**30
+_MAX_READ_SYMBOLS = 2**31 - 1
 # Read symbols per block of whole rows: the read windows are gathered, and
 # the packed reads scanned, one block at a time.  Codeword symbols are drawn
 # in blocks of the same size.
@@ -530,7 +532,8 @@ def transmit_codeword(
     if x.size != params.n:
         raise DomainError("channel input must be a fully visible binary string")
     K, L = params.K, params.L
-    _check_symbols(K * L, "K * L")
+    if K * L > _MAX_READ_SYMBOLS:
+        raise DomainError(f"K * L = {K * L} exceeds the limit of {_MAX_READ_SYMBOLS} symbols")
     # For n < 2^32 numpy draws int32 and int64 from the same 32-bit stream.
     starts0 = stage_rng(seed, STAGE_STARTS).integers(0, params.n, size=K, dtype=np.int32)
     raw = stage_rng(seed, STAGE_ERASURES).bit_generator

@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +57,7 @@ __all__ = [
     "TypicalityThresholds",
     "MzSample",
     "Moments",
+    "TrialStats",
     "ConcentrationSummary",
     "coverage",
     "forward_successor_distances",
@@ -207,8 +208,7 @@ def suffix_size_histogram(output: ChannelOutput) -> tuple[int, ...]:
     """Counts of reads by true merging-suffix size; index = size, 0..L."""
     counts = np.zeros(output.params.L + 1, dtype=np.int64)
     for sizes in _suffix_size_blocks(output):
-        block = np.bincount(sizes)
-        counts[: len(block)] += block
+        counts += np.bincount(sizes, minlength=len(counts))
     return tuple(int(c) for c in counts)
 
 
@@ -369,41 +369,52 @@ def _moments(values, reference: float) -> Moments:
     vals = list(values)
     t = len(vals)
     mean = math.fsum(vals) / t
-    if t < 2:
-        return Moments(mean, 0.0, reference)
-    var = math.fsum((v - mean) ** 2 for v in vals) / (t - 1)
+    var = math.fsum((v - mean) ** 2 for v in vals) / (t - 1) if t > 1 else 0.0
     return Moments(mean, math.sqrt(var / t), reference)
+
+
+class TrialStats(NamedTuple):
+    """One trial's statistics, in ``trials_csv``'s column order: the island
+    count, the coverage fractions, each m_z target's match counts, and the
+    suffix-size histogram."""
+
+    islands: int
+    phi: float
+    phi_v: float
+    mz: tuple[tuple[int, ...], ...]
+    suffix_counts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
 class ConcentrationSummary:
-    """Per-trial statistics plus order-insensitive aggregates and the
-    reference values they should concentrate around."""
+    """One ``TrialStats`` per trial plus order-insensitive aggregates and
+    the reference values they should concentrate around."""
 
     params: ChannelParams
-    trials: int
     seed: int
-    island_counts: tuple[int, ...]
-    phi: tuple[float, ...]
-    phi_v: tuple[float, ...]
-    suffix_counts: tuple[tuple[int, ...], ...]
+    per_trial: tuple[TrialStats, ...]
     mz: tuple[MzSample, ...]
+
+    @property
+    def trials(self) -> int:
+        return len(self.per_trial)
 
     @cached_property
     def moments(self) -> dict[str, Moments]:
         """Moments of ``island_ratio`` (islands per read), ``phi`` and ``phi_v``."""
-        p = self.params
+        p, per_trial = self.params, self.per_trial
         return {
             "island_ratio": _moments(
-                (k / p.K for k in self.island_counts), _island_ratio_limit(p.c)
+                (r.islands / p.K for r in per_trial), _island_ratio_limit(p.c)
             ),
-            "phi": _moments(self.phi, _coverage_limit(p.c)),
-            "phi_v": _moments(self.phi_v, _coverage_limit(p.c, p.delta)),
+            "phi": _moments((r.phi for r in per_trial), _coverage_limit(p.c)),
+            "phi_v": _moments((r.phi_v for r in per_trial), _coverage_limit(p.c, p.delta)),
         }
 
     @property
     def suffix_count_means(self) -> tuple[float, ...]:
-        return tuple(math.fsum(col) / self.trials for col in zip(*self.suffix_counts))
+        cols = zip(*(r.suffix_counts for r in self.per_trial))
+        return tuple(math.fsum(col) / self.trials for col in cols)
 
     @property
     def suffix_count_refs(self) -> tuple[float, ...]:
@@ -442,22 +453,14 @@ class ConcentrationSummary:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def trials_csv(self) -> str:
-        L = self.params.L
         header = ["trial", "islands", "phi", "phi_v"]
         header += [f"mz{j}_mean" for j in range(len(self.mz))]
-        header += [f"g{s}" for s in range(L + 1)]
+        header += [f"g{s}" for s in range(self.params.L + 1)]
         lines = [",".join(header)]
-        for t in range(self.trials):
-            row = [
-                str(t),
-                str(self.island_counts[t]),
-                repr(self.phi[t]),
-                repr(self.phi_v[t]),
-            ]
-            for m in self.mz:
-                vals = m.counts[t]
-                row.append(repr(math.fsum(vals) / len(vals)) if vals else "")
-            row += [str(c) for c in self.suffix_counts[t]]
+        for t, r in enumerate(self.per_trial):
+            row = [str(t), str(r.islands), repr(r.phi), repr(r.phi_v)]
+            row += [repr(math.fsum(c) / len(c)) if c else "" for c in r.mz]
+            row += [str(c) for c in r.suffix_counts]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 
@@ -521,14 +524,14 @@ def _run_trial(params: ChannelParams, seed: int, t: int, mz_sizes, mz_per_trial:
     islands = chain_island_count(out)
     hist = suffix_size_histogram(out)
     rng = stage_rng(trial, STAGE_MZ)
-    mz_counts = []
-    for s in mz_sizes:
-        counts = []
-        for _ in range(mz_per_trial):
-            r, keep = _probe_z(rng, out.known, params.L, s)
-            counts.append(_count_matches(out.values, r, keep))
-        mz_counts.append(tuple(counts))
-    return islands, rep.phi, rep.phi_v, hist, mz_counts
+    mz = tuple(
+        tuple(
+            _count_matches(out.values, *_probe_z(rng, out.known, params.L, s))
+            for _ in range(mz_per_trial)
+        )
+        for s in mz_sizes
+    )
+    return TrialStats(islands, rep.phi, rep.phi_v, mz, hist)
 
 
 def concentration_experiment(
@@ -567,20 +570,17 @@ def concentration_experiment(
     # peak RSS at n = 1e7 by about 3 MB, likely its thread's malloc arena.
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(job, range(trials)))
+            per_trial = tuple(ex.map(job, range(trials)))
     else:
-        results = [job(t) for t in range(trials)]
-    islands, phi, phi_v, hists, mz_counts = zip(*results)
+        per_trial = tuple(job(t) for t in range(trials))
     mz_samples = tuple(
         MzSample(
             tau_target=float(tau),
             suffix_size=s,
             tau_realized=s / log_n,
-            counts=per_trial,
+            counts=tuple(r.mz[j] for r in per_trial),
             reference=params.K * 2.0 ** (-s),
         )
-        for tau, s, per_trial in zip(mz_targets, mz_sizes, zip(*mz_counts))
+        for j, (tau, s) in enumerate(zip(mz_targets, mz_sizes))
     )
-    return ConcentrationSummary(
-        params, trials, seed, islands, phi, phi_v, hists, mz_samples
-    )
+    return ConcentrationSummary(params, seed, per_trial, mz_samples)

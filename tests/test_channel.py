@@ -184,6 +184,22 @@ def test_transmit_refuses_codewords_past_int32_starts():
         transmit_codeword(TritString(0, 0, n), p, 0)
 
 
+def test_transmit_caps_read_symbols_below_2_pow_31(monkeypatch):
+    """K * L = 2^31 is refused before the start draw, the first array a
+    channel use builds; K * L = 2^31 - 1 passes the cap and reaches it."""
+
+    def start_draw(*args):
+        raise LookupError("start draw reached")
+
+    monkeypatch.setattr("ssesim.channel.stage_rng", start_draw)
+    over = ChannelParams(n=2, L=2, K=2**30, delta=0.0)
+    with pytest.raises(DomainError, match="K \\* L = 2147483648 exceeds the limit"):
+        transmit_codeword(TritString(0, 0b11, 2), over, 0)
+    at_cap = ChannelParams(n=1, L=1, K=2**31 - 1, delta=0.0)
+    with pytest.raises(LookupError, match="start draw reached"):
+        transmit_codeword(TritString(0, 0b1, 1), at_cap, 0)
+
+
 def test_codebook_rows_hold_the_codewords():
     """Each packed row is its codeword's value plane; the rows are
     read-only, one 2-D uint8 array of width ceil(n/8) with no bit past n.

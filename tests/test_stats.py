@@ -271,6 +271,7 @@ def test_concentration_deterministic_and_thread_safe():
     c = concentration_experiment(p, 6, 31, mz_targets=(0.5,), mz_per_trial=2, threads=3)
     assert a.to_json() == b.to_json() == c.to_json()
     assert a.trials_csv() == c.trials_csv()
+    assert a.per_trial == b.per_trial == c.per_trial
     d = concentration_experiment(p, 6, 32, mz_targets=(0.5,), mz_per_trial=2)
     assert d.to_json() != a.to_json()
 
@@ -278,17 +279,23 @@ def test_concentration_deterministic_and_thread_safe():
 def test_concentration_fields():
     p = ChannelParams(n=512, L=18, K=56, delta=0.2)
     summary = concentration_experiment(p, 5, 7, mz_targets=(0.5,), mz_per_trial=3)
-    assert summary.trials == 5
-    assert len(summary.island_counts) == 5
-    assert len(summary.suffix_counts[0]) == p.L + 1
-    assert all(sum(row) == p.K for row in summary.suffix_counts)
+    assert summary.trials == len(summary.per_trial) == 5
+    assert all(len(r.suffix_counts) == p.L + 1 for r in summary.per_trial)
+    assert all(sum(r.suffix_counts) == p.K for r in summary.per_trial)
     mz = summary.mz[0]
     assert mz.suffix_size == round(0.5 * math.log2(512))
     assert mz.reference == p.K * 2.0 ** -mz.suffix_size
     assert len(mz.flat) == 15
+    assert mz.counts == tuple(r.mz[0] for r in summary.per_trial)
     lines = summary.trials_csv().splitlines()
     assert len(lines) == 6
     assert lines[0].startswith("trial,islands,phi,phi_v,mz0_mean,g0,")
+    # Each data row is its trial's record, field by field in order.
+    for t, (line, r) in enumerate(zip(lines[1:], summary.per_trial)):
+        islands, phi, phi_v, mz_counts, suffix_counts = r
+        mz_means = [repr(sum(c) / len(c)) for c in mz_counts]
+        row = [t, islands, repr(phi), repr(phi_v), *mz_means, *suffix_counts]
+        assert line.split(",") == [str(v) for v in row]
 
 
 def test_concentration_rejects_bad_targets():
