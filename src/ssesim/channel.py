@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError
-from .tritstring import TritString, _cyclic, _mask
+from .tritstring import TritString, _mask
 
 __all__ = [
     "STAGE_CODEBOOK",
@@ -160,10 +160,11 @@ def _round_finite(x: float, what: str) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Truth:
-    """Ground truth sealed away from the decoder."""
+    """Ground truth sealed away from the decoder.  ``codeword`` is the
+    channel input, a one-row ``Codebook`` (n / 8 bytes)."""
 
     message: int | None
-    codeword: TritString
+    codeword: Codebook
     starts: np.ndarray  # (K,) int32 from the channel, 1-based
 
     def __post_init__(self) -> None:
@@ -252,7 +253,7 @@ class ChannelOutput:
         if include_truth and self.truth is not None:
             doc["truth"] = {
                 "w": self.truth.message,
-                "x": self.truth.codeword.text,
+                "x": self.truth.codeword[0].text,
                 "starts": [int(s) for s in self.truth.starts],
             }
         return json.dumps(doc, indent=2, sort_keys=True)
@@ -301,11 +302,9 @@ class Codebook(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return Codebook(self.rows[i], self.n)
-        # The mask before the value: in the other order glibc kept the
-        # row's freed bytes in the heap, and a conc-1e7 trial (n = 1e7)
-        # peaked 1.2 MB higher in the benchmark's worker.
-        full = _mask(self.n)
-        return TritString(_row_int(self.rows[i]), full, self.n)
+        # Only the decoders and ``ChannelOutput.to_json`` index: the channel
+        # takes a one-row slice, so no trial builds these two n-bit ints.
+        return TritString(_row_int(self.rows[i]), _mask(self.n), self.n)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Codebook):
@@ -313,9 +312,11 @@ class Codebook(Sequence):
         return self.n == other.n and np.array_equal(self.rows, other.rows)
 
 
-def random_codeword(n: int, seed) -> TritString:
-    """Uniform binary codeword of length n."""
-    return random_codebook(n, 1, seed)[0]
+def random_codeword(n: int, seed) -> Codebook:
+    """Uniform binary codeword of length n, as the read-only one-row
+    ``Codebook`` that ``transmit_codeword`` takes: its n / 8 packed bytes,
+    ``random_codebook(n, 1, seed)``."""
+    return random_codebook(n, 1, seed)
 
 
 def random_codebook(n: int, count: int, seed) -> Codebook:
@@ -412,15 +413,26 @@ def _span_words(L: int) -> int:
     return _plane_width(L) // 8 + 1
 
 
-def _packed_extension(x: TritString, L: int) -> np.ndarray:
-    """The bits of ``x`` followed by its first L - 1, as little-endian uint64
-    words at every byte offset: word p holds bits 8p to 8p + 63, so ring
-    position (p + j) mod n is bit p + j of the words from p >> 3 on, for
-    0 <= p < n, 0 <= j < L.  The bytes are padded with zeros so that the
-    ``_span_words(L)`` words 8 bytes apart from byte p >> 3 exist for every
-    start p."""
-    size = (x.length - 1) // 8 + 8 * _span_words(L)
-    ext = _cyclic(x.bits, x.length, _mask(L - 1)).to_bytes(size, "little")
+def _packed_extension(row: np.ndarray, n: int, L: int) -> np.ndarray:
+    """The n bits of the packed ``row`` followed by its first L - 1, as
+    little-endian uint64 words at every byte offset: word p holds bits 8p to
+    8p + 63, so ring position (p + j) mod n is bit p + j of the words from
+    p >> 3 on, for 0 <= p < n, 0 <= j < L.  The bytes are padded with zeros
+    so that the ``_span_words(L)`` words 8 bytes apart from byte p >> 3 exist
+    for every start p."""
+    size = (n - 1) // 8 + 8 * _span_words(L)
+    ext = np.zeros(size, dtype=np.uint8)
+    ext[: len(row)] = row
+    # The head, the row's first L - 1 bits, is ORed in at bit n: its bytes
+    # shifted up by n's bit offset, and the bits they shift out one byte on.
+    head = row[: _plane_width(L - 1)]
+    if (L - 1) % 8:
+        head = head.copy()
+        head[-1] &= _mask((L - 1) % 8)
+    at, shift = n >> 3, n & 7
+    ext[at : at + len(head)] |= head << shift
+    if shift:
+        ext[at + 1 : at + 1 + len(head)] |= head >> (8 - shift)
     # Unaligned words one byte apart over the one copy of the bytes.
     return np.ndarray((size - 7,), dtype="<u8", buffer=ext, strides=(1,))
 
@@ -512,12 +524,14 @@ def _kept_lanes(raw: np.random.BitGenerator, size: int, threshold: int) -> np.nd
 
 
 def transmit_codeword(
-    x: TritString, params: ChannelParams, seed, message: int | None = None
+    x: Codebook, params: ChannelParams, seed, message: int | None = None
 ) -> ChannelOutput:
-    """One full channel use of the codeword ``x``: K reads at uniform cyclic
-    starts (with replacement), then every read symbol erased independently
-    with probability delta.  Starts and erasures draw from separate
-    substreams of ``seed``.
+    """One full channel use of the codeword ``x``, a one-row ``Codebook``
+    such as ``random_codeword`` returns: K reads at uniform cyclic starts
+    (with replacement), then every read symbol erased independently with
+    probability delta.  Starts and erasures draw from separate substreams
+    of ``seed``.  The codeword stays packed: the reads are cut from its
+    row's bytes, and the truth record holds ``x`` itself.
 
     The reads are built a block of rows at a time and packed.  The erasures
     are drawn by ``_kept_lanes`` over the read symbols laid end to end in
@@ -527,10 +541,10 @@ def transmit_codeword(
     """
     # Starts lie in [1, n], so n <= 2^30 keeps them in int32.
     _check_symbols(params.n, "n")
-    if x.length != params.n:
-        raise DomainError(f"codeword length {x.length} != n={params.n}")
-    if x.size != params.n:
-        raise DomainError("channel input must be a fully visible binary string")
+    if not isinstance(x, Codebook) or len(x) != 1:
+        raise DomainError("channel input must be a one-row Codebook")
+    if x.n != params.n:
+        raise DomainError(f"codeword length {x.n} != n={params.n}")
     K, L = params.K, params.L
     if K * L > _MAX_READ_SYMBOLS:
         raise DomainError(f"K * L = {K * L} exceeds the limit of {_MAX_READ_SYMBOLS} symbols")
@@ -543,7 +557,7 @@ def transmit_codeword(
     # start's byte.  The extension is built before the known plane is
     # filled: the other way round, a fresh process at n = 1e8 peaked 7 MB
     # higher in RSS.
-    ext = _packed_extension(x, L)
+    ext = _packed_extension(x.rows[0], params.n, L)
     apart = 8 * np.arange(_span_words(L))
     known = np.empty((K, width), dtype=np.uint8)
     for blk in _row_blocks(K, L, _ERASURE_CHUNK):
@@ -563,10 +577,9 @@ def transmit_codeword(
     return ChannelOutput(params=params, values=values, known=known, truth=truth)
 
 
-def transmit(
-    codebook: Sequence[TritString], w: int, params: ChannelParams, seed
-) -> ChannelOutput:
-    """Transmit codeword ``w`` (0-based index into the codebook)."""
+def transmit(codebook: Codebook, w: int, params: ChannelParams, seed) -> ChannelOutput:
+    """Transmit codeword ``w`` (0-based index into the codebook), passed on
+    as its one-row slice."""
     if not 0 <= w < len(codebook):
         raise DomainError(f"message index {w} outside [0, {len(codebook) - 1}]")
-    return transmit_codeword(codebook[w], params, seed, message=w)
+    return transmit_codeword(codebook[w : w + 1], params, seed, message=w)

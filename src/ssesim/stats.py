@@ -92,33 +92,48 @@ class CoverageReport:
             raise ValueError("need 0 <= phi_v <= phi <= 1")
 
 
+def _truth(output: ChannelOutput):
+    """The truth record, which the trial stages need: their one ``truth is
+    None`` check."""
+    if output.truth is None:
+        raise ValueError("trial statistics need the truth record")
+    return output.truth
+
+
 def _gap_blocks(output: ChannelOutput):
     """Each block of reads in start order, as its read indices with the
     cyclic gaps into and out of them: gap entry i + 1 is the gap after the
-    block's read i, and entry i the gap before it.  The one ``truth is
-    None`` check of the trial stages; no stage holds a gap per read."""
-    truth = output.truth
-    if truth is None:
-        raise ValueError("trial statistics need the truth record")
+    block's read i, and entry i the gap before it.  No stage holds a gap per
+    read."""
+    truth = _truth(output)
     for blk in _row_blocks(output.params.K, output.params.L):
         yield truth.order[blk], _gaps_around(truth.sorted_starts, output.params.n, blk)
 
 
 def coverage(output: ChannelOutput) -> CoverageReport:
     """Coverage fractions against the ground-truth start positions."""
-    n, K, L = output.params.n, output.params.K, output.params.L
+    n, L = output.params.n, output.params.L
+    # phi_v first: its ring is dropped before the phi loop's first read of
+    # ``truth.order`` sorts the starts, so the two are never alive together.
+    visible = _visible_positions(output)
     # phi sums the positions each read covers up to the next start, at most
     # L of them, one block of reads in start order at a time.
     covered = sum(
         int(np.minimum(gaps[1:], L).sum()) for _, gaps in _gap_blocks(output)
     )
-    # phi_v ORs the unerased symbols of one block of reads at a time, in
-    # read order, onto the unrolled ring of little-endian uint64 words: a
-    # row shifted up by its start's bit offset fills ``words`` words from
-    # its start's word on.  ``ufunc.at`` applies every row of a repeated
-    # word, so rows that share a word need no grouping.  The phi loop has
-    # already checked the truth record.
-    starts = output.truth.starts
+    return CoverageReport(phi=covered / n, phi_v=visible / n)
+
+
+def _visible_positions(output: ChannelOutput) -> int:
+    """Codeword positions that an unerased read symbol covers.
+
+    The unerased symbols of one block of reads at a time, in read order,
+    are ORed onto the unrolled ring of little-endian uint64 words: a row
+    shifted up by its start's bit offset fills ``words`` words from its
+    start's word on.  ``ufunc.at`` applies every row of a repeated word, so
+    rows that share a word need no grouping."""
+    n, K, L = output.params.n, output.params.K, output.params.L
+    starts = _truth(output).starts
     width = output.known.shape[1]
     words = (width + 7) // 8 + 1
     ring = np.zeros((n - 1) // 64 + words, dtype="<u8")
@@ -139,8 +154,7 @@ def coverage(output: ChannelOutput) -> CoverageReport:
     ring[(n >> 6) + 1 :] = 0
     _shift_down(over[None], np.array([n & 63]))
     ring[: len(over)] |= over
-    visible = int(np.bitwise_count(ring).sum())
-    return CoverageReport(phi=covered / n, phi_v=visible / n)
+    return int(np.bitwise_count(ring).sum())
 
 
 def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:

@@ -5,9 +5,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ssesim.channel import ChannelOutput, ChannelParams, Truth
+from ssesim.channel import ChannelOutput, ChannelParams, Codebook, Truth
 from ssesim.stats import chain_island_count
-from ssesim.tritstring import TritString
 
 
 def make_output(
@@ -33,7 +32,7 @@ def make_output(
             known[i, j] = (i, j) not in erased
     truth = Truth(
         message=None,
-        codeword=TritString.from_text(x_text),
+        codeword=Codebook(np.packbits([[int(c) for c in x_text]], axis=1, bitorder="little"), n),
         starts=np.asarray(starts, dtype=np.int64),
     )
     return ChannelOutput(

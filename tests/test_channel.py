@@ -12,6 +12,7 @@ from ssesim.channel import (
     ChannelParams,
     Codebook,
     Truth,
+    _MAX_SYMBOLS,
     _ROW_BLOCK,
     _gaps_around,
     cyclic_gaps,
@@ -61,14 +62,73 @@ def test_random_codeword_deterministic():
     c = random_codeword(200, 8)
     assert a == b
     assert a != c
-    assert a.size == a.length == 200
+    assert len(a) == 1 and a.n == 200
+
+
+def test_random_codeword_is_a_read_only_one_row_codebook():
+    """The channel input is the one-row codebook of the same seed, held as
+    its n / 8 packed bytes; neither it nor its slices can be written."""
+    for n in (1, 7, 8, 13, 200, _ROW_BLOCK + 3):
+        x = random_codeword(n, n)
+        assert isinstance(x, Codebook) and x == random_codebook(n, 1, n)
+        assert x.rows.shape == (1, (n + 7) // 8)
+        assert not x.rows.flags.writeable and not x[0:1].rows.flags.writeable
+        with pytest.raises(ValueError):
+            x.rows[0, 0] = 1
+
+
+def _value_rows(x, starts, L):
+    """The (K, 8 ceil(L/8)) bits of the value rows at the 1-based ``starts``
+    of the one-row codebook ``x``: each window by the whole-array window
+    index, (start - 1 + j) mod n, and its pad bits past L from the codeword
+    followed by its first L - 1 symbols, then zeros."""
+    n = x.n
+    symbols = np.unpackbits(x.rows[0], count=n, bitorder="little")
+    bits = 8 * ((L + 7) // 8)
+    window = symbols[(starts[:, None] - 1 + np.arange(L)[None, :]) % n]
+    ext = np.concatenate((symbols, symbols[: L - 1], np.zeros(bits, dtype=np.uint8)))
+    rows = ext[starts[:, None] - 1 + np.arange(bits)[None, :]]
+    assert np.array_equal(rows[:, :L], window)
+    return rows
+
+
+@pytest.mark.parametrize("n", [16, 17, 23, 64, 65, 71])
+@pytest.mark.parametrize("L", [1, 2, 8, 9, "n"])
+def test_value_plane_matches_window_index(n, L):
+    """Every read's value row, pad bits included, is its window of the
+    codeword, for n % 8 in {0, 1, 7}: the wrapped windows read the row's
+    first L - 1 bits, ORed in at bit n, so with n % 8 != 0 that head
+    straddles the bytes of the extension.  Every start is drawn, so every
+    wrapped window is read."""
+    L = n if L == "n" else L
+    p = ChannelParams(n=n, L=L, K=40 * n, delta=0.3)
+    x = random_codeword(n, L)
+    out = transmit_codeword(x, p, L)
+    assert len(np.unique(out.truth.starts)) == n
+    got = np.unpackbits(out.values, axis=1, bitorder="little")
+    assert np.array_equal(got, _value_rows(x, out.truth.starts, L))
+
+
+def test_transmit_takes_only_a_one_row_codebook():
+    """A TritString, a two-row codebook and a row of the wrong length are
+    refused; n above 2^30 is refused before the input is looked at."""
+    p = ChannelParams(n=16, L=4, K=3, delta=0.0)
+    x = random_codeword(16, 1)
+    transmit_codeword(x, p, 1)
+    for bad in (x[0], random_codebook(16, 2, 1), random_codeword(15, 1), random_codeword(17, 1)):
+        with pytest.raises(DomainError):
+            transmit_codeword(bad, p, 1)
+    over = ChannelParams(n=_MAX_SYMBOLS + 1, L=1, K=1, delta=0.0)
+    for bad in (x[0], random_codebook(16, 2, 1), x):
+        with pytest.raises(DomainError, match="exceeds the limit"):
+            transmit_codeword(bad, over, 1)
 
 
 def test_reads_match_codeword_windows():
     p = ChannelParams(n=64, L=10, K=8, delta=0.4)
     x = random_codeword(p.n, 3)
     out = transmit_codeword(x, p, 3)
-    text = x.text
+    text = x[0].text
     for read, start in zip(out.reads, out.truth.starts):
         window = "".join(text[(start - 1 + j) % p.n] for j in range(p.L))
         for got, true in zip(read.text, window):
@@ -94,11 +154,13 @@ def test_erasure_rate_three_sigma():
 
 
 def test_sample_reads_rejects_partial_codeword():
+    """Only a fully visible codeword of length n is sent: a string with an
+    erased symbol is refused, and so is a codeword one symbol short."""
     p = ChannelParams(n=4, L=2, K=1, delta=0.0)
     with pytest.raises(DomainError):
         transmit_codeword(TritString.from_text("01*1"), p, 0)
-    with pytest.raises(DomainError):
-        transmit_codeword(TritString.from_text("011"), p, 0)
+    with pytest.raises(DomainError, match="codeword length 3 != n=4"):
+        transmit_codeword(random_codeword(3, 0), p, 0)
 
 
 def test_codebook_deterministic_prefix():
@@ -176,12 +238,12 @@ def test_transmit_holds_int32_starts_and_one_sort_key():
 
 
 def test_transmit_refuses_codewords_past_int32_starts():
-    """n above 2^30 is refused before any other check; the all-erased
-    string of that length costs nothing to build."""
+    """n above 2^30 is refused before any other check: a short codeword,
+    which would fail the length check, meets the n check first."""
     n = 2**30 + 1
     p = ChannelParams(n=n, L=1, K=1, delta=0.0)
     with pytest.raises(DomainError, match=f"n = {n} exceeds the limit"):
-        transmit_codeword(TritString(0, 0, n), p, 0)
+        transmit_codeword(random_codeword(8, 0), p, 0)
 
 
 def test_transmit_caps_read_symbols_below_2_pow_31(monkeypatch):
@@ -191,13 +253,14 @@ def test_transmit_caps_read_symbols_below_2_pow_31(monkeypatch):
     def start_draw(*args):
         raise LookupError("start draw reached")
 
+    two, one = random_codeword(2, 0), random_codeword(1, 0)
     monkeypatch.setattr("ssesim.channel.stage_rng", start_draw)
     over = ChannelParams(n=2, L=2, K=2**30, delta=0.0)
     with pytest.raises(DomainError, match="K \\* L = 2147483648 exceeds the limit"):
-        transmit_codeword(TritString(0, 0b11, 2), over, 0)
+        transmit_codeword(two, over, 0)
     at_cap = ChannelParams(n=1, L=1, K=2**31 - 1, delta=0.0)
     with pytest.raises(LookupError, match="start draw reached"):
-        transmit_codeword(TritString(0, 0b1, 1), at_cap, 0)
+        transmit_codeword(one, at_cap, 0)
 
 
 def test_codebook_rows_hold_the_codewords():
@@ -244,9 +307,11 @@ def test_codebook_memory_is_packed(n):
 def test_transmit_message_bounds():
     cb = random_codebook(20, 4, 3)
     p = ChannelParams(n=20, L=5, K=3, delta=0.0)
-    out = transmit(cb, 2, p, 8)
-    assert out.truth.message == 2
-    assert out.truth.codeword == cb[2]
+    for w in range(len(cb)):
+        out = transmit(cb, w, p, 8)
+        assert out.truth.message == w
+        assert out.truth.codeword == cb[w : w + 1]
+        assert np.array_equal(out.values, transmit_codeword(cb[w : w + 1], p, 8).values)
     with pytest.raises(DomainError):
         transmit(cb, 4, p, 8)
     with pytest.raises(DomainError):
@@ -260,7 +325,8 @@ def test_json_round_trip():
     assert doc["params"] == {"n": 40, "L": 6, "K": 5, "delta": 0.35}
     assert [r["symbols"] for r in doc["reads"]] == [r.text for r in out.reads]
     assert doc["truth"]["w"] is None
-    assert doc["truth"]["x"] == out.truth.codeword.text
+    symbols = np.unpackbits(out.truth.codeword.rows[0], count=p.n, bitorder="little")
+    assert doc["truth"]["x"] == "".join(map(str, symbols))
     assert doc["truth"]["starts"] == [int(s) for s in out.truth.starts]
 
     view_only = json.loads(out.to_json(include_truth=False))
@@ -314,7 +380,7 @@ def test_output_arrays_read_only():
 
 
 def test_truth_sorts_tied_starts_by_index():
-    truth = Truth(None, TritString.from_text("0" * 8), np.array([5, 5, 1, 5]))
+    truth = Truth(None, random_codeword(8, 0), np.array([5, 5, 1, 5]))
     assert list(truth.order) == [2, 0, 1, 3]
     assert list(truth.sorted_starts) == [1, 5, 5, 5]
     for a in (truth.order, truth.sorted_starts):
@@ -323,7 +389,7 @@ def test_truth_sorts_tied_starts_by_index():
 
 
 def test_truth_refuses_starts_past_int32():
-    x = TritString.from_text("0" * 8)
+    x = random_codeword(8, 0)
     for bad in ([1, 2**31], [-(2**31) - 1, 3]):
         with pytest.raises(ValueError, match="int32"):
             Truth(None, x, np.array(bad, dtype=np.int64))

@@ -104,7 +104,7 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
         x = random_codeword(n, seed)
         out = transmit_codeword(x, p, seed)
         starts0 = out.truth.starts - 1
-        symbols = np.frombuffer(x.text.encode(), dtype=np.uint8) - ord("0")
+        symbols = np.unpackbits(x.rows[0], count=n, bitorder="little")
         clean = symbols[_window_index(starts0, L, n)]
         known = _unpacked(out.known, L)
         assert out.values.dtype == out.known.dtype == np.uint8
@@ -146,7 +146,7 @@ def test_count_matches_edge_probes(n, L, K):
     p = ChannelParams(n=n, L=L, K=K, delta=0.3)
     out = transmit_codeword(random_codeword(n, 4), p, 4)
     starts0 = out.truth.starts - 1
-    symbols = np.frombuffer(out.truth.codeword.text.encode(), dtype=np.uint8) - ord("0")
+    symbols = np.unpackbits(out.truth.codeword.rows[0], count=n, bitorder="little")
     clean = symbols[_window_index(starts0, L, n)]
     rng = np.random.default_rng(L)
     for r in (0, K - 1, int(rng.integers(K))):
@@ -308,7 +308,7 @@ def test_erasure_rates_at_delta_0_2():
 
 def test_trial_memory_is_a_few_bytes_per_symbol():
     """One trial at n = 2^20 (L = 40, K = 52,429) peaks at most at a
-    quarter byte per read symbol plus 1.21 bytes per codeword position.
+    quarter byte per read symbol plus 0.97 bytes per codeword position.
 
     The bound comes from what a trial has to hold.  The reads' ``values``
     and ``known`` are bit-planes of K ceil(L/8) bytes each, K L / 4 for
@@ -319,26 +319,29 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
     ``_ERASURE_CHUNK`` symbols (2^20) at a time, in four arrays of one
     uint64 per 64 symbols (the kept lanes, the live lanes, one round's raw
     words and the words they are spread onto), 512 KiB, or 0.5 n here.
-    Per codeword position there are only bits: the codeword's two integer
-    planes (4 bytes per 30 bits each, 0.27 n for both), and its packed
-    cyclic extension, which only the channel reads, and the phi_v ring
-    (n / 8 bytes each).  Per read there are 12 bytes, each 4 of them
-    4 c / L = 0.2 bytes per position: the int32 starts (0.2 n) and, from
-    the sort on, one int64 key (0.4 n) whose int32 halves are the sort
-    order and the sorted starts, which the stages share.  The m_z probes
-    match on the read planes and hold only the rows that still agree.
-    The peak, measured at 1.17 n past K L / 4, is in the coverage stage:
-    the 0.87 n held from the sort on, the phi_v ring (0.125 n) and one
-    block's temporaries.  The channel comes to 0.99 n: the codeword, its
-    extension and the starts, the known plane (0.25 n of the K L / 4) and
-    one chunk's erasure state; the suffix stage to 1.07 n.  The bound
-    leaves 0.038 n (40 KB) over the peak.  Starts drawn as int64 (0.2 n
-    more), an order or sorted starts held beside the key (0.2 n each), a
-    whole int64 array of gaps or distances (0.4 n), an n-byte phi_v line,
-    the reads held as two (K, L) byte arrays (2 K L = 4 n), an int64 index
-    over all K L symbols, or a float64 erasure uniform per symbol of one
-    block (1.0 n) break it.  tracemalloc sees numpy's allocations, so the
-    peak is a count of bytes, not a timing.
+    Per codeword position there are only bits, n / 8 bytes each: the
+    codeword's packed row, held all trial; its packed cyclic extension,
+    which only the channel builds and reads; and the phi_v ring, which the
+    coverage stage drops before the starts are sorted.  Per read there are
+    12 bytes, each 4 of them 4 c / L = 0.2 bytes per position: the int32
+    starts (0.2 n) and, from the sort on, one int64 key (0.4 n) whose
+    int32 halves are the sort order and the sorted starts, which the
+    stages share.  The m_z probes match on the read planes and hold only
+    the rows that still agree.  The peak, measured at 0.932 n past
+    K L / 4, is in the suffix stage: the 0.725 n held from the sort on
+    (the codeword row, the starts and the key) and one block's
+    temporaries.  The channel comes to 0.84 n: the codeword, its extension
+    and the starts, the known plane (0.25 n of the K L / 4) and one chunk's
+    erasure state; the coverage stage to 0.83 n.  The bound leaves 0.038 n
+    (40 KB) over the peak.  The codeword held as two n-bit integer planes
+    (0.27 n), the phi_v ring alive beside the key (0.125 n), starts drawn
+    as int64 (0.2 n more), an order or sorted starts held beside the key
+    (0.2 n each), a whole int64 array of gaps or distances (0.4 n), an
+    n-byte phi_v line, the reads held as two (K, L) byte arrays
+    (2 K L = 4 n), an int64 index over all K L symbols, or a float64
+    erasure uniform per symbol of one block (1.0 n) break it.  tracemalloc
+    sees numpy's allocations, so the peak is a count of bytes, not a
+    timing.
     """
     p = ChannelParams.resolve(2**20, 0.2, lbar=2, c=2)
     _run_trial(p, 7, 0, [10, 17], 2)  # first-call caches out of the count
@@ -348,32 +351,30 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= p.K * p.L / 4 + 1.21 * p.n
+    assert peak <= p.K * p.L / 4 + 0.97 * p.n
 
 
 def test_random_codeword_memory_is_bounded():
-    """tracemalloc peak of ``random_codeword(2**20)`` stays within 0.56 n
+    """tracemalloc peak of ``random_codeword(2**20)`` stays within 0.41 n
     bytes.
 
-    No byte per symbol is built: the raw words are drawn 128 KiB at a time
-    and packed into the codeword's bits (n / 8 = 0.125 n), and the last
-    raw block is let go before the codeword is cut.  The all-ones known
-    plane is one n-bit Python int, 4 bytes per 30 bits or 0.133 n.  The
-    value integer is cut from the packed bits as a copy of n / 8 bytes, an
-    n-bit int, the int shifted down and the shift masked, at most two of
-    them (0.267 n) alive at once.  That gives the measured peak of 0.527 n;
-    the string's checks build no n-bit temporary.  The bound leaves 0.033 n
-    (35 KB) over it for interpreter and numpy bookkeeping.  The uint8 draw
-    of one byte per symbol (n bytes), validity checks that build the
-    complements of the two planes (0.267 n more), or the last raw block
-    kept alive (128 KiB = 0.125 n here) break the bound.
+    No byte per symbol is built: the raw words are drawn 128 KiB
+    (0.125 n here) at a time and packed into the codeword's bits
+    (n / 8 = 0.125 n, 8 bytes more), and the one-row codebook's row is a
+    view of those bytes, the 0.125 n held.  The peak, measured at 0.376 n,
+    is in the draw: the packed bytes and two raw blocks, the last one still
+    bound while the next is drawn.  The bound leaves 0.033 n (35 KB) over
+    it for interpreter and numpy bookkeeping.  The uint8 draw of one byte
+    per symbol (n bytes), or the codeword's two n-bit integer planes built
+    from the row (0.267 n), break it.
     """
     n = 2**20
     random_codeword(1000, 3)  # first-call caches out of the count
     tracemalloc.start()
     try:
-        random_codeword(n, 3)
-        _, peak = tracemalloc.get_traced_memory()
+        x = random_codeword(n, 3)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.56 * n
+    assert len(x) == 1 and held <= 0.125 * n + 1024
+    assert peak <= 0.41 * n
