@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -242,12 +242,7 @@ class ChannelOutput:
 
     def to_json(self, include_truth: bool = True) -> str:
         doc: dict = {
-            "params": {
-                "n": self.params.n,
-                "L": self.params.L,
-                "K": self.params.K,
-                "delta": float(self.params.delta),
-            },
+            "params": {**asdict(self.params), "delta": float(self.params.delta)},
             "reads": [{"symbols": s.text} for s in self.reads],
         }
         if include_truth and self.truth is not None:
@@ -344,7 +339,7 @@ def random_codebook(n: int, count: int, seed) -> Codebook:
         draw = raw.random_raw(k).astype("<u8", copy=False).view(np.uint8)
         draw >>= 7
         packed[i : i + k] = np.packbits(draw, bitorder="little")
-    del draw  # the last raw block, not needed while the codewords are cut
+        del draw  # released before the next block is drawn
     return Codebook(_cut_rows(packed, n, count), n)
 
 

@@ -437,9 +437,7 @@ class ConcentrationSummary:
     def to_json(self) -> str:
         doc = {
             "params": {
-                "n": self.params.n,
-                "L": self.params.L,
-                "K": self.params.K,
+                **asdict(self.params),
                 "delta": float(self.params.delta),
                 "c": self.params.c,
                 "lbar": self.params.lbar,

@@ -67,7 +67,8 @@ def test_random_codeword_deterministic():
 
 def test_random_codeword_is_a_read_only_one_row_codebook():
     """The channel input is the one-row codebook of the same seed, held as
-    its n / 8 packed bytes; neither it nor its slices can be written."""
+    its n / 8 packed bytes; neither it nor its slices can be written, and
+    it equals no object that is not a codebook, its own rows included."""
     for n in (1, 7, 8, 13, 200, _ROW_BLOCK + 3):
         x = random_codeword(n, n)
         assert isinstance(x, Codebook) and x == random_codebook(n, 1, n)
@@ -75,6 +76,10 @@ def test_random_codeword_is_a_read_only_one_row_codebook():
         assert not x.rows.flags.writeable and not x[0:1].rows.flags.writeable
         with pytest.raises(ValueError):
             x.rows[0, 0] = 1
+        # Against a non-codebook, ``__eq__`` defers; numpy then compares
+        # the rows array byte by byte with the codebook, never equal.
+        for other in (x.rows, x[0].text):
+            assert x.__eq__(other) is NotImplemented and not np.any(x == other)
 
 
 def _value_rows(x, starts, L):
