@@ -297,8 +297,8 @@ class Codebook(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return Codebook(self.rows[i], self.n)
-        # Only the decoders and ``ChannelOutput.to_json`` index: the channel
-        # takes a one-row slice, so no trial builds these two n-bit ints.
+        # In the package only ``ChannelOutput.to_json`` indexes; the decoders
+        # read ``rows``, the channel a one-row slice: no trial builds these ints.
         return TritString(_row_int(self.rows[i]), _mask(self.n), self.n)
 
     def __eq__(self, other) -> bool:

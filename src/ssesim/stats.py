@@ -68,17 +68,6 @@ __all__ = [
 ]
 
 
-def _island_ratio_limit(c: float) -> float:
-    """e^-c, the n -> infinity islands per read at coverage depth c.  Tied
-    starts merge, so the finite-n mean exceeds it by about c/(2L)."""
-    return math.exp(-c)
-
-
-def _coverage_limit(c: float, delta: float = 0.0) -> float:
-    """1 - e^(-c(1 - delta)), the n -> infinity visible coverage fraction."""
-    return 1 - math.exp(-c * (1 - float(delta)))
-
-
 @dataclass(frozen=True)
 class CoverageReport:
     """Fraction of positions covered by any read (``phi``) and covered by an
@@ -286,13 +275,13 @@ class TypicalityThresholds:
 
     @cached_property
     def island_count_ref(self) -> float:
-        """K * exp(-c)."""
-        return self.params.K * _island_ratio_limit(self.params.c)
+        """K times the island ratio's reference: K * exp(-c)."""
+        return self.params.K * _MOMENTS["island_ratio"][1](self.params)
 
     @cached_property
     def visible_coverage_ref(self) -> float:
-        """1 - exp(-c(1 - delta))."""
-        return _coverage_limit(self.params.c, self.params.delta)
+        """phi_v's reference: 1 - exp(-c(1 - delta))."""
+        return _MOMENTS["phi_v"][1](self.params)
 
     @cached_property
     def suffix_count_slack(self) -> float:
@@ -388,15 +377,25 @@ def _moments(values, reference: float) -> Moments:
 
 
 class TrialStats(NamedTuple):
-    """One trial's statistics, in ``trials_csv``'s column order: the island
-    count, the coverage fractions, each m_z target's match counts, and the
-    suffix-size histogram."""
+    """One trial's statistics, in ``trials_csv``'s column order: the scalar
+    statistics, then each m_z target's match counts and the suffix-size
+    histogram, which stay the last two fields."""
 
     islands: int
     phi: float
     phi_v: float
     mz: tuple[tuple[int, ...], ...]
     suffix_counts: tuple[int, ...]
+
+
+# The reported moments, in order: each one's value in a trial's record and
+# its n -> infinity reference for the trial's parameters.  Tied starts merge,
+# so the finite-n island ratio exceeds e^-c by about c/(2L).
+_MOMENTS = {
+    "island_ratio": (lambda r, p: r.islands / p.K, lambda p: math.exp(-p.c)),
+    "phi": (lambda r, p: r.phi, lambda p: 1 - math.exp(-p.c)),
+    "phi_v": (lambda r, p: r.phi_v, lambda p: 1 - math.exp(-p.c * (1 - float(p.delta)))),
+}
 
 
 @dataclass(frozen=True)
@@ -415,14 +414,11 @@ class ConcentrationSummary:
 
     @cached_property
     def moments(self) -> dict[str, Moments]:
-        """Moments of ``island_ratio`` (islands per read), ``phi`` and ``phi_v``."""
-        p, per_trial = self.params, self.per_trial
+        """The moments of each row of ``_MOMENTS``, by name."""
+        p = self.params
         return {
-            "island_ratio": _moments(
-                (r.islands / p.K for r in per_trial), _island_ratio_limit(p.c)
-            ),
-            "phi": _moments((r.phi for r in per_trial), _coverage_limit(p.c)),
-            "phi_v": _moments((r.phi_v for r in per_trial), _coverage_limit(p.c, p.delta)),
+            name: _moments((value(r, p) for r in self.per_trial), reference(p))
+            for name, (value, reference) in _MOMENTS.items()
         }
 
     @property
@@ -456,7 +452,10 @@ class ConcentrationSummary:
                     "tau_realized": m.tau_realized,
                     "mean": m.mean,
                     "reference": m.reference,
-                    "worst_relative_deviation": m.worst_relative_deviation,
+                    # JSON has no nan or inf: an underflowed reference gives null.
+                    "worst_relative_deviation": (
+                        d if math.isfinite(d := m.worst_relative_deviation) else None
+                    ),
                     "samples": len(m.flat),
                 }
                 for m in self.mz
@@ -465,14 +464,14 @@ class ConcentrationSummary:
         return json.dumps(doc, indent=2, sort_keys=True)
 
     def trials_csv(self) -> str:
-        header = ["trial", "islands", "phi", "phi_v"]
+        header = ["trial", *TrialStats._fields[:-2]]
         header += [f"mz{j}_mean" for j in range(len(self.mz))]
         header += [f"g{s}" for s in range(self.params.L + 1)]
         lines = [",".join(header)]
-        for t, r in enumerate(self.per_trial):
-            row = [str(t), str(r.islands), repr(r.phi), repr(r.phi_v)]
-            row += [repr(math.fsum(c) / len(c)) if c else "" for c in r.mz]
-            row += [str(c) for c in r.suffix_counts]
+        for t, (*scalars, mz, suffix_counts) in enumerate(self.per_trial):
+            row = [str(t), *map(repr, scalars)]
+            row += [repr(math.fsum(c) / len(c)) if c else "" for c in mz]
+            row += [str(c) for c in suffix_counts]
             lines.append(",".join(row))
         return "\n".join(lines) + "\n"
 

@@ -460,9 +460,22 @@ _L = ("--n", "64", "--delta", "0.1", "--reads", "4")
 # A finite epsilon at n = 1 would divide by log2(1) = 0.
 @example(["decode-demo", "--n", "1", "--length", "1", "--reads", "2", "--delta", "0",
           "--codebook-size", "2", "--seed", "0", "--epsilon", "5"])
+# An m_z reference K * 2^-s that underflows to 0 (s = 1096) or to a subnormal
+# (s = 1060) makes the worst relative deviation nan or inf, which JSON lacks.
+@example(["concentration", "--n", "1000000", "--length", "1100", "--reads", "10",
+          "--delta", "0", "--mz-tau", "55", "--trials", "1", "--seed", "1"])
+@example(["concentration", "--n", "1000000", "--length", "1100", "--reads", "10",
+          "--delta", "0", "--mz-tau", "53.19", "--trials", "1", "--seed", "1"])
 def test_no_input_ends_in_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 64), (argv, code, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code == 0 and out.getvalue().startswith("{"):
+        # Strict JSON: NaN, Infinity and -Infinity are refused.
+        json.loads(out.getvalue(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")

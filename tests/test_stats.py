@@ -1,5 +1,6 @@
 import itertools
 import math
+import statistics
 from dataclasses import replace
 from fractions import Fraction
 
@@ -296,6 +297,24 @@ def test_concentration_fields():
         mz_means = [repr(sum(c) / len(c)) for c in mz_counts]
         row = [t, islands, repr(phi), repr(phi_v), *mz_means, *suffix_counts]
         assert line.split(",") == [str(v) for v in row]
+    # Each moment is its per-trial values' mean and standard error, beside
+    # its n -> infinity reference.
+    c = p.c
+    expected = {
+        "island_ratio": ([r.islands / p.K for r in summary.per_trial], math.exp(-c)),
+        "phi": ([r.phi for r in summary.per_trial], 1 - math.exp(-c)),
+        "phi_v": ([r.phi_v for r in summary.per_trial], 1 - math.exp(-c * (1 - p.delta))),
+    }
+    assert list(summary.moments) == list(expected)
+    for name, (values, reference) in expected.items():
+        m = summary.moments[name]
+        assert math.isclose(m.mean, statistics.fmean(values))
+        assert math.isclose(m.se, statistics.stdev(values) / math.sqrt(5))
+        assert m.reference == reference
+    # The decoder's centres are the same references.
+    th = TypicalityThresholds(p, 1.0)
+    assert th.island_count_ref == p.K * expected["island_ratio"][1]
+    assert th.visible_coverage_ref == expected["phi_v"][1]
 
 
 def test_concentration_rejects_bad_targets():
