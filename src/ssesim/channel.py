@@ -204,31 +204,32 @@ class Truth:
 
 @dataclass(eq=False)
 class ChannelOutput:
-    """Multiset of reads plus (optionally) the ground-truth record.
+    """Multiset of reads plus the ground-truth record they were cut from.
 
-    ``values``/``known`` are (K, ceil(L/8)) uint8 bit-planes: bit j (LSB
-    first) of row i is symbol j of read i, as ``np.packbits(a, axis=1,
-    bitorder="little")`` packs a (K, L) array ``a``.  ``known`` marks the
-    unerased symbols and has no bit set past L; ``values`` holds each
-    read's pre-erasure window, which the decoder's view reads only through
-    ``known``.
-    """
+    ``known`` marks the unerased symbols in a (K, ceil(L/8)) uint8 bit-plane
+    with no bit set past L: bit j (LSB first) of row i is symbol j of read
+    i, as ``np.packbits(a, axis=1, bitorder="little")`` packs a (K, L) array
+    ``a``.  ``values``, each read's window in that layout, is not stored."""
 
     params: ChannelParams
-    values: np.ndarray
     known: np.ndarray
-    truth: Truth | None = None
+    truth: Truth
 
     def __post_init__(self) -> None:
-        L = self.params.L
-        expect = (self.params.K, _plane_width(L))
-        for plane in (self.values, self.known):
-            if plane.shape != expect or plane.dtype != np.uint8:
-                raise ValueError(f"read planes must be uint8 arrays of shape {expect}")
-        if L % 8 and np.any(self.known[:, -1] >> (L % 8)):
-            raise ValueError(f"known has bits set past the read length {L}")
-        self.values.setflags(write=False)
+        p, truth = self.params, self.truth
+        if not isinstance(truth, Truth) or (len(truth.starts), truth.codeword.n) != (p.K, p.n):
+            raise ValueError(f"a channel output needs the truth record of its {p.K} reads")
+        if self.known.shape != (p.K, _plane_width(p.L)) or self.known.dtype != np.uint8:
+            raise ValueError(f"known must be a uint8 array of shape {(p.K, _plane_width(p.L))}")
+        if p.L % 8 and np.any(self.known[:, -1] >> (p.L % 8)):
+            raise ValueError(f"known has bits set past the read length {p.L}")
         self.known.setflags(write=False)
+
+    @property
+    def values(self) -> np.ndarray:
+        """Each read's pre-erasure window, erased symbols included, gathered
+        from the truth on every access into a fresh read-only plane."""
+        return _read_windows(self.truth.codeword, self.truth.starts, self.params.L)
 
     @cached_property
     def reads(self) -> tuple[TritString, ...]:
@@ -245,7 +246,7 @@ class ChannelOutput:
             "params": {**asdict(self.params), "delta": float(self.params.delta)},
             "reads": [{"symbols": s.text} for s in self.reads],
         }
-        if include_truth and self.truth is not None:
+        if include_truth:
             doc["truth"] = {
                 "w": self.truth.message,
                 "x": self.truth.codeword[0].text,
@@ -432,6 +433,23 @@ def _packed_extension(row: np.ndarray, n: int, L: int) -> np.ndarray:
     return np.ndarray((size - 7,), dtype="<u8", buffer=ext, strides=(1,))
 
 
+def _read_windows(x: Codebook, starts: np.ndarray, L: int) -> np.ndarray:
+    """The read-only (K, ceil(L/8)) plane of the L-symbol windows of the
+    one-row codebook ``x`` at the 1-based cyclic ``starts``: each read's
+    span of its extension's words, shifted down by the start's bit offset."""
+    ext = _packed_extension(x.rows[0], x.n, L)
+    apart = 8 * np.arange(_span_words(L))
+    width = _plane_width(L)
+    values = np.empty((len(starts), width), dtype=np.uint8)
+    for blk in _row_blocks(len(starts), L):
+        pos = starts[blk] - 1
+        span = ext[(pos >> 3)[:, None] + apart]
+        _shift_down(span, pos & 7)
+        values[blk] = span.view(np.uint8)[:, :width]
+    values.setflags(write=False)
+    return values
+
+
 def _row_blocks(K: int, L: int, symbols: int = _ROW_BLOCK) -> list[slice]:
     """Slices of whole rows of L symbols out of K, in order, of at most
     ``symbols`` symbols (one row if L is longer): by default the unit in
@@ -525,14 +543,14 @@ def transmit_codeword(
     such as ``random_codeword`` returns: K reads at uniform cyclic starts
     (with replacement), then every read symbol erased independently with
     probability delta.  Starts and erasures draw from separate substreams
-    of ``seed``.  The codeword stays packed: the reads are cut from its
-    row's bytes, and the truth record holds ``x`` itself.
+    of ``seed``.  Only the starts and the known plane are drawn: the truth
+    record holds ``x`` itself, and the output's ``values`` are gathered
+    from it and the starts when read.
 
-    The reads are built a block of rows at a time and packed.  The erasures
-    are drawn by ``_kept_lanes`` over the read symbols laid end to end in
-    row order, one chunk of ``_ERASURE_CHUNK`` symbols' whole rows at a
-    time: a symbol is kept with probability (2^53 - T) / 2^53 for
-    T = ceil(delta * 2^53), as by ``random() >= delta``.
+    The erasures are drawn by ``_kept_lanes`` over the read symbols laid
+    end to end in row order, one chunk of ``_ERASURE_CHUNK`` symbols' whole
+    rows at a time: a symbol is kept with probability (2^53 - T) / 2^53
+    for T = ceil(delta * 2^53), as by ``random() >= delta``.
     """
     # Starts lie in [1, n], so n <= 2^30 keeps them in int32.
     _check_symbols(params.n, "n")
@@ -543,33 +561,18 @@ def transmit_codeword(
     K, L = params.K, params.L
     if K * L > _MAX_READ_SYMBOLS:
         raise DomainError(f"K * L = {K * L} exceeds the limit of {_MAX_READ_SYMBOLS} symbols")
-    # For n < 2^32 numpy draws int32 and int64 from the same 32-bit stream.
-    starts0 = stage_rng(seed, STAGE_STARTS).integers(0, params.n, size=K, dtype=np.int32)
+    # For n < 2^32 numpy draws int32 and int64 from the same 32-bit stream,
+    # and the 1-based starts as the draw from [0, n) plus 1.
+    starts = stage_rng(seed, STAGE_STARTS).integers(1, params.n + 1, size=K, dtype=np.int32)
     raw = stage_rng(seed, STAGE_ERASURES).bit_generator
     threshold = math.ceil(float(params.delta) * 2**_U_BITS)
-    width = _plane_width(L)
-    # Every read's symbols lie in the span of words 8 bytes apart from its
-    # start's byte.  The extension is built before the known plane is
-    # filled: the other way round, a fresh process at n = 1e8 peaked 7 MB
-    # higher in RSS.
-    ext = _packed_extension(x.rows[0], params.n, L)
-    apart = 8 * np.arange(_span_words(L))
-    known = np.empty((K, width), dtype=np.uint8)
+    known = np.empty((K, _plane_width(L)), dtype=np.uint8)
     for blk in _row_blocks(K, L, _ERASURE_CHUNK):
         r = blk.stop - blk.start
         kept = _kept_lanes(raw, r * L, threshold)
         known[blk] = _cut_rows(kept.view(np.uint8), L, r)
-    del kept  # the last chunk's lanes, not needed while the windows are read
-    values = np.empty_like(known)
-    for blk in _row_blocks(K, L):
-        rows = starts0[blk]
-        # Each read's span, shifted down by its start's bit offset.
-        span = ext[(rows >> 3)[:, None] + apart]
-        _shift_down(span, rows & 7)
-        values[blk] = span.view(np.uint8)[:, :width]
-    starts0 += 1  # the truth record's starts are 1-based
-    truth = Truth(message=message, codeword=x, starts=starts0)
-    return ChannelOutput(params=params, values=values, known=known, truth=truth)
+    truth = Truth(message=message, codeword=x, starts=starts)
+    return ChannelOutput(params=params, known=known, truth=truth)
 
 
 def transmit(codebook: Codebook, w: int, params: ChannelParams, seed) -> ChannelOutput:

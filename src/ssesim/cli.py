@@ -24,6 +24,7 @@ from functools import cache
 from .channel import (
     STAGE_MESSAGE,
     ChannelParams,
+    Codebook,
     random_codebook,
     random_codeword,
     stage_rng,
@@ -156,23 +157,24 @@ def _cmd_decode_demo(args) -> int:
     w = int(stage_rng(args.seed, STAGE_MESSAGE).integers(len(codebook)))
     out = transmit(codebook, w, params, args.seed)
     config = DecoderConfig(epsilon=args.epsilon, omega_mode=args.omega_mode)
-    result = typicality_decode(codebook, out.reads, params, config)
     oracle = oracle_decode(codebook, out.reads)
-    if result.message == w:
+    # Every candidate is an oracle codeword: decode on its rows, map back.
+    oracle_book = Codebook(codebook.rows[list(oracle)], args.n)
+    result = typicality_decode(oracle_book, out.reads, params, config)
+    message = None if result.message is None else oracle[result.message]
+    if message == w:
         outcome = "decoded"
-    elif result.message is not None:
+    elif message is not None:
         outcome = "wrong"
-    elif result.candidate_codewords:
-        outcome = "ambiguous"
     else:
-        outcome = "empty"
+        outcome = "ambiguous" if result.candidate_codewords else "empty"
     trace = {
         "visited_tuples": result.tuples_visited,
         "candidate_island_sets": [list(s) for s in result.candidate_islands],
-        "candidate_codewords": list(result.candidate_codewords),
+        "candidate_codewords": [oracle[i] for i in result.candidate_codewords],
         "oracle_codewords": list(oracle),
         "outcome": outcome,
-        "decoded_message": result.message,
+        "decoded_message": message,
         "true_message": w,
     }
     _emit(json.dumps(trace, indent=2, sort_keys=True), args.output)

@@ -81,20 +81,12 @@ class CoverageReport:
             raise ValueError("need 0 <= phi_v <= phi <= 1")
 
 
-def _truth(output: ChannelOutput):
-    """The truth record, which the trial stages need: their one ``truth is
-    None`` check."""
-    if output.truth is None:
-        raise ValueError("trial statistics need the truth record")
-    return output.truth
-
-
 def _gap_blocks(output: ChannelOutput):
     """Each block of reads in start order, as its read indices with the
     cyclic gaps into and out of them: gap entry i + 1 is the gap after the
     block's read i, and entry i the gap before it.  No stage holds a gap per
     read."""
-    truth = _truth(output)
+    truth = output.truth
     for blk in _row_blocks(output.params.K, output.params.L):
         yield truth.order[blk], _gaps_around(truth.sorted_starts, output.params.n, blk)
 
@@ -122,7 +114,7 @@ def _visible_positions(output: ChannelOutput) -> int:
     start's word on.  ``ufunc.at`` applies every row of a repeated word, so
     rows that share a word need no grouping."""
     n, K, L = output.params.n, output.params.K, output.params.L
-    starts = _truth(output).starts
+    starts = output.truth.starts
     width = output.known.shape[1]
     words = (width + 7) // 8 + 1
     ring = np.zeros((n - 1) // 64 + words, dtype="<u8")
@@ -531,17 +523,20 @@ def _run_trial(params: ChannelParams, seed: int, t: int, mz_sizes, mz_per_trial:
     trial = child_seed(seed, STAGE_TRIAL, t)
     x = random_codeword(params.n, child_seed(trial, STAGE_CODEBOOK))
     out = transmit_codeword(x, params, trial)
-    rep = coverage(out)
-    islands = chain_island_count(out)
-    hist = suffix_size_histogram(out)
+    # m_z runs first: its value plane is freed before the phi_v ring and sort key.
     rng = stage_rng(trial, STAGE_MZ)
+    values = out.values if mz_sizes else None
     mz = tuple(
         tuple(
-            _count_matches(out.values, *_probe_z(rng, out.known, params.L, s))
+            _count_matches(values, *_probe_z(rng, out.known, params.L, s))
             for _ in range(mz_per_trial)
         )
         for s in mz_sizes
     )
+    del values
+    rep = coverage(out)
+    islands = chain_island_count(out)
+    hist = suffix_size_histogram(out)
     return TrialStats(islands, rep.phi, rep.phi_v, mz, hist)
 
 

@@ -19,27 +19,22 @@ def make_output(
     """Channel output with hand-picked starts (1-based) and erasures.
 
     ``erased`` holds (read index, 0-based position within the read) pairs.
-    The hand-built (K, L) arrays are packed into the output's bit-planes;
-    like the channel's, ``values`` keeps each read's whole window.
+    The hand-built (K, L) erasure array is packed into the output's
+    ``known`` plane; as in the channel's outputs, ``values`` is gathered
+    from the codeword at the starts.
     """
     n = len(x_text)
     params = ChannelParams(n=n, L=L, K=len(starts), delta=delta)
-    values = np.zeros((len(starts), L), dtype=np.uint8)
     known = np.ones((len(starts), L), dtype=bool)
-    for i, s in enumerate(starts):
-        for j in range(L):
-            values[i, j] = int(x_text[(s - 1 + j) % n])
-            known[i, j] = (i, j) not in erased
+    for i, j in erased:
+        known[i, j] = False
     truth = Truth(
         message=None,
         codeword=Codebook(np.packbits([[int(c) for c in x_text]], axis=1, bitorder="little"), n),
         starts=np.asarray(starts, dtype=np.int64),
     )
     return ChannelOutput(
-        params=params,
-        values=np.packbits(values, axis=1, bitorder="little"),
-        known=np.packbits(known, axis=1, bitorder="little"),
-        truth=truth,
+        params=params, known=np.packbits(known, axis=1, bitorder="little"), truth=truth
     )
 
 

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from ssesim.channel import (
@@ -112,6 +114,47 @@ def test_value_plane_matches_window_index(n, L):
     assert len(np.unique(out.truth.starts)) == n
     got = np.unpackbits(out.values, axis=1, bitorder="little")
     assert np.array_equal(got, _value_rows(x, out.truth.starts, L))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(
+    L=st.sampled_from([1, 7, 8, 9, 57, 64, 70]),
+    extra=st.integers(0, 40),
+    delta=st.sampled_from([0.0, 1.0, 0.3]),
+    seed=st.integers(0, 2**16),
+    raw_starts=st.lists(st.integers(0, 2**20), min_size=1, max_size=12),
+)
+@example(L=1, extra=0, delta=0.0, seed=0, raw_starts=[0])  # n = 1, K = 1
+@example(L=9, extra=0, delta=1.0, seed=1, raw_starts=[8, 0])  # start n wraps
+@example(L=70, extra=1, delta=0.0, seed=2, raw_starts=[70])  # K = 1 wraps
+@example(L=57, extra=2, delta=1.0, seed=3, raw_starts=[58, 30, 58])
+@example(L=64, extra=1, delta=0.3, seed=4, raw_starts=[64, 1, 0])
+def test_values_are_the_windows_at_the_truth_starts(L, extra, delta, seed, raw_starts):
+    """``values`` is gathered from the truth record on every read: each row
+    is its start's window of the codeword, pad bits included, in a fresh
+    read-only plane, and the reads are those windows masked by ``known``.
+    Starts come from the strategy, so windows across the wrap of rings with
+    n % 8 != 0 and lone reads are drawn directly."""
+    n = L + extra
+    p = ChannelParams(n=n, L=L, K=len(raw_starts), delta=delta)
+    x = random_codeword(n, seed)
+    starts = np.array([s % n + 1 for s in raw_starts], dtype=np.int32)
+    known = transmit_codeword(x, p, seed).known
+    out = ChannelOutput(p, known, Truth(None, x, starts))
+    values = out.values
+    assert values.shape == known.shape and values.dtype == np.uint8
+    rows = _value_rows(x, starts, L)
+    assert np.array_equal(np.unpackbits(values, axis=1, bitorder="little"), rows)
+    assert not values.flags.writeable and out.values is not values
+    with pytest.raises(ValueError):
+        values[0, 0] ^= 1
+    seen = np.unpackbits(known, axis=1, count=L, bitorder="little").astype(bool)
+    want = ["".join(str(b) if k else "*" for b, k in zip(r, m)) for r, m in zip(rows, seen)]
+    assert [r.text for r in out.reads] == want
+    if delta == 0.0:
+        assert seen.all()
+    if delta == 1.0:
+        assert not seen.any()
 
 
 def test_transmit_takes_only_a_one_row_codebook():
@@ -343,43 +386,64 @@ def _pack(rows) -> np.ndarray:
     return np.packbits(np.asarray(rows, dtype=np.uint8), axis=1, bitorder="little")
 
 
+def _ones_truth(n: int, starts) -> Truth:
+    """A truth record whose codeword is all ones, so every window is."""
+    return Truth(None, Codebook(_pack(np.ones((1, n))), n), np.array(starts))
+
+
 def test_decoder_view_zeroes_erased_values():
     p = ChannelParams(n=8, L=4, K=2, delta=0.5)
     # Value bits are set at the erased positions too; reads must drop them.
-    values = _pack(np.ones((2, 4)))
     known = _pack([[1, 0, 1, 0], [0, 0, 1, 1]])
-    out = ChannelOutput(p, values, known)
+    out = ChannelOutput(p, known, _ones_truth(8, [1, 6]))
+    assert np.unpackbits(out.values, axis=1, count=4, bitorder="little").all()
     assert [s.text for s in out.reads] == ["1*1*", "**11"]
 
 
 def test_output_rejects_malformed_planes():
     p = ChannelParams(n=16, L=10, K=2, delta=0.5)
     good = _pack(np.ones((2, 10)))
+    truth = _ones_truth(16, [1, 9])
     assert good.shape == (2, 2)
-    ChannelOutput(p, good.copy(), good.copy())
+    ChannelOutput(p, good.copy(), truth)
     with pytest.raises(ValueError, match="shape"):
-        ChannelOutput(p, np.ones((2, 10), dtype=np.uint8), good.copy())
+        ChannelOutput(p, np.ones((2, 10), dtype=np.uint8), truth)
     with pytest.raises(ValueError, match="shape"):
-        ChannelOutput(p, good.copy(), good[:1].copy())
+        ChannelOutput(p, good[:1].copy(), truth)
     with pytest.raises(ValueError, match="shape"):
-        ChannelOutput(p, good.copy(), good.astype(bool))
+        ChannelOutput(p, good.astype(bool), truth)
     for pad_bit in range(2, 8):  # bits 10..15 of each row are past L
         known = good.copy()
         known[1, 1] |= 1 << pad_bit
         with pytest.raises(ValueError, match="past the read length"):
-            ChannelOutput(p, good.copy(), known)
-    # Value bits past L are ignored like those at erased positions.
-    values = good.copy()
-    values[:, 1] = 0xFF
-    out = ChannelOutput(p, values, good.copy())
+            ChannelOutput(p, known, truth)
+    # Value bits past L, the codeword's next symbols, are ignored like
+    # those at erased positions.
+    out = ChannelOutput(p, good.copy(), truth)
+    assert np.all(out.values[:, 1] == 0xFF)
     assert [s.text for s in out.reads] == ["1" * 10] * 2
+
+
+def test_output_needs_its_truth_record():
+    """The output's values are gathered from its truth record, so an output
+    without one, or with a record of another read count or codeword
+    length, is refused."""
+    p = ChannelParams(n=16, L=10, K=2, delta=0.5)
+    known = _pack(np.ones((2, 10)))
+    with pytest.raises(TypeError):
+        ChannelOutput(p, known)
+    bad = (None, _ones_truth(16, [1]), _ones_truth(16, [1, 2, 3]), _ones_truth(24, [1, 2]))
+    for truth in bad:
+        with pytest.raises(ValueError, match="truth record"):
+            ChannelOutput(p, known, truth)
 
 
 def test_output_arrays_read_only():
     p = ChannelParams(n=30, L=4, K=3, delta=0.2)
     out = transmit_codeword(random_codeword(p.n, 6), p, 6)
-    with pytest.raises(ValueError):
-        out.values[0, 0] = 1
+    for plane in (out.values, out.known):
+        with pytest.raises(ValueError):
+            plane[0, 0] = 1
     with pytest.raises(ValueError):
         out.truth.starts[0] = 5
 

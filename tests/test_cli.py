@@ -283,26 +283,36 @@ def test_decode_demo(capsys):
 
 
 def test_decode_demo_reports_a_wrong_message(capsys, monkeypatch):
+    """A decoder that settles on a codeword other than the one sent is
+    reported as wrong.  It is given the oracle's codewords only, so the
+    instance is one where the oracle keeps several."""
     from ssesim import cli
 
-    decode = cli.typicality_decode
+    decode, transmit = cli.typicality_decode, cli.transmit
+    sent = []
+
+    def transmit_and_keep(codebook, w, params, seed):
+        sent.append(codebook[w : w + 1])
+        return transmit(codebook, w, params, seed)
 
     def decode_wrongly(codebook, reads, params, config):
         result = decode(codebook, reads, params, config)
-        # A codeword that does not hold every read cannot be the one sent.
-        wrong = min(set(range(len(codebook))) - set(cli.oracle_decode(codebook, reads)))
+        wrong = next(i for i in range(len(codebook)) if codebook[i : i + 1] != sent[0])
         return dataclasses.replace(result, message=wrong, candidate_codewords=(wrong,))
 
+    monkeypatch.setattr(cli, "transmit", transmit_and_keep)
     monkeypatch.setattr(cli, "typicality_decode", decode_wrongly)
     argv = (
         "decode-demo", "--n", "24", "--length", "6", "--reads", "5",
-        "--delta", "0.1", "--codebook-size", "6", "--seed", "7",
+        "--delta", "0.5", "--codebook-size", "6", "--seed", "7",
     )
     code, out, _ = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
     assert doc["outcome"] == "wrong"
     assert doc["decoded_message"] not in (None, doc["true_message"])
+    assert doc["candidate_codewords"] == [doc["decoded_message"]]
+    assert doc["decoded_message"] in doc["oracle_codewords"]
 
 
 def test_gtau_table(capsys):
