@@ -1,6 +1,7 @@
 import itertools
 import math
 import statistics
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,16 @@ def test_chain_island_count():
     assert islands([5, 5, 9], 10, 3) == 2
     # Every gap is 2 < 3: the reads wrap the circle and no gap closes an island.
     assert islands([0, 2, 4], 6, 3) == 0
+
+
+@pytest.mark.parametrize("stage", [coverage, chain_island_count, suffix_size_histogram])
+def test_trial_stages_need_the_truth_record(stage):
+    """The stages read the starts from the truth record; an output without
+    one is refused when it is built, so no stage is handed one."""
+    out = make_output("0" * 6, [1], 3)
+    stage(out)
+    with pytest.raises(ValueError, match="needs the truth record"):
+        stage(replace(out, truth=None))
 
 
 def test_suffix_histogram_hand_case():
