@@ -61,16 +61,15 @@ DEFAULT_CODEBOOK_CAP = 4096
 # needs K*L = 2e9, held packed in K*L/4 bytes.
 _MAX_SYMBOLS = 2**30
 _MAX_READ_SYMBOLS = 2**31 - 1
-# Read symbols per block of whole rows: the read windows are gathered, and
-# the packed reads scanned, one block at a time.  Codeword symbols are drawn
-# in blocks of the same size.
+# Symbols per block of whole rows: rows of bits (read windows, codewords,
+# erasure masks) are gathered, and the packed reads scanned, one block at a
+# time.  Codeword symbols are drawn in blocks of the same size.
 _ROW_BLOCK = 2**17
 # Read symbols per chunk of whole rows over which the erasure rounds run
-# (one row if L is longer); strings are cut into rows in blocks of as many
-# bits.  It is part of the erasure stream's definition: a chunk's rounds
-# draw before the next chunk's.  A chunk's kept lanes, live lanes, one
-# round's raw words and the words they are spread onto are 128 KiB each,
-# 512 KiB in all.
+# (one row if L is longer).  It is part of the erasure stream's definition:
+# a chunk's rounds draw before the next chunk's.  A chunk's kept lanes, live
+# lanes, one round's raw words and the words they are spread onto are
+# 128 KiB each, 512 KiB in all.
 _ERASURE_CHUNK = 2**20
 # A read symbol is kept iff random() >= delta, where random() = U / 2^53 for
 # the top 53 bits U of one raw word: iff U >= ceil(delta * 2^53).
@@ -346,36 +345,17 @@ def random_codebook(n: int, count: int, seed) -> Codebook:
 
 def _cut_rows(packed: np.ndarray, n: int, count: int) -> np.ndarray:
     """The ``count`` strings of ``n`` bits laid end to end in ``packed``,
-    which holds 8 bytes past them, as rows of ``_plane_width(n)`` bytes
-    with no bit set past n: codewords, or a chunk's erasure masks.
-
-    Strings i and i + q, for q = 8 / gcd(n, 8), start at the same bit of
-    a byte and q * n / 8 bytes apart, so each of the q classes of rows is
-    read as one strided view of unaligned little-endian uint64 words,
-    ``_span_words(n)`` from each string's first byte, and shifted down into
-    place, a block of rows whose words hold ``_ERASURE_CHUNK`` bits at a
-    time; no byte per symbol is built.
-    """
+    which holds 8 zero bytes past them, as rows of ``_plane_width(n)`` bytes
+    with no bit set past n: codewords, or a chunk's erasure masks.  A
+    reshape of the bytes when every string starts on a byte, otherwise
+    string i gathered from bit i * n."""
     width = _plane_width(n)
     if n % 8 == 0 or count == 1:
         rows = packed[: count * width].reshape(count, width)
     else:
-        rows = np.empty((count, width), dtype=np.uint8)
-        words = _span_words(n)
-        q = 8 // math.gcd(n, 8)
-        for blk in _row_blocks(count, 64 * words, _ERASURE_CHUNK):
-            span = np.empty((blk.stop - blk.start, words), dtype="<u8")
-            for i in range(blk.start, min(blk.start + q, blk.stop)):
-                out = span[i - blk.start :: q]
-                out[...] = np.ndarray(
-                    out.shape,
-                    dtype="<u8",
-                    buffer=packed,
-                    offset=i * n >> 3,
-                    strides=(q * n // 8, 8),
-                )
-                _shift_down(out, i * n & 7)
-            rows[blk] = span.view(np.uint8)[:, :width]
+        rows = _gather_bits(
+            packed, n, count, lambda blk: n * np.arange(blk.start, blk.stop, dtype=np.int64)
+        )
     if n % 8:
         rows[:, -1] &= _mask(n % 8)
     return rows
@@ -404,19 +384,35 @@ def _gaps_around(sorted_starts: np.ndarray, n: int, rows: slice) -> np.ndarray:
     return np.subtract(edges[1:], edges[:-1], dtype=np.int64)
 
 
-def _span_words(L: int) -> int:
-    """uint64 words that hold a read's L symbols from its start's byte on."""
-    return _plane_width(L) // 8 + 1
+def _gather_bits(packed: np.ndarray, L: int, count: int, first) -> np.ndarray:
+    """``count`` rows of ``_plane_width(L)`` bytes, each the L bits of the
+    packed bytes ``packed``, which holds 8 zero bytes past its last bit,
+    from a given first bit on: ``first(blk)`` gives the first bits of the
+    rows in the slice ``blk``.  The bits past L of a row's last byte are
+    the ones that follow in ``packed``.
+
+    The rows are built one ``_ROW_BLOCK`` block at a time: each row's span
+    of unaligned little-endian uint64 words from its first bit's byte on,
+    the ``_plane_width(L) // 8 + 1`` that hold L bits from any bit of a
+    byte, shifted down by the bit's offset in that byte; no byte per
+    symbol is built."""
+    words = np.ndarray((len(packed) - 7,), dtype="<u8", buffer=packed, strides=(1,))
+    width = _plane_width(L)
+    apart = 8 * np.arange(width // 8 + 1)
+    rows = np.empty((count, width), dtype=np.uint8)
+    for blk in _row_blocks(count, L):
+        pos = first(blk)
+        span = words[(pos >> 3)[:, None] + apart]
+        _shift_down(span, pos & 7)
+        rows[blk] = span.view(np.uint8)[:, :width]
+    return rows
 
 
 def _packed_extension(row: np.ndarray, n: int, L: int) -> np.ndarray:
-    """The n bits of the packed ``row`` followed by its first L - 1, as
-    little-endian uint64 words at every byte offset: word p holds bits 8p to
-    8p + 63, so ring position (p + j) mod n is bit p + j of the words from
-    p >> 3 on, for 0 <= p < n, 0 <= j < L.  The bytes are padded with zeros
-    so that the ``_span_words(L)`` words 8 bytes apart from byte p >> 3 exist
-    for every start p."""
-    size = (n - 1) // 8 + 8 * _span_words(L)
+    """The bytes of the n bits of the packed ``row`` followed by its first
+    L - 1, and 8 zero bytes: ring position (p + j) mod n is bit p + j, for
+    0 <= p < n, 0 <= j < L."""
+    size = _plane_width(n + L - 1) + 8
     ext = np.zeros(size, dtype=np.uint8)
     ext[: len(row)] = row
     # The head, the row's first L - 1 bits, is ORed in at bit n: its bytes
@@ -429,23 +425,15 @@ def _packed_extension(row: np.ndarray, n: int, L: int) -> np.ndarray:
     ext[at : at + len(head)] |= head << shift
     if shift:
         ext[at + 1 : at + 1 + len(head)] |= head >> (8 - shift)
-    # Unaligned words one byte apart over the one copy of the bytes.
-    return np.ndarray((size - 7,), dtype="<u8", buffer=ext, strides=(1,))
+    return ext
 
 
 def _read_windows(x: Codebook, starts: np.ndarray, L: int) -> np.ndarray:
     """The read-only (K, ceil(L/8)) plane of the L-symbol windows of the
-    one-row codebook ``x`` at the 1-based cyclic ``starts``: each read's
-    span of its extension's words, shifted down by the start's bit offset."""
+    one-row codebook ``x`` at the 1-based cyclic ``starts``: each read's L
+    bits of the codeword's cyclic extension from bit start - 1 on."""
     ext = _packed_extension(x.rows[0], x.n, L)
-    apart = 8 * np.arange(_span_words(L))
-    width = _plane_width(L)
-    values = np.empty((len(starts), width), dtype=np.uint8)
-    for blk in _row_blocks(len(starts), L):
-        pos = starts[blk] - 1
-        span = ext[(pos >> 3)[:, None] + apart]
-        _shift_down(span, pos & 7)
-        values[blk] = span.view(np.uint8)[:, :width]
+    values = _gather_bits(ext, L, len(starts), lambda blk: starts[blk] - 1)
     values.setflags(write=False)
     return values
 
@@ -453,7 +441,7 @@ def _read_windows(x: Codebook, starts: np.ndarray, L: int) -> np.ndarray:
 def _row_blocks(K: int, L: int, symbols: int = _ROW_BLOCK) -> list[slice]:
     """Slices of whole rows of L symbols out of K, in order, of at most
     ``symbols`` symbols (one row if L is longer): by default the unit in
-    which a stage gathers or scans read symbols."""
+    which rows of bits are gathered and read symbols scanned."""
     rows = max(1, symbols // L)
     return [slice(i, min(i + rows, K)) for i in range(0, K, rows)]
 

@@ -43,14 +43,6 @@ def _cyclic(plane: int, n: int, head: int) -> int:
     return plane | (plane & head) << n
 
 
-# Text of four positions, indexed by value nibble << 4 | visibility nibble.
-_NIBBLE_TEXT = tuple(
-    "".join("01"[b >> j & 1] if k >> j & 1 else ERASED for j in range(4))
-    for b in range(16)
-    for k in range(16)
-)
-
-
 @dataclass(frozen=True, slots=True)
 class TritString:
     """Immutable string over {0, 1, erased}.
@@ -89,14 +81,14 @@ class TritString:
 
     @property
     def text(self) -> str:
-        size = (self.length + 7) // 8
-        t = _NIBBLE_TEXT
-        return "".join(
-            t[(b & 15) << 4 | k & 15] + t[b & 240 | k >> 4]
-            for b, k in zip(
-                self.bits.to_bytes(size, "little"), self.known.to_bytes(size, "little")
-            )
-        )[: self.length]
+        # One hex digit per position, position i at digit i: a binary
+        # plane's digits read in base 16, known + bits, so 0 is erased, 1
+        # a visible 0 and 2 a visible 1.  A 1 digit above the last
+        # position keeps the zero digits of erased last positions; the
+        # digits are read back from position 0 and the 1 dropped.
+        code = int(format(self.known, "b"), 16) + int(format(self.bits, "b"), 16)
+        code |= 1 << 4 * self.length
+        return format(code, "x")[:0:-1].translate(str.maketrans("012", ERASED + "01"))
 
     @property
     def size(self) -> int:

@@ -233,12 +233,14 @@ def test_codebook_deterministic_prefix():
 
 @pytest.mark.parametrize(
     "n,count",
-    [(1, 1), (7, 3), (8, 5), (13, 17), (64, 4), (100, 9), (1001, 2), (10007, 13), (_ROW_BLOCK + 3, 1)],
+    [(1, 1), (7, 3), (8, 5), (13, 17), (64, 4), (100, 9), (1001, 2), (10007, 13)]
+    + [(_ROW_BLOCK + 3, 1), (_ROW_BLOCK + 3, 2)],
 )
 def test_codebook_is_the_uint8_draw(n, count):
     """The codebook packs the rows of numpy's bounded uint8 draw, which it
     rebuilds from the raw 64-bit words a block at a time.  The sizes cross
-    byte, word and block boundaries, with n % 8 != 0 among them."""
+    byte, word and block boundaries, with n % 8 != 0 among them, and rows
+    longer than one block are cut by the gather as well as by a reshape."""
     want = np.packbits(
         stage_rng(count, STAGE_CODEBOOK).integers(0, 2, size=(count, n), dtype=np.uint8),
         axis=1,

@@ -240,7 +240,8 @@ def _reference_kept(K, L, delta, seed):
 # (K, L, delta, chunk): K * L not a multiple of 64, down to one partial
 # word; dyadic deltas, where a lane tied with T once T's remaining bits are
 # 0 is kept; several chunks at the stream's own chunk size (dyadic, so the
-# reference stays quick) and, at non-dyadic deltas, at a small chunk, where
+# reference stays quick), one of them at L % 8 != 0 with its rows cut over
+# several gather blocks, and, at non-dyadic deltas, at a small chunk, where
 # every chunk runs its rounds to the end, also with rows longer than one.
 ERASURE_CASES = [
     (300, 47, 0.3, None),
@@ -250,6 +251,7 @@ ERASURE_CASES = [
     (2000, 13, 0.5, None),
     (2000, 13, 0.25, None),
     (2 * (channel._ERASURE_CHUNK // 40) + 7, 40, 0.5, None),
+    (channel._ERASURE_CHUNK // 47 + 9, 47, 0.25, None),
     (3 * (2**12 // 47) + 5, 47, 0.3, 2**12),
     (300, 61, 0.1, 2**10),
     (5, 5000, 0.2, 2**12),
