@@ -157,48 +157,59 @@ def _round_finite(x: float, what: str) -> int:
     return round(x)
 
 
-@dataclass(frozen=True, eq=False)
 class Truth:
     """Ground truth sealed away from the decoder.  ``codeword`` is the
-    channel input, a one-row ``Codebook`` (n / 8 bytes)."""
+    channel input, a one-row ``Codebook`` (n / 8 bytes).
 
-    message: int | None
-    codeword: Codebook
-    starts: np.ndarray  # (K,) int32 from the channel, 1-based
+    The starts are held once, as one sorted int64 key per read, start *
+    2^32 + index: its low int32 half is ``order``, the read indices in
+    start order (tied starts by index), and its high half
+    ``sorted_starts``, the starts in that order.  They are the one sort of
+    the starts that the trial stages share.  ``starts``, in read order, is
+    rebuilt from them on each access."""
 
-    def __post_init__(self) -> None:
-        s = self.starts
+    __slots__ = ("message", "codeword", "order", "sorted_starts")
+
+    def __init__(self, message: int | None, codeword: Codebook, starts) -> None:
+        s = np.asarray(starts)
         if s.dtype != np.int32 and len(s):
             info = np.iinfo(np.int32)
             if s.min() < info.min or s.max() > info.max:
                 raise ValueError("starts must fit in int32")
-        s.setflags(write=False)
+        key = np.arange(len(s), dtype="<i8")
+        _key_halves(key)[:, 1] = s
+        self._hold(message, codeword, key)
 
-    @cached_property
-    def order(self) -> np.ndarray:
-        """Read indices in start order, tied starts by index: the one sort
-        of the starts that the trial stages share."""
-        return self._by_start[0]
+    @classmethod
+    def _of_key(cls, message: int | None, codeword: Codebook, key: np.ndarray) -> "Truth":
+        """The record of ``key``, start * 2^32 + index per read in read
+        order, which is sorted in place."""
+        truth = cls.__new__(cls)
+        truth._hold(message, codeword, key)
+        return truth
 
-    @cached_property
-    def sorted_starts(self) -> np.ndarray:
-        """The starts in ``order``."""
-        return self._by_start[1]
-
-    @cached_property
-    def _by_start(self) -> tuple[np.ndarray, np.ndarray]:
-        # One sort of the int64 keys start * 2^32 + index gives both: the
-        # key's low int32 half is the index and its high half the start, so
-        # after the sort the two halves are ``order`` and ``sorted_starts``,
-        # two int32 views of the one key.  Sorting values is about three
-        # times faster than ``argsort`` here.
-        K = len(self.starts)
-        key = np.arange(K, dtype="<i8")
-        halves = key.view("<i4").reshape(K, 2)
-        halves[:, 1] = self.starts
+    def _hold(self, message: int | None, codeword: Codebook, key: np.ndarray) -> None:
+        # Sorting values is about three times faster than ``argsort`` here.
         key.sort()
+        halves = _key_halves(key)
         halves.setflags(write=False)
-        return halves[:, 0], halves[:, 1]
+        self.message, self.codeword = message, codeword
+        self.order, self.sorted_starts = halves[:, 0], halves[:, 1]
+
+    @property
+    def starts(self) -> np.ndarray:
+        """The (K,) int32 1-based starts in read order: a fresh read-only
+        array, scattered from the key on every access."""
+        starts = np.empty(len(self.order), dtype=np.int32)
+        starts[self.order] = self.sorted_starts
+        starts.setflags(write=False)
+        return starts
+
+
+def _key_halves(key: np.ndarray) -> np.ndarray:
+    """The (K, 2) int32 view of the little-endian int64 keys: column 0 is
+    each key's low half, column 1 its high half."""
+    return key.view("<i4").reshape(len(key), 2)
 
 
 @dataclass(eq=False)
@@ -216,7 +227,7 @@ class ChannelOutput:
 
     def __post_init__(self) -> None:
         p, truth = self.params, self.truth
-        if not isinstance(truth, Truth) or (len(truth.starts), truth.codeword.n) != (p.K, p.n):
+        if not isinstance(truth, Truth) or (len(truth.order), truth.codeword.n) != (p.K, p.n):
             raise ValueError(f"a channel output needs the truth record of its {p.K} reads")
         if self.known.shape != (p.K, _plane_width(p.L)) or self.known.dtype != np.uint8:
             raise ValueError(f"known must be a uint8 array of shape {(p.K, _plane_width(p.L))}")
@@ -227,7 +238,9 @@ class ChannelOutput:
     @property
     def values(self) -> np.ndarray:
         """Each read's pre-erasure window, erased symbols included, gathered
-        from the truth on every access into a fresh read-only plane."""
+        from the truth's codeword at its starts, in read order, on every
+        access into a fresh read-only plane.  The decoder's ``reads`` are
+        built from it; no concentration trial stage reads it."""
         return _read_windows(self.truth.codeword, self.truth.starts, self.params.L)
 
     @cached_property
@@ -389,23 +402,30 @@ def _gather_bits(packed: np.ndarray, L: int, count: int, first) -> np.ndarray:
     packed bytes ``packed``, which holds 8 zero bytes past its last bit,
     from a given first bit on: ``first(blk)`` gives the first bits of the
     rows in the slice ``blk``.  The bits past L of a row's last byte are
-    the ones that follow in ``packed``.
+    the ones that follow in ``packed``.  The rows are the bytes of
+    ``_bit_windows``' words."""
+    width = _plane_width(L)
+    rows = np.empty((count, width), dtype=np.uint8)
+    for blk, span in _bit_windows(packed, L, count, first):
+        rows[blk] = span.view(np.uint8)[:, :width]
+    return rows
 
-    The rows are built one ``_ROW_BLOCK`` block at a time: each row's span
-    of unaligned little-endian uint64 words from its first bit's byte on,
+
+def _bit_windows(packed: np.ndarray, L: int, count: int, first):
+    """The windows of ``_gather_bits``, one ``_ROW_BLOCK`` block of rows at
+    a time, as each block's slice and its rows of little-endian uint64
+    words: each row's span of unaligned words from its first bit's byte on,
     the ``_plane_width(L) // 8 + 1`` that hold L bits from any bit of a
     byte, shifted down by the bit's offset in that byte; no byte per
-    symbol is built."""
+    symbol is built.  Bit j of a row is bit ``first + j`` of ``packed``,
+    up to the words' end, which is at least L."""
     words = np.ndarray((len(packed) - 7,), dtype="<u8", buffer=packed, strides=(1,))
-    width = _plane_width(L)
-    apart = 8 * np.arange(width // 8 + 1)
-    rows = np.empty((count, width), dtype=np.uint8)
+    apart = 8 * np.arange(_plane_width(L) // 8 + 1)
     for blk in _row_blocks(count, L):
         pos = first(blk)
         span = words[(pos >> 3)[:, None] + apart]
         _shift_down(span, pos & 7)
-        rows[blk] = span.view(np.uint8)[:, :width]
-    return rows
+        yield blk, span
 
 
 def _packed_extension(row: np.ndarray, n: int, L: int) -> np.ndarray:
@@ -531,9 +551,9 @@ def transmit_codeword(
     such as ``random_codeword`` returns: K reads at uniform cyclic starts
     (with replacement), then every read symbol erased independently with
     probability delta.  Starts and erasures draw from separate substreams
-    of ``seed``.  Only the starts and the known plane are drawn: the truth
-    record holds ``x`` itself, and the output's ``values`` are gathered
-    from it and the starts when read.
+    of ``seed``.  Only the known plane and the starts are drawn: the truth
+    record holds ``x`` itself and the starts as its one sorted key, and
+    the output's ``values`` are gathered from them when read.
 
     The erasures are drawn by ``_kept_lanes`` over the read symbols laid
     end to end in row order, one chunk of ``_ERASURE_CHUNK`` symbols' whole
@@ -549,9 +569,6 @@ def transmit_codeword(
     K, L = params.K, params.L
     if K * L > _MAX_READ_SYMBOLS:
         raise DomainError(f"K * L = {K * L} exceeds the limit of {_MAX_READ_SYMBOLS} symbols")
-    # For n < 2^32 numpy draws int32 and int64 from the same 32-bit stream,
-    # and the 1-based starts as the draw from [0, n) plus 1.
-    starts = stage_rng(seed, STAGE_STARTS).integers(1, params.n + 1, size=K, dtype=np.int32)
     raw = stage_rng(seed, STAGE_ERASURES).bit_generator
     threshold = math.ceil(float(params.delta) * 2**_U_BITS)
     known = np.empty((K, _plane_width(L)), dtype=np.uint8)
@@ -559,7 +576,17 @@ def transmit_codeword(
         r = blk.stop - blk.start
         kept = _kept_lanes(raw, r * L, threshold)
         known[blk] = _cut_rows(kept.view(np.uint8), L, r)
-    truth = Truth(message=message, codeword=x, starts=starts)
+    # The starts, drawn after the erasures so that no start is alive beside
+    # their state, go a block at a time straight into the high halves of
+    # the truth record's key.  For n < 2^32 numpy draws int32 and int64,
+    # whole or in blocks, from the same 32-bit stream, and the 1-based
+    # starts as the draw from [0, n) plus 1.
+    key = np.arange(K, dtype="<i8")
+    halves = _key_halves(key)
+    draw = stage_rng(seed, STAGE_STARTS)
+    for blk in _row_blocks(K, L):
+        halves[blk, 1] = draw.integers(1, params.n + 1, size=blk.stop - blk.start, dtype=np.int32)
+    truth = Truth._of_key(message, x, key)
     return ChannelOutput(params=params, known=known, truth=truth)
 
 

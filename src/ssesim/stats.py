@@ -17,7 +17,7 @@ whole computation in exact rational arithmetic.
 
 ``coverage`` measures the visible fraction on a ring of uint64 words, one
 bit per codeword position: each block of reads' erasure masks is ORed on
-in read order at their starts, and the set bits are counted with
+in start order at their starts, and the set bits are counted with
 ``np.bitwise_count`` (numpy >= 2.0).
 """
 
@@ -40,7 +40,9 @@ from .channel import (
     STAGE_TRIAL,
     ChannelOutput,
     ChannelParams,
+    _bit_windows,
     _gaps_around,
+    _packed_extension,
     _round_finite,
     _row_blocks,
     _shift_down,
@@ -94,8 +96,7 @@ def _gap_blocks(output: ChannelOutput):
 def coverage(output: ChannelOutput) -> CoverageReport:
     """Coverage fractions against the ground-truth start positions."""
     n, L = output.params.n, output.params.L
-    # phi_v first: its ring is dropped before the phi loop's first read of
-    # ``truth.order`` sorts the starts, so the two are never alive together.
+    # phi_v's ring, n / 8 bytes, is dropped before the phi loop's gaps.
     visible = _visible_positions(output)
     # phi sums the positions each read covers up to the next start, at most
     # L of them, one block of reads in start order at a time.
@@ -108,22 +109,22 @@ def coverage(output: ChannelOutput) -> CoverageReport:
 def _visible_positions(output: ChannelOutput) -> int:
     """Codeword positions that an unerased read symbol covers.
 
-    The unerased symbols of one block of reads at a time, in read order,
+    The unerased symbols of one block of reads at a time, in start order,
     are ORed onto the unrolled ring of little-endian uint64 words: a row
     shifted up by its start's bit offset fills ``words`` words from its
     start's word on.  ``ufunc.at`` applies every row of a repeated word, so
     rows that share a word need no grouping."""
     n, K, L = output.params.n, output.params.K, output.params.L
-    starts = output.truth.starts
+    truth = output.truth
     width = output.known.shape[1]
     words = (width + 7) // 8 + 1
     ring = np.zeros((n - 1) // 64 + words, dtype="<u8")
     for blk in _row_blocks(K, L):
-        pos = starts[blk] - 1  # 0-based
+        pos = truth.sorted_starts[blk] - 1  # 0-based
         span = np.zeros((len(pos), words), dtype="<u8")
         # Shifting a row up by its bit offset s is placing it one word in
         # and shifting it down by 64 - s.
-        span.view(np.uint8)[:, 8 : 8 + width] = output.known[blk]
+        span.view(np.uint8)[:, 8 : 8 + width] = np.take(output.known, truth.order[blk], axis=0)
         _shift_down(span, 64 - (pos & 63))
         word = pos >> 6
         for j in range(words):
@@ -496,44 +497,61 @@ def _probe_z(
     return r, np.sort(keep)
 
 
-def _count_matches(values: np.ndarray, r: int, keep: np.ndarray) -> int:
-    """Reads whose pre-erasure window agrees with read ``r``'s at the kept
-    positions ``keep``, read ``r`` included.
+def _prefix_matches(output: ChannelOutput, probes) -> list[int]:
+    """For each probe ``(r, keep)``, the reads whose pre-erasure window
+    agrees with read ``r``'s at the kept positions ``keep``, read ``r``
+    included.
 
-    ``values`` holds every read's whole window, so a read at an independent
-    start agrees with probability exactly 2**-len(keep).  The kept
-    positions make one byte mask.  The first pass tests every row on the
-    byte that holds the most kept bits, and each further byte keeps only
-    the rows that still agree, so the work shrinks geometrically."""
-    if not len(keep):
-        return len(values)
-    marked = np.zeros(8 * values.shape[1], dtype=bool)
-    marked[keep] = True
-    mask = np.packbits(marked, bitorder="little")
-    want = values[r] & mask
-    by_bits = np.argsort(-np.bitwise_count(mask).astype(np.int64), kind="stable")
-    first, *rest = by_bits[: np.count_nonzero(mask)]
-    alive = np.flatnonzero((values[:, first] & mask[first]) == want[first])
-    for b in rest:
-        alive = alive[(values[alive, b] & mask[b]) == want[b]]
-    return len(alive)
+    The windows are the whole ones, so a read at an independent start
+    agrees with probability exactly 2**-len(keep).  They are cut from the
+    codeword's packed cyclic extension one block of reads in start order
+    at a time, as ``channel._bit_windows``' rows of uint64 words, and every
+    probe is counted on each block; read ``r``'s own window is found at its
+    slot in ``Truth.order``.  No plane of every read's window is built.  A
+    probe's kept positions make one word mask: each block's rows are tested
+    on the word that holds the most kept bits, and each further word keeps
+    only the rows that still agree."""
+    if not probes:
+        return []
+    truth, n, K, L = output.truth, output.params.n, output.params.K, output.params.L
+    ext = _packed_extension(truth.codeword.rows[0], n, L)
+    slots = [np.flatnonzero(truth.order == r)[0] for r, _ in probes]
+    own_first = truth.sorted_starts[slots] - 1
+    own = np.concatenate(
+        [span for _, span in _bit_windows(ext, L, len(probes), lambda blk: own_first[blk])]
+    )
+    tests = []
+    for (_, keep), window in zip(probes, own):
+        marked = np.zeros(64 * len(window), dtype=bool)
+        marked[keep] = True
+        mask = np.packbits(marked, bitorder="little").view("<u8")
+        # A probe that keeps nothing tests its empty first word, which every
+        # row passes.
+        by_bits = np.argsort(-np.bitwise_count(mask).astype(np.int64), kind="stable")
+        tests.append((mask, window & mask, by_bits[: max(1, np.count_nonzero(mask))]))
+    counts = [0] * len(tests)
+    for _, span in _bit_windows(ext, L, K, lambda blk: truth.sorted_starts[blk] - 1):
+        for i, (mask, want, words) in enumerate(tests):
+            first, *rest = words
+            alive = np.flatnonzero((span[:, first] & mask[first]) == want[first])
+            for w in rest:
+                alive = alive[(span[alive, w] & mask[w]) == want[w]]
+            counts[i] += len(alive)
+    return counts
 
 
 def _run_trial(params: ChannelParams, seed: int, t: int, mz_sizes, mz_per_trial: int):
     trial = child_seed(seed, STAGE_TRIAL, t)
     x = random_codeword(params.n, child_seed(trial, STAGE_CODEBOOK))
     out = transmit_codeword(x, params, trial)
-    # m_z runs first: its value plane is freed before the phi_v ring and sort key.
+    # Every probe is drawn first, in the order the counts are listed, and
+    # all are counted in one pass over the reads.
     rng = stage_rng(trial, STAGE_MZ)
-    values = out.values if mz_sizes else None
+    probes = [_probe_z(rng, out.known, params.L, s) for s in mz_sizes for _ in range(mz_per_trial)]
+    counts = _prefix_matches(out, probes)
     mz = tuple(
-        tuple(
-            _count_matches(values, *_probe_z(rng, out.known, params.L, s))
-            for _ in range(mz_per_trial)
-        )
-        for s in mz_sizes
+        tuple(counts[j * mz_per_trial : (j + 1) * mz_per_trial]) for j in range(len(mz_sizes))
     )
-    del values
     rep = coverage(out)
     islands = chain_island_count(out)
     hist = suffix_size_histogram(out)

@@ -258,12 +258,13 @@ def test_codebook_is_the_uint8_draw(n, count):
 def test_starts_are_the_int64_draw(n):
     """The channel draws its starts as int32, which for any n below 2^32
     numpy serves from the same 32-bit stream as the int64 draw, also when
-    the draw is split into blocks."""
+    the draw is split into blocks of odd sizes, as the channel's blocks of
+    rows are."""
     K = 5000
     want = stage_rng(n, STAGE_STARTS).integers(0, n, size=K)
     whole = stage_rng(n, STAGE_STARTS).integers(0, n, size=K, dtype=np.int32)
     rng = stage_rng(n, STAGE_STARTS)
-    split = [rng.integers(0, n, size=k, dtype=np.int32) for k in (1, 1699, 3300)]
+    split = [rng.integers(0, n, size=k, dtype=np.int32) for k in (1, 3, 2787, 2209)]
     assert np.array_equal(whole, want) and np.array_equal(np.concatenate(split), want), (
         f"numpy {np.__version__} no longer draws Generator.integers(0, n, "
         "dtype=np.int32) from the int64 draw's stream; NEP 19 does not freeze "
@@ -287,6 +288,32 @@ def test_transmit_holds_int32_starts_and_one_sort_key():
     assert np.array_equal(truth.sorted_starts, np.sort(want))
 
 
+def test_truth_starts_are_rebuilt_from_the_one_key():
+    """``starts`` is the whole int32 draw plus 1, in read order, scattered
+    from the sorted key into a fresh read-only array on every access; it
+    does not change when the key's halves are read, and the record holds
+    no per-read array besides the 8K-byte key."""
+    p = ChannelParams(n=1000, L=9, K=300, delta=0.2)
+    x = random_codeword(p.n, 4)
+    want = stage_rng(4, STAGE_STARTS).integers(0, p.n, size=p.K, dtype=np.int32) + 1
+    for truth in (transmit_codeword(x, p, 4).truth, Truth(None, x, want.copy())):
+        first = truth.starts
+        assert first.dtype == np.int32 and np.array_equal(first, want)
+        with pytest.raises(ValueError):
+            first[0] = 1
+        second = truth.starts
+        assert second is not first and not np.may_share_memory(first, second)
+        assert np.array_equal(truth.order, np.argsort(want, kind="stable"))
+        assert np.array_equal(truth.sorted_starts, np.sort(want))
+        assert np.array_equal(first, want) and np.array_equal(truth.starts, want)
+        key = truth.order.base
+        assert key.dtype == np.int64 and key.nbytes == 8 * p.K
+        assert not hasattr(truth, "__dict__")
+        held = [getattr(truth, name) for name in Truth.__slots__]
+        arrays = [a for a in held if isinstance(a, np.ndarray)]
+        assert len(arrays) == 2 and all(a.base is key for a in arrays)
+
+
 def test_transmit_refuses_codewords_past_int32_starts():
     """n above 2^30 is refused before any other check: a short codeword,
     which would fail the length check, meets the n check first."""
@@ -297,19 +324,20 @@ def test_transmit_refuses_codewords_past_int32_starts():
 
 
 def test_transmit_caps_read_symbols_below_2_pow_31(monkeypatch):
-    """K * L = 2^31 is refused before the start draw, the first array a
-    channel use builds; K * L = 2^31 - 1 passes the cap and reaches it."""
+    """K * L = 2^31 is refused before the first draw, the erasures', which
+    comes before any array a channel use builds; K * L = 2^31 - 1 passes
+    the cap and reaches it."""
 
-    def start_draw(*args):
-        raise LookupError("start draw reached")
+    def first_draw(*args):
+        raise LookupError("first draw reached")
 
     two, one = random_codeword(2, 0), random_codeword(1, 0)
-    monkeypatch.setattr("ssesim.channel.stage_rng", start_draw)
+    monkeypatch.setattr("ssesim.channel.stage_rng", first_draw)
     over = ChannelParams(n=2, L=2, K=2**30, delta=0.0)
     with pytest.raises(DomainError, match="K \\* L = 2147483648 exceeds the limit"):
         transmit_codeword(two, over, 0)
     at_cap = ChannelParams(n=1, L=1, K=2**31 - 1, delta=0.0)
-    with pytest.raises(LookupError, match="start draw reached"):
+    with pytest.raises(LookupError, match="first draw reached"):
         transmit_codeword(one, at_cap, 0)
 
 

@@ -25,7 +25,7 @@ from ssesim.channel import (
     transmit_codeword,
 )
 from ssesim.stats import (
-    _count_matches,
+    _prefix_matches,
     _run_trial,
     _suffix_size_blocks,
     chain_island_count,
@@ -131,35 +131,92 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
         probes = [np.zeros(L, dtype=bool), np.ones(L, dtype=bool)]
         probes += [rng.random(L) < 0.5 for _ in range(4)]
         r = int(rng.integers(K))
-        for zk in probes:
-            zv = np.where(zk, clean[r], 0)
-            assert _count_matches(out.values, r, np.flatnonzero(zk)) == (
-                _reference_matches(clean, zv, zk)
-            )
+        want = [_reference_matches(clean, np.where(zk, clean[r], 0), zk) for zk in probes]
+        assert _prefix_matches(out, [(r, np.flatnonzero(zk)) for zk in probes]) == want
+
+
+def _clean_windows(out):
+    """Every read's pre-erasure window, as a (K, L) array of 0/1 symbols."""
+    n, L = out.params.n, out.params.L
+    symbols = np.unpackbits(out.truth.codeword.rows[0], count=n, bitorder="little")
+    return symbols[_window_index(out.truth.starts - 1, L, n)]
+
+
+def _edge_keeps(L, rng):
+    """Probes that keep nothing, whole or partial single bytes, or a few
+    positions spread over several bytes (and the words of reads longer
+    than 64)."""
+    keeps = [np.array([], dtype=np.int64)]
+    keeps += [np.arange(lo, min(lo + 8, L)) for lo in range(0, L, 8)]
+    keeps += [np.arange(lo, min(lo + 8, L), 3) for lo in range(0, L, 8)]
+    keeps += [np.sort(rng.choice(L, size=min(size, L), replace=False)) for size in (2, 3, 4, 12)]
+    keeps += [np.array([0, L - 1]), np.arange(0, L, 8)]
+    return keeps
+
+
+def _check_probes(out, reads, keeps):
+    """Every probe of ``reads`` x ``keeps``, counted in one pass, against
+    the direct comparison of the unpacked windows."""
+    clean = _clean_windows(out)
+    probes = [(r, keep) for r in reads for keep in keeps]
+    want = []
+    for r, keep in probes:
+        zk = np.zeros(out.params.L, dtype=bool)
+        zk[keep] = True
+        want.append(_reference_matches(clean, np.where(zk, clean[r], 0), zk))
+    assert _prefix_matches(out, probes) == want
+    return want
 
 
 @pytest.mark.parametrize("n,L,K", [(40, 5, 30), (300, 47, 200), (200, 64, 50), (500, 131, 40)])
 def test_count_matches_edge_probes(n, L, K):
-    """Probes that keep nothing, whole or partial single bytes, or a few
-    positions spread over several bytes (and the words of reads longer
-    than 64), against the direct comparison of the unpacked windows."""
+    """The edge probes of ``_edge_keeps`` on the first, the last and a
+    random read, and on the reads first and last in start order."""
     p = ChannelParams(n=n, L=L, K=K, delta=0.3)
     out = transmit_codeword(random_codeword(n, 4), p, 4)
-    starts0 = out.truth.starts - 1
-    symbols = np.unpackbits(out.truth.codeword.rows[0], count=n, bitorder="little")
-    clean = symbols[_window_index(starts0, L, n)]
     rng = np.random.default_rng(L)
-    for r in (0, K - 1, int(rng.integers(K))):
-        assert _count_matches(out.values, r, np.array([], dtype=np.int64)) == K
-        keeps = [np.arange(lo, min(lo + 8, L)) for lo in range(0, L, 8)]
-        keeps += [np.arange(lo, min(lo + 8, L), 3) for lo in range(0, L, 8)]
-        keeps += [np.sort(rng.choice(L, size=min(size, L), replace=False)) for size in (2, 3, 4, 12)]
-        keeps += [np.array([0, L - 1]), np.arange(0, L, 8)]
-        for keep in keeps:
-            zk = np.zeros(L, dtype=bool)
-            zk[keep] = True
-            want = _reference_matches(clean, np.where(zk, clean[r], 0), zk)
-            assert _count_matches(out.values, r, keep) == want
+    order = out.truth.order
+    reads = (0, K - 1, int(rng.integers(K)), int(order[0]), int(order[-1]))
+    want = _check_probes(out, reads, _edge_keeps(L, rng))
+    assert want[0] == K
+
+
+@pytest.mark.parametrize("n,L,K,starts", [
+    (64, 9, 1, [64]),  # K = 1, its window across the wrap
+    (23, 23, 1, [5]),  # K = 1, L = n
+    (100, 70, 5, [37] * 5),  # every start tied
+    (97, 40, 7000, [97] * 7000),  # tied at the last start, over three blocks
+    (200, 17, 6, [1, 200, 1, 100, 200, 3]),  # first and last starts tied
+])
+def test_prefix_matches_on_placed_starts(n, L, K, starts):
+    """Probe reads at the first and last slots of the start order, with
+    every start tied and with one read, on hand-placed starts."""
+    p = ChannelParams(n=n, L=L, K=K, delta=0.3)
+    x = random_codeword(n, K)
+    known = transmit_codeword(x, p, K).known
+    out = channel.ChannelOutput(p, known, channel.Truth(None, x, np.array(starts)))
+    order = out.truth.order
+    reads = sorted({0, K - 1, int(order[0]), int(order[-1])})
+    want = _check_probes(out, reads, _edge_keeps(L, np.random.default_rng(n)))
+    if len(set(starts)) == 1:
+        # Every window is the same, so every read agrees with every probe.
+        assert want == [K] * len(want)
+
+
+def test_trial_counts_mz_without_the_value_plane(monkeypatch):
+    """A trial with m_z targets gathers no read window plane and never
+    rebuilds the read-order starts: it reads the truth only as its one
+    sorted key."""
+
+    def refuse(*args):
+        raise AssertionError("a trial stage built read-order windows or starts")
+
+    p = ChannelParams.resolve(4096, 0.2, lbar=2, c=2)
+    want = _run_trial(p, 5, 0, [6, 12], 2)
+    monkeypatch.setattr(channel, "_read_windows", refuse)
+    monkeypatch.setattr(channel.Truth, "starts", property(refuse))
+    assert _run_trial(p, 5, 0, [6, 12], 2) == want
+    assert all(len(counts) == 2 for counts in want.mz)
 
 
 @pytest.mark.parametrize("n,K", [(5, 30), (7, 12), (40, 60), (1, 4), (100, 1)])
@@ -310,39 +367,35 @@ def test_erasure_rates_at_delta_0_2():
 
 def test_trial_memory_is_a_few_bytes_per_symbol():
     """One trial at n = 2^20 (L = 40, K = 52,429) peaks at most at an
-    eighth of a byte per read symbol plus 1.0 byte per codeword position.
+    eighth of a byte per read symbol plus 0.87 bytes per codeword position.
 
     The bound comes from what a trial has to hold.  The reads' ``known`` is
-    a bit-plane of K ceil(L/8) bytes, K L / 8 when 8 divides L.  Their
-    ``values``, a plane of the same size, is not stored: the m_z probes,
-    run right after the channel, gather it from the codeword and the
-    starts, and the trial drops it before the coverage stage, so it is
-    never alive beside the phi_v ring or the sort key.  Every stage goes
-    over the reads a block of ``_ROW_BLOCK`` symbols at a time, so its
-    per-symbol temporaries, the rows it takes in start order and the
-    cyclic gaps of those rows included, are a fixed size.  The erasures are
-    drawn a chunk of ``_ERASURE_CHUNK`` symbols (2^20) at a time, in four
-    arrays of one uint64 per 64 symbols (the kept lanes, the live lanes,
-    one round's raw words and the words they are spread onto), 512 KiB, or
-    0.5 n here.  Per codeword position there are only bits, n / 8 bytes
-    each: the codeword's packed row, held all trial; its packed cyclic
-    extension, which only the window gather builds and reads; and the
-    phi_v ring, which the coverage stage drops before the starts are
-    sorted.  Per read there are 12 bytes, each 4 of them 4 c / L = 0.2
-    bytes per position: the int32 starts (0.2 n) and, from the sort on,
-    one int64 key (0.4 n) whose int32 halves are the sort order and the
-    sorted starts, which the stages share.  The m_z probes hold only the
-    rows that still agree.  The peak, measured at 0.969 n past K L / 8, is
-    in the channel: the codeword, the starts, the known plane and one
-    chunk's erasure state.  The suffix stage comes to 0.933 n: the 0.725 n
-    held from the sort on (the codeword row, the starts and the key) and
-    one block's temporaries; the coverage stage to 0.83 n, and the m_z
-    probes, with the value plane, to 0.81 n.  The bound leaves 0.031 n
-    (33 KB) over the peak.  The value plane stored with the reads or alive
-    beside the key or the erasure state (0.25 n), the codeword held as two
-    n-bit integer planes (0.27 n), the phi_v ring alive beside the key
-    (0.125 n), starts drawn as int64 (0.2 n more), an order or sorted
-    starts held beside the key (0.2 n each), a whole int64 array of gaps or
+    a bit-plane of K ceil(L/8) bytes, K L / 8 when 8 divides L.  No plane
+    of the reads' pre-erasure windows is built: the m_z probes count their
+    matches on each block's windows, cut from the codeword's packed cyclic
+    extension in start order.  Every stage goes over the reads a block of
+    ``_ROW_BLOCK`` symbols at a time, so its per-symbol temporaries, the
+    rows it takes in start order and the cyclic gaps of those rows
+    included, are a fixed size.  The erasures are drawn a chunk of
+    ``_ERASURE_CHUNK`` symbols (2^20) at a time, in four arrays of one
+    uint64 per 64 symbols (the kept lanes, the live lanes, one round's raw
+    words and the words they are spread onto), 512 KiB, or 0.5 n here.
+    Per codeword position there are only bits, n / 8 bytes each: the
+    codeword's packed row, held all trial; its packed cyclic extension,
+    which the m_z count builds and drops; and the phi_v ring, which the
+    coverage stage builds and drops.  Per read only the 8-byte key is held
+    (0.4 n, since each 4 bytes per read are 4 c / L = 0.2 bytes per
+    position): start * 2^32 + index, drawn after the erasures a block at a
+    time and sorted once, whose int32 halves are the sort order and the
+    sorted starts that the stages share; no int32 starts are kept beside
+    it.  The peak, measured at 0.832 n past K L / 8, is in the coverage
+    stage: the codeword row, the key, the phi_v ring and one block's
+    temporaries.  The channel's erasure draw comes to 0.768 n (the
+    codeword, the known plane and one chunk's erasure state), the m_z count
+    to 0.774 n and the suffix stage to 0.734 n.  The bound leaves 0.038 n
+    (40 KB) over the peak.  The value plane alive beside the key (0.25 n),
+    int32 read-order starts kept beside it (0.2 n), the codeword held as
+    two n-bit integer planes (0.27 n), a whole int64 array of gaps or
     distances (0.4 n), an n-byte phi_v line, the reads held as two (K, L)
     byte arrays (2 K L = 4 n), an int64 index over all K L symbols, or a
     float64 erasure uniform per symbol of one block (1.0 n) break it.
@@ -357,7 +410,7 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= p.K * p.L / 8 + 1.0 * p.n
+    assert peak <= p.K * p.L / 8 + 0.87 * p.n
 
 
 def test_random_codeword_memory_is_bounded():
