@@ -101,6 +101,22 @@ GOLDEN = {
     "concentration --n 1024 --length 10 --reads 205 --delta 0.85 --trials 3"
     " --mz-per-trial 4 --seed 1 --format csv":
         "3ce2010e42511de284048d384fa73c64caa06709992ad115bd81256c65864ea0",
+    # Reads of length 190 on a ring of 200, over five row blocks: nearly
+    # every window wraps past n, so phi_v ORs most reads twice and the m_z
+    # count cuts every window from the extension's tail.
+    "concentration --n 200 --length 190 --reads 3000 --delta 0.3 --trials 2 --seed 12":
+        "afa17c92bcc36706f0fb4e1187065ffc0b1b947e050158bb586798d36790a9ab",
+    "concentration --n 200 --length 190 --reads 3000 --delta 0.3 --trials 2 --seed 12"
+    " --format csv":
+        "71bb8562574f634299e20a0496d71fb31a3c05d2e077d1fca72d718d855a61c4",
+    # n not a multiple of 64 (nor of 8), over several row blocks: the last
+    # ring word is partial and the row's last byte is not whole.
+    "concentration --n 1000003 --lbar 2 --coverage 2 --delta 0.2 --mz-tau 0.5"
+    " --mz-tau 0.85 --trials 2 --seed 13":
+        "49c10a2857caef8ef15406084b7427b9ba75771935c8ff57ca9293539abb088b",
+    "concentration --n 1000003 --lbar 2 --coverage 2 --delta 0.2 --mz-tau 0.5"
+    " --mz-tau 0.85 --trials 2 --seed 13 --format csv":
+        "110095592bc60f7ea308bed7dece0321dd45351499e1e52dcba15dc8f6e15072",
     # Codeword matching on large codebooks: the decode-bigbook geometry
     # (1024 codewords of length 32), then n and codebook size that are not
     # multiples of 8, where 22 codewords hold every read.
