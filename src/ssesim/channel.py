@@ -231,7 +231,7 @@ class ChannelOutput:
             raise ValueError(f"a channel output needs the truth record of its {p.K} reads")
         if self.known.shape != (p.K, _plane_width(p.L)) or self.known.dtype != np.uint8:
             raise ValueError(f"known must be a uint8 array of shape {(p.K, _plane_width(p.L))}")
-        if p.L % 8 and np.any(self.known[:, -1] >> (p.L % 8)):
+        if p.L % 8 and self.known[:, -1].max() >> (p.L % 8):
             raise ValueError(f"known has bits set past the read length {p.L}")
         self.known.setflags(write=False)
 
@@ -298,7 +298,7 @@ class Codebook(Sequence):
     def __init__(self, rows: np.ndarray, n: int) -> None:
         if rows.ndim != 2 or rows.shape[1] != _plane_width(n) or rows.dtype != np.uint8:
             raise ValueError(f"codebook rows must be uint8 arrays of width {_plane_width(n)}")
-        if n % 8 and np.any(rows[:, -1] >> (n % 8)):
+        if n % 8 and rows[:, -1].max(initial=0) >> (n % 8):
             raise ValueError(f"codebook rows have bits set past the length {n}")
         rows.setflags(write=False)
         self.rows = rows
@@ -428,20 +428,20 @@ def _bit_windows(packed: np.ndarray, L: int, count: int, first):
         yield blk, span
 
 
-def _packed_extension(row: np.ndarray, n: int, L: int) -> np.ndarray:
-    """The bytes of the n bits of the packed ``row`` followed by its first
-    L - 1, and 8 zero bytes: ring position (p + j) mod n is bit p + j, for
-    0 <= p < n, 0 <= j < L."""
-    size = _plane_width(n + L - 1) + 8
-    ext = np.zeros(size, dtype=np.uint8)
-    ext[: len(row)] = row
+def _packed_extension(row: np.ndarray, n: int, L: int, a: int) -> np.ndarray:
+    """The bytes from byte ``a`` <= n / 8 on of the n bits of the packed
+    ``row`` followed by its first L - 1, and 8 zero bytes: ring position
+    (p + j) mod n is bit p + j - 8a, for 8a <= p < n, 0 <= j < L.  A trial
+    cuts only the reads whose words pass the row's whole bytes from it."""
+    ext = np.zeros(_plane_width(n + L - 1) - a + 8, dtype=np.uint8)
+    ext[: len(row) - a] = row[a:]
     # The head, the row's first L - 1 bits, is ORed in at bit n: its bytes
     # shifted up by n's bit offset, and the bits they shift out one byte on.
     head = row[: _plane_width(L - 1)]
     if (L - 1) % 8:
         head = head.copy()
         head[-1] &= _mask((L - 1) % 8)
-    at, shift = n >> 3, n & 7
+    at, shift = (n >> 3) - a, n & 7
     ext[at : at + len(head)] |= head << shift
     if shift:
         ext[at + 1 : at + 1 + len(head)] |= head >> (8 - shift)
@@ -452,7 +452,7 @@ def _read_windows(x: Codebook, starts: np.ndarray, L: int) -> np.ndarray:
     """The read-only (K, ceil(L/8)) plane of the L-symbol windows of the
     one-row codebook ``x`` at the 1-based cyclic ``starts``: each read's L
     bits of the codeword's cyclic extension from bit start - 1 on."""
-    ext = _packed_extension(x.rows[0], x.n, L)
+    ext = _packed_extension(x.rows[0], x.n, L, 0)
     values = _gather_bits(ext, L, len(starts), lambda blk: starts[blk] - 1)
     values.setflags(write=False)
     return values

@@ -15,18 +15,20 @@ and the expected count at size ``s`` is ``K * sum_l P(overlap = l) *
 P(Binomial(l, 1 - delta) = s)``.  Passing a ``Fraction`` delta keeps the
 whole computation in exact rational arithmetic.
 
-``coverage`` measures the visible fraction on a ring of uint64 words, one
-bit per codeword position: each block of reads' erasure masks is ORed on
-in start order at their starts, and the set bits are counted with
+Every trial stage streams over the reads one block in start order at a
+time.  ``coverage`` ORs each block's erasure masks at their starts onto a
+window of uint64 ring words, one bit per position, that slides with the
+blocks, and counts the words no later block reaches with
 ``np.bitwise_count`` (numpy >= 2.0).
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,9 +42,11 @@ from .channel import (
     STAGE_TRIAL,
     ChannelOutput,
     ChannelParams,
+    _ROW_BLOCK,
     _bit_windows,
     _gaps_around,
     _packed_extension,
+    _plane_width,
     _round_finite,
     _row_blocks,
     _shift_down,
@@ -96,7 +100,6 @@ def _gap_blocks(output: ChannelOutput):
 def coverage(output: ChannelOutput) -> CoverageReport:
     """Coverage fractions against the ground-truth start positions."""
     n, L = output.params.n, output.params.L
-    # phi_v's ring, n / 8 bytes, is dropped before the phi loop's gaps.
     visible = _visible_positions(output)
     # phi sums the positions each read covers up to the next start, at most
     # L of them, one block of reads in start order at a time.
@@ -110,33 +113,41 @@ def _visible_positions(output: ChannelOutput) -> int:
     """Codeword positions that an unerased read symbol covers.
 
     The unerased symbols of one block of reads at a time, in start order,
-    are ORed onto the unrolled ring of little-endian uint64 words: a row
+    are ORed onto a window of the unrolled ring's little-endian uint64
+    words (``ufunc.at`` applies every row of a repeated word): a row
     shifted up by its start's bit offset fills ``words`` words from its
-    start's word on.  ``ufunc.at`` applies every row of a repeated word, so
-    rows that share a word need no grouping."""
+    start's word on.  A block past the window's end slides it on to the
+    block's first word, counting and dropping the final words below, with
+    room for 2^18 more bits, so it slides once every few blocks.  The reads
+    whose windows pass n are ORed once before the first block, moved back
+    by n, and only bits in [0, n) are counted."""
     n, K, L = output.params.n, output.params.K, output.params.L
-    truth = output.truth
-    width = output.known.shape[1]
+    truth, width = output.truth, output.known.shape[1]
     words = (width + 7) // 8 + 1
-    ring = np.zeros((n - 1) // 64 + words, dtype="<u8")
-    for blk in _row_blocks(K, L):
-        pos = truth.sorted_starts[blk] - 1  # 0-based
+    wrap = bisect.bisect_right(truth.sorted_starts, n - L + 1)
+    passes = [(slice(wrap + b.start, wrap + b.stop), n) for b in _row_blocks(K - wrap, L)]
+    visible, base, ring = 0, 0, np.zeros(0, dtype="<u8")  # ring words from word base on
+    for blk, back in passes + [(b, 0) for b in _row_blocks(K, L)]:
+        pos = truth.sorted_starts[blk] - np.int64(1 + back)  # 0-based, less n in a first pass
+        word = pos >> 6
+        lo, hi = int(word[0]), int(word[-1]) + words
+        if hi - base > len(ring):
+            visible += int(np.bitwise_count(ring[max(0, -base) : lo - base]).sum())
+            kept, ring = ring[lo - base :].copy(), None  # freed before the next one
+            ring = np.zeros(hi - lo + _ROW_BLOCK // 32, dtype="<u8")
+            ring[: len(kept)], base = kept, lo
+        word -= base
         span = np.zeros((len(pos), words), dtype="<u8")
         # Shifting a row up by its bit offset s is placing it one word in
         # and shifting it down by 64 - s.
         span.view(np.uint8)[:, 8 : 8 + width] = np.take(output.known, truth.order[blk], axis=0)
         _shift_down(span, 64 - (pos & 63))
-        word = pos >> 6
         for j in range(words):
-            np.bitwise_or.at(ring, word + j, span[:, j])
-    # Fold the overhang, ring bits n and up, back onto the ring's start, and
-    # count the set bits.
-    over = ring[n >> 6 :].copy()
-    ring[n >> 6] &= np.uint64((1 << (n & 63)) - 1)
-    ring[(n >> 6) + 1 :] = 0
-    _shift_down(over[None], np.array([n & 63]))
-    ring[: len(over)] |= over
-    return int(np.bitwise_count(ring).sum())
+            np.bitwise_or.at(ring, word, span[:, j])
+            word += 1
+    # The word holding bit n, if the ring reaches it, keeps only its bits below n.
+    ring[(n >> 6) - base :][:1] &= np.uint64((1 << (n & 63)) - 1)
+    return visible + int(np.bitwise_count(ring[max(0, -base) : (n >> 6) - base + 1]).sum())
 
 
 def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:
@@ -503,38 +514,49 @@ def _prefix_matches(output: ChannelOutput, probes) -> list[int]:
     included.
 
     The windows are the whole ones, so a read at an independent start
-    agrees with probability exactly 2**-len(keep).  They are cut from the
-    codeword's packed cyclic extension one block of reads in start order
-    at a time, as ``channel._bit_windows``' rows of uint64 words, and every
-    probe is counted on each block; read ``r``'s own window is found at its
-    slot in ``Truth.order``.  No plane of every read's window is built.  A
-    probe's kept positions make one word mask: each block's rows are tested
-    on the word that holds the most kept bits, and each further word keeps
-    only the rows that still agree."""
+    agrees with probability exactly 2**-len(keep).  They are cut one block
+    of reads in start order at a time, as ``channel._bit_windows``' rows of
+    uint64 words, and every probe is counted on each block: from the
+    codeword's row while a read's words lie in its whole bytes, then from
+    a short tail of the packed cyclic extension.  No plane of every read's
+    window and no whole extension is built.  Read ``r``'s own symbols are
+    read off the row from its start, found at its slot in ``Truth.order``
+    a block of slots at a time.  A probe's kept positions make one word
+    mask: each block's rows are tested on the word that holds the most kept
+    bits, and each further word keeps only the rows that still agree."""
     if not probes:
         return []
     truth, n, K, L = output.truth, output.params.n, output.params.K, output.params.L
-    ext = _packed_extension(truth.codeword.rows[0], n, L)
-    slots = [np.flatnonzero(truth.order == r)[0] for r, _ in probes]
-    own_first = truth.sorted_starts[slots] - 1
-    own = np.concatenate(
-        [span for _, span in _bit_windows(ext, L, len(probes), lambda blk: own_first[blk])]
-    )
+    row, starts, words = truth.codeword.rows[0], truth.sorted_starts, _plane_width(L) // 8 + 1
     tests = []
-    for (_, keep), window in zip(probes, own):
-        marked = np.zeros(64 * len(window), dtype=bool)
-        marked[keep] = True
+    for r, keep in probes:
+        slot = next(
+            b.start + i for b in _row_blocks(K, 1) for i in np.flatnonzero(truth.order[b] == r)
+        )
+        at = (int(starts[slot]) - 1 + keep) % n
+        marked = np.zeros(64 * words, dtype=np.uint8)
+        marked[keep] = 1
         mask = np.packbits(marked, bitorder="little").view("<u8")
+        marked[keep] = row[at >> 3] >> (at & 7) & 1
         # A probe that keeps nothing tests its empty first word, which every
         # row passes.
         by_bits = np.argsort(-np.bitwise_count(mask).astype(np.int64), kind="stable")
-        tests.append((mask, window & mask, by_bits[: max(1, np.count_nonzero(mask))]))
+        want = np.packbits(marked, bitorder="little").view("<u8")
+        tests.append((mask, want, by_bits[: max(1, np.count_nonzero(mask))]))
+    # Reads before slot m start before byte a: their words lie in the row's whole bytes.
+    a = max(0, (n >> 3) - 8 * words + 1)
+    m = bisect.bisect_right(starts, 8 * a)
+    tail = _packed_extension(row, n, L, a)
+    spans = itertools.chain(
+        _bit_windows(row[: n >> 3], L, m, lambda blk: starts[blk] - 1) if m else (),
+        _bit_windows(tail, L, K - m, lambda b: starts[m + b.start : m + b.stop] - (1 + 8 * a)),
+    )
     counts = [0] * len(tests)
-    for _, span in _bit_windows(ext, L, K, lambda blk: truth.sorted_starts[blk] - 1):
-        for i, (mask, want, words) in enumerate(tests):
-            first, *rest = words
+    for _, span in spans:
+        for i, (mask, want, by_bits) in enumerate(tests):
+            first, *later = by_bits
             alive = np.flatnonzero((span[:, first] & mask[first]) == want[first])
-            for w in rest:
+            for w in later:
                 alive = alive[(span[alive, w] & mask[w]) == want[w]]
             counts[i] += len(alive)
     return counts
@@ -591,8 +613,11 @@ def concentration_experiment(
         return _run_trial(params, seed, t, mz_sizes, mz_per_trial)
 
     # One thread runs the trials itself: a pool of one worker raised the
-    # peak RSS at n = 1e7 by about 3 MB, likely its thread's malloc arena.
+    # peak RSS at n = 1e7 by about 3 MB, likely its thread's malloc arena,
+    # and the pool's imports are loaded only when it is used.
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as ex:
             per_trial = tuple(ex.map(job, range(trials)))
     else:

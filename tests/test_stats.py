@@ -1,13 +1,18 @@
 import itertools
 import math
+import os
 import statistics
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
+import ssesim
 from ssesim.channel import ChannelParams, random_codeword, transmit_codeword
 from ssesim.errors import DomainError
 from ssesim.stats import (
@@ -278,6 +283,20 @@ def test_concentration_deterministic_and_thread_safe():
     assert a.per_trial == b.per_trial == c.per_trial
     d = concentration_experiment(p, 6, 32, mz_targets=(0.5,), mz_per_trial=2)
     assert d.to_json() != a.to_json()
+
+
+def test_import_leaves_the_thread_pool_unloaded():
+    """The trial pool's ``concurrent.futures`` (with its ``logging`` and
+    ``queue``) is imported only by a run with more than one thread."""
+    code = "import sys, ssesim.cli; print('concurrent.futures' in sys.modules)"
+    # The child imports the same package as this process: pytest's
+    # ``pythonpath`` does not reach children.
+    path = [str(Path(ssesim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_concentration_fields():

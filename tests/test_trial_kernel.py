@@ -41,7 +41,10 @@ from ground_truth import true_islands
 # and the last case spans four row blocks with three pad bits per read.
 # After it: rings not a multiple of 8 long with windows across the wrap,
 # many starts inside one byte of the ring (K >> n), and reads longer than
-# one 64-bit word, also past two.
+# one 64-bit word, also past two.  The last two are the golden runs' edge
+# geometries: reads of 190 on a ring of 200 over five row blocks, nearly
+# all wrapping past n, and an n that is not a multiple of 64 (nor of 8)
+# over several blocks.
 CASES = [
     (1, 1, 3, 0.5),
     (2, 2, 5, 0.5),
@@ -62,6 +65,8 @@ CASES = [
     (27, 5, 600, 0.1),
     (101, 67, 30, 0.3),
     (260, 131, 12, 0.25),
+    (200, 190, 3000, 0.3),
+    (1000003, 40, 50000, 0.2),
 ]
 
 
@@ -366,51 +371,53 @@ def test_erasure_rates_at_delta_0_2():
 
 
 def test_trial_memory_is_a_few_bytes_per_symbol():
-    """One trial at n = 2^20 (L = 40, K = 52,429) peaks at most at an
-    eighth of a byte per read symbol plus 0.87 bytes per codeword position.
+    """One trial peaks at most at an eighth of a byte per read symbol plus
+    0.80 bytes per codeword position at n = 2^20 (L = 40, K = 52,429), and
+    plus 0.55 at n = 2^23 (L = 46, K = 364,722).
 
     The bound comes from what a trial has to hold.  The reads' ``known`` is
-    a bit-plane of K ceil(L/8) bytes, K L / 8 when 8 divides L.  No plane
-    of the reads' pre-erasure windows is built: the m_z probes count their
-    matches on each block's windows, cut from the codeword's packed cyclic
-    extension in start order.  Every stage goes over the reads a block of
-    ``_ROW_BLOCK`` symbols at a time, so its per-symbol temporaries, the
-    rows it takes in start order and the cyclic gaps of those rows
-    included, are a fixed size.  The erasures are drawn a chunk of
-    ``_ERASURE_CHUNK`` symbols (2^20) at a time, in four arrays of one
-    uint64 per 64 symbols (the kept lanes, the live lanes, one round's raw
-    words and the words they are spread onto), 512 KiB, or 0.5 n here.
-    Per codeword position there are only bits, n / 8 bytes each: the
-    codeword's packed row, held all trial; its packed cyclic extension,
-    which the m_z count builds and drops; and the phi_v ring, which the
-    coverage stage builds and drops.  Per read only the 8-byte key is held
-    (0.4 n, since each 4 bytes per read are 4 c / L = 0.2 bytes per
-    position): start * 2^32 + index, drawn after the erasures a block at a
+    a bit-plane of K ceil(L/8) bytes, K L / 8 when 8 divides L (0.011 n
+    more at L = 46).  Per codeword position there is only the codeword's
+    packed row, n / 8 bytes, held all trial.  Per read only the 8-byte key
+    is held (8 c / L bytes per position: 0.4 n at L = 40, 0.348 n at
+    L = 46): start * 2^32 + index, drawn after the erasures a block at a
     time and sorted once, whose int32 halves are the sort order and the
-    sorted starts that the stages share; no int32 starts are kept beside
-    it.  The peak, measured at 0.832 n past K L / 8, is in the coverage
-    stage: the codeword row, the key, the phi_v ring and one block's
-    temporaries.  The channel's erasure draw comes to 0.768 n (the
-    codeword, the known plane and one chunk's erasure state), the m_z count
-    to 0.774 n and the suffix stage to 0.734 n.  The bound leaves 0.038 n
-    (40 KB) over the peak.  The value plane alive beside the key (0.25 n),
-    int32 read-order starts kept beside it (0.2 n), the codeword held as
-    two n-bit integer planes (0.27 n), a whole int64 array of gaps or
-    distances (0.4 n), an n-byte phi_v line, the reads held as two (K, L)
-    byte arrays (2 K L = 4 n), an int64 index over all K L symbols, or a
-    float64 erasure uniform per symbol of one block (1.0 n) break it.
+    sorted starts that the stages share.  So a trial holds 0.529 n past
+    K L / 8 at 2^20 and 0.484 n at 2^23.  Every stage goes over the reads
+    in start order a block of ``_ROW_BLOCK`` symbols at a time, so its
+    temporaries are a fixed size: the rows it takes and their cyclic gaps,
+    the window of phi_v's ring words that slides with the blocks, and the
+    m_z count's windows, cut from the codeword row and, for the last few
+    reads, from a tail of its cyclic extension.  No plane of the reads'
+    windows, no whole ring and no whole extension is built.  The erasures
+    are drawn a chunk of ``_ERASURE_CHUNK`` symbols (2^20) at a time, in
+    four arrays of one uint64 per 64 symbols, 512 KiB: 0.5 n at 2^20,
+    where the erasure draw is the peak, measured at 0.769 n (the codeword,
+    the known plane and one chunk's erasure state); the phi_v stage comes
+    to 0.724 n, the m_z count to 0.650 n and the suffix stage to 0.734 n.
+    At 2^23 the chunk is 0.0625 n, and the peak, measured at 0.508 n, is
+    within 0.024 n of what the trial holds in every stage.  The bounds
+    leave 0.031 n (33 KB) and 0.042 n (350 KB) over the peaks.  A whole
+    phi_v ring or cyclic extension rebuilt (0.125 n) breaks the bound at
+    2^23; the value plane alive beside the key (0.25 n), int32 read-order
+    starts kept beside it (0.2 n), the codeword held as two n-bit integer
+    planes (0.27 n), a whole int64 array of gaps or distances (0.4 n), an
+    n-byte phi_v line, the reads held as two (K, L) byte arrays
+    (2 K L = 4 n), an int64 index over all K L symbols, or a float64
+    erasure uniform per symbol of one block (1.0 n) break both.
     tracemalloc sees numpy's allocations, so the peak is a count of bytes,
     not a timing.
     """
-    p = ChannelParams.resolve(2**20, 0.2, lbar=2, c=2)
-    _run_trial(p, 7, 0, [10, 17], 2)  # first-call caches out of the count
-    tracemalloc.start()
-    try:
-        _run_trial(p, 7, 0, [10, 17], 2)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= p.K * p.L / 8 + 0.87 * p.n
+    for n, bound in ((2**20, 0.80), (2**23, 0.55)):
+        p = ChannelParams.resolve(n, 0.2, lbar=2, c=2)
+        _run_trial(p, 7, 0, [10, 17], 2)  # first-call caches out of the count
+        tracemalloc.start()
+        try:
+            _run_trial(p, 7, 0, [10, 17], 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= p.K * p.L / 8 + bound * p.n, n
 
 
 def test_random_codeword_memory_is_bounded():
