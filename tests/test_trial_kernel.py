@@ -392,14 +392,15 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
     windows, no whole ring and no whole extension is built.  The erasures
     are drawn a chunk of ``_ERASURE_CHUNK`` symbols (2^20) at a time, in
     four arrays of one uint64 per 64 symbols, 512 KiB: 0.5 n at 2^20,
-    where the erasure draw is the peak, measured at 0.769 n (the codeword,
-    the known plane and one chunk's erasure state); the phi_v stage comes
-    to 0.724 n, the m_z count to 0.650 n and the suffix stage to 0.734 n.
-    At 2^23 the chunk is 0.0625 n, and the peak, measured at 0.508 n, is
-    within 0.024 n of what the trial holds in every stage.  The bounds
-    leave 0.031 n (33 KB) and 0.042 n (350 KB) over the peaks.  A whole
-    phi_v ring or cyclic extension rebuilt (0.125 n) breaks the bound at
-    2^23; the value plane alive beside the key (0.25 n), int32 read-order
+    where the erasure draw comes to 0.769 n (the codeword, the known plane
+    and one chunk's erasure state).  The peak, measured at 0.780 n there,
+    is in the phi_v stage, whose window keeps 2^18 bits of room beside one
+    block's words; the m_z count comes to 0.650 n and the suffix stage to
+    0.734 n.  At 2^23 the chunk is 0.0625 n, and the peak, measured at
+    0.514 n, again in the phi_v stage, is within 0.030 n of what the trial
+    holds.  The bounds leave 0.020 n (21 KB) and 0.036 n (300 KB) over the
+    peaks.  A whole phi_v ring or cyclic extension rebuilt (0.125 n)
+    breaks the bound at 2^23; the value plane alive beside the key (0.25 n), int32 read-order
     starts kept beside it (0.2 n), the codeword held as two n-bit integer
     planes (0.27 n), a whole int64 array of gaps or distances (0.4 n), an
     n-byte phi_v line, the reads held as two (K, L) byte arrays
