@@ -1,12 +1,30 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ssesim
 from ssesim.channel import ChannelOutput, ChannelParams, Codebook, Truth
 from ssesim.stats import chain_island_count
+
+
+def loaded_by_cli_import(module: str) -> bool:
+    """Whether a fresh ``import ssesim.cli`` loads ``module``."""
+    code = f"import sys, ssesim.cli; print({module!r} in sys.modules)"
+    # The child imports the same package as this process, whether or not
+    # PYTHONPATH is set: pytest's ``pythonpath`` does not reach children.
+    path = [str(Path(ssesim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    return out.stdout.strip() == "True"
 
 
 def make_output(

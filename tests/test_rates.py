@@ -1,14 +1,9 @@
 import math
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from mpmath import mp
 
-import ssesim
 from ssesim.channel import ChannelParams
 from ssesim.errors import DomainError
 from ssesim.rates import (
@@ -22,6 +17,8 @@ from ssesim.rates import (
     ssc_short_rate,
 )
 from ssesim.stats import expected_suffix_size_counts
+
+from conftest import loaded_by_cli_import
 
 # Values pinned from high-precision (mpmath, 60 digit) evaluation of the
 # closed forms; regressions here mean the formulas changed, not just noise.
@@ -204,19 +201,7 @@ def test_gap_accepts_fractions():
 
 
 def test_import_leaves_mpmath_unloaded():
-    code = "import sys, ssesim.cli; print('mpmath' in sys.modules)"
-    # The child imports the same package as this process, whether or not
-    # PYTHONPATH is set: pytest's ``pythonpath`` does not reach children.
-    path = [str(Path(ssesim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        check=True,
-        env=env,
-    )
-    assert out.stdout.strip() == "False"
+    assert not loaded_by_cli_import("mpmath")
 
 
 @pytest.mark.parametrize(

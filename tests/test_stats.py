@@ -1,18 +1,13 @@
 import itertools
 import math
-import os
 import statistics
-import subprocess
-import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import binom
 
-import ssesim
 from ssesim.channel import ChannelParams, random_codeword, transmit_codeword
 from ssesim.errors import DomainError
 from ssesim.stats import (
@@ -30,6 +25,7 @@ from ssesim.stats import (
 from conftest import (
     exact_counts_by_enumeration,
     exact_counts_over_all_tuples,
+    loaded_by_cli_import,
     make_output,
 )
 from ground_truth import true_islands, visible_symbols
@@ -288,15 +284,7 @@ def test_concentration_deterministic_and_thread_safe():
 def test_import_leaves_the_thread_pool_unloaded():
     """The trial pool's ``concurrent.futures`` (with its ``logging`` and
     ``queue``) is imported only by a run with more than one thread."""
-    code = "import sys, ssesim.cli; print('concurrent.futures' in sys.modules)"
-    # The child imports the same package as this process: pytest's
-    # ``pythonpath`` does not reach children.
-    path = [str(Path(ssesim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
-    )
-    assert out.stdout.strip() == "False"
+    assert not loaded_by_cli_import("concurrent.futures")
 
 
 def test_concentration_fields():
