@@ -129,6 +129,15 @@ GOLDEN = {
     "decode-demo --n 30 --length 7 --reads 5 --delta 0.2 --codebook-size 1000"
     " --seed 3 --epsilon 2":
         "42166ec0b6d9bb2becbfa93186ae9ff4d4b4e4fb414f96d6944681b3173591a0",
+    # The trace's edge cases: an "empty" outcome with no island sets, no
+    # candidates and a null message, then decode-bigbook's delta = 0 cell,
+    # whose 47 island sets hold only fully visible islands.
+    "decode-demo --n 24 --length 6 --reads 5 --delta 0.1 --codebook-size 6"
+    " --seed 6 --epsilon 0.1":
+        "ef252d5983d66878f8074129263f45e4998b5bc00a86e2cec1c6f20ba0cea820",
+    "decode-demo --n 32 --length 8 --reads 4 --delta 0 --codebook-size 1024"
+    " --seed 17":
+        "c6a626e489372939d3a8ea2f0189323a6ce238d444caff411d99d4551ab8195f",
 }
 
 FIELDS = json.loads((Path(__file__).parent / "golden_fields.json").read_text())
