@@ -9,8 +9,8 @@ Subcommands:
     gtau-table     exact expected suffix-size counts (CSV)
 
 Exit codes: 0 on success, 2 for domain errors (bad parameter combinations),
-1 for I/O failures, 64 for usage errors.  All output is deterministic for a
-given seed: reruns produce byte-identical files.
+1 for I/O failures and exhausted memory, 64 for usage errors.  All output is
+deterministic for a given seed: reruns produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .channel import (
 )
 from .decoder import DecoderConfig, oracle_decode, typicality_decode
 from .errors import DomainError
-from .rates import rate_curve, rates_csv
 from .stats import concentration_experiment, expected_suffix_size_counts
 
 USAGE_ERROR = 64
@@ -121,6 +120,8 @@ def _params(args) -> ChannelParams:
 
 
 def _cmd_rate_curve(args) -> int:
+    from .rates import rate_curve, rates_csv  # and with it csv, for this command only
+
     rows = rate_curve(args.c_grid, args.lbar, args.delta or [0.0])
     _emit(rates_csv(rows), args.output)
     return 0
@@ -170,15 +171,33 @@ def _cmd_decode_demo(args) -> int:
         outcome = "ambiguous" if result.candidate_codewords else "empty"
     trace = {
         "visited_tuples": result.tuples_visited,
-        "candidate_island_sets": [list(s) for s in result.candidate_islands],
+        "candidate_island_sets": result.candidate_islands,
         "candidate_codewords": [oracle[i] for i in result.candidate_codewords],
-        "oracle_codewords": list(oracle),
+        "oracle_codewords": oracle,
         "outcome": outcome,
         "decoded_message": message,
         "true_message": w,
     }
-    _emit(json.dumps(trace, indent=2, sort_keys=True), args.output)
+    _emit(_trace_json(trace), args.output)
     return 0
+
+
+def _trace_json(trace: dict) -> str:
+    """``json.dumps(trace, indent=2, sort_keys=True)`` for decode-demo's
+    trace, with the island sets laid out by one join per set: their texts
+    hold only 0, 1 and *, so they need no escaping."""
+    fields = []
+    for key in sorted(trace):
+        value = trace[key]
+        if key != "candidate_island_sets":
+            text = json.dumps(value, indent=2).replace("\n", "\n  ")
+        else:
+            sets = ",\n    ".join(
+                '[\n      "' + '",\n      "'.join(s) + '"\n    ]' if s else "[]" for s in value
+            )
+            text = f"[\n    {sets}\n  ]" if value else "[]"
+        fields.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(fields) + "\n}"
 
 
 def _cmd_gtau_table(args) -> int:
@@ -224,7 +243,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--mz-tau", type=float, action="append", metavar="TAU")
     p.add_argument("--mz-per-trial", type=_int_at_least(1), default=2)
-    p.add_argument("--threads", type=_int_at_least(1), default=1)
+    threads = "trial threads, at most one per trial and per CPU; output does not depend on it"
+    p.add_argument("--threads", type=_int_at_least(1), default=1, help=threads)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_concentration)
@@ -263,8 +283,8 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

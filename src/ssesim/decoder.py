@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,6 +55,7 @@ from .tritstring import (
     _mask,
     _overlay,
     _shift_and,
+    _text,
     is_l_compatible,
 )
 
@@ -101,8 +102,10 @@ class DecodeResult:
 
     @cached_property
     def candidate_islands(self) -> tuple[tuple[str, ...], ...]:
-        """The island sets as sorted tuples of texts, rendered on first use."""
-        text_of = cache(lambda t: TritString(*t).text)
+        """The island sets as sorted tuples of texts, rendered on first use,
+        each distinct island once, straight from its raw triple."""
+        distinct = {t for s in self.island_sets for t in s}
+        text_of = {t: _text(*t) for t in distinct}.__getitem__
         return tuple(sorted(tuple(sorted(map(text_of, s))) for s in self.island_sets))
 
 

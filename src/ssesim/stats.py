@@ -28,9 +28,9 @@ import bisect
 import itertools
 import json
 import math
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -225,6 +225,8 @@ def expected_suffix_size_counts(params: ChannelParams) -> list:
     Its entries are floats for a float ``delta`` and Fractions for a
     Fraction ``delta``.
     """
+    from fractions import Fraction  # only here, to test for an exact delta; 0.3 MB
+
     n, L, K = params.n, params.L, params.K
     exact = isinstance(params.delta, Fraction)
     one = Fraction(1) if exact else 1.0
@@ -612,13 +614,14 @@ def concentration_experiment(
     def job(t: int):
         return _run_trial(params, seed, t, mz_sizes, mz_per_trial)
 
-    # One thread runs the trials itself: a pool of one worker raised the
-    # peak RSS at n = 1e7 by about 3 MB, likely its thread's malloc arena,
-    # and the pool's imports are loaded only when it is used.
-    if threads > 1:
+    # Workers past the trials or the cores cannot help.  One runs the trials
+    # itself: a pool of one worker raised the peak RSS at n = 1e7 by about
+    # 3 MB, likely its thread's malloc arena, and the pool's imports load.
+    workers = min(threads, trials, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             per_trial = tuple(ex.map(job, range(trials)))
     else:
         per_trial = tuple(job(t) for t in range(trials))

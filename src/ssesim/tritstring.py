@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 ERASED = "*"
+_HEX_TO_TEXT = str.maketrans("012", ERASED + "01")  # _text's digits to symbols
 
 
 class MergeError(ValueError):
@@ -81,14 +82,7 @@ class TritString:
 
     @property
     def text(self) -> str:
-        # One hex digit per position, position i at digit i: a binary
-        # plane's digits read in base 16, known + bits, so 0 is erased, 1
-        # a visible 0 and 2 a visible 1.  A 1 digit above the last
-        # position keeps the zero digits of erased last positions; the
-        # digits are read back from position 0 and the 1 dropped.
-        code = int(format(self.known, "b"), 16) + int(format(self.bits, "b"), 16)
-        code |= 1 << 4 * self.length
-        return format(code, "x")[:0:-1].translate(str.maketrans("012", ERASED + "01"))
+        return _text(self.bits, self.known, self.length)
 
     @property
     def size(self) -> int:
@@ -100,6 +94,16 @@ class TritString:
 
     def __str__(self) -> str:
         return self.text
+
+
+def _text(bits: int, known: int, length: int) -> str:
+    """Raw kernel: the text of a (bits, known, length) triple.  No checks.
+    One hex digit per position, position i at digit i: a binary plane's
+    digits read in base 16, known + bits, so 0 is erased, 1 a visible 0 and
+    2 a visible 1.  A 1 digit above the last position keeps the zero digits
+    of erased last positions; the digits are read back and the 1 dropped."""
+    code = int(format(known, "b"), 16) + int(format(bits, "b"), 16) | 1 << 4 * length
+    return format(code, "x")[:0:-1].translate(_HEX_TO_TEXT)
 
 
 def compatible(u: TritString, v: TritString) -> bool:

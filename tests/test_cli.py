@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ssesim
-from ssesim.cli import _build_parser, main, parse_grid
+from ssesim.cli import _build_parser, _trace_json, main, parse_grid
 
 
 def run(capsys, *argv):
@@ -129,6 +129,24 @@ def test_io_error_exit_code(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:")
 
+
+@pytest.mark.parametrize(
+    "exc, message",
+    [(MemoryError("Unable to allocate 7.28 GiB"), "error: Unable to allocate 7.28 GiB"),
+     (MemoryError(), "error: MemoryError")],
+)
+def test_memory_error_exit_code(capsys, monkeypatch, exc, message):
+    from ssesim import cli
+
+    def exhaust(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "concentration_experiment", exhaust)
+    code, out, err = run(
+        capsys, "concentration", "--n", "64", "--delta", "0.1", "--length", "8",
+        "--reads", "4", "--trials", "1", "--seed", "1",
+    )
+    assert (code, out, err) == (1, "", message + "\n")
 
 def test_rate_curve_csv(capsys, tmp_path):
     path = tmp_path / "curve.csv"
@@ -247,6 +265,32 @@ def test_concentration_formats(capsys):
     assert int(rows[0]["islands"]) >= 1
 
 
+@pytest.mark.parametrize("cpus, pools", [(8, [2]), (1, []), (None, [])])
+def test_trial_pool_is_capped_at_trials_and_cpus(capsys, monkeypatch, cpus, pools):
+    """``--threads 4 --trials 2`` starts two workers on eight CPUs and no
+    pool on one (or an unknown count), with the output of ``--threads 1``."""
+    import concurrent.futures
+
+    pool = concurrent.futures.ThreadPoolExecutor
+    started = []
+
+    class Recording(pool):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    base = (
+        "concentration", "--n", "256", "--delta", "0.2", "--length", "16",
+        "--coverage", "1.5", "--trials", "2", "--seed", "5",
+    )
+    code, one, _ = run(capsys, *base, "--threads", "1")
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    code, four, _ = run(capsys, *base, "--threads", "4")
+    assert code == 0
+    assert started == pools
+    assert four == one
+
 def test_thread_count_does_not_change_multi_block_trials(capsys):
     """K = 99,864 reads of L = 42 symbols per trial: every stage goes over
     the reads in 65 row blocks while two trials run at once."""
@@ -313,6 +357,34 @@ def test_decode_demo_reports_a_wrong_message(capsys, monkeypatch):
     assert doc["decoded_message"] not in (None, doc["true_message"])
     assert doc["candidate_codewords"] == [doc["decoded_message"]]
     assert doc["decoded_message"] in doc["oracle_codewords"]
+
+
+_CODEWORDS = st.lists(st.integers(0, 1023), max_size=6)
+_TRACE = st.fixed_dictionaries({
+    "visited_tuples": st.integers(0, 10**6),
+    "candidate_island_sets": st.lists(
+        st.lists(st.text("01*", min_size=1, max_size=40), max_size=4).map(tuple), max_size=6
+    ).map(tuple),
+    "candidate_codewords": _CODEWORDS,
+    "oracle_codewords": _CODEWORDS.map(tuple),
+    "outcome": st.sampled_from(("decoded", "wrong", "ambiguous", "empty")),
+    "decoded_message": st.none() | st.integers(0, 1023),
+    "true_message": st.integers(0, 1023),
+})
+_EMPTY_TRACE = {
+    "visited_tuples": 896, "candidate_island_sets": (), "candidate_codewords": [],
+    "oracle_codewords": (), "outcome": "empty", "decoded_message": None, "true_message": 1,
+}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_TRACE)
+@example(_EMPTY_TRACE)
+@example({**_EMPTY_TRACE, "candidate_island_sets": (("*" * 40,), ("01" * 20,), ("1",))})
+def test_trace_writer_matches_json_dumps(trace):
+    """decode-demo's writer lays out the island sets itself; its text is
+    ``json.dumps``'s, tuples and all."""
+    assert _trace_json(trace) == json.dumps(trace, indent=2, sort_keys=True)
 
 
 def test_gtau_table(capsys):

@@ -204,6 +204,12 @@ def test_import_leaves_mpmath_unloaded():
     assert not loaded_by_cli_import("mpmath")
 
 
+@pytest.mark.parametrize("module", ["ssesim.rates", "csv"])
+def test_import_leaves_the_rate_curve_unloaded(module):
+    """Only ``rate-curve`` loads the rate formulas and their csv writer."""
+    assert not loaded_by_cli_import(module)
+
+
 @pytest.mark.parametrize(
     "fn,args",
     [

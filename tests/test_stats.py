@@ -287,6 +287,13 @@ def test_import_leaves_the_thread_pool_unloaded():
     assert not loaded_by_cli_import("concurrent.futures")
 
 
+@pytest.mark.parametrize("module", ["fractions", "decimal"])
+def test_import_leaves_exact_arithmetic_unloaded(module):
+    """``Fraction`` (which loads ``decimal``) is imported only by
+    ``expected_suffix_size_counts``, which tests a delta for it."""
+    assert not loaded_by_cli_import(module)
+
+
 def test_concentration_fields():
     p = ChannelParams(n=512, L=18, K=56, delta=0.2)
     summary = concentration_experiment(p, 5, 7, mz_targets=(0.5,), mz_per_trial=3)
