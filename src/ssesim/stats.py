@@ -616,7 +616,7 @@ def concentration_experiment(
 
     # Workers past the trials or the cores cannot help.  One runs the trials
     # itself: a pool of one worker raised the peak RSS at n = 1e7 by about
-    # 3 MB, likely its thread's malloc arena, and the pool's imports load.
+    # 3 MB (likely its thread's malloc arena) and loads the pool's imports.
     workers = min(threads, trials, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

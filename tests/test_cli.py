@@ -148,6 +148,7 @@ def test_memory_error_exit_code(capsys, monkeypatch, exc, message):
     )
     assert (code, out, err) == (1, "", message + "\n")
 
+
 def test_rate_curve_csv(capsys, tmp_path):
     path = tmp_path / "curve.csv"
     argv = (
@@ -284,12 +285,14 @@ def test_trial_pool_is_capped_at_trials_and_cpus(capsys, monkeypatch, cpus, pool
         "--coverage", "1.5", "--trials", "2", "--seed", "5",
     )
     code, one, _ = run(capsys, *base, "--threads", "1")
+    assert code == 0
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     code, four, _ = run(capsys, *base, "--threads", "4")
     assert code == 0
     assert started == pools
     assert four == one
+
 
 def test_thread_count_does_not_change_multi_block_trials(capsys):
     """K = 99,864 reads of L = 42 symbols per trial: every stage goes over
