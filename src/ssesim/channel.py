@@ -41,7 +41,6 @@ __all__ = [
     "Codebook",
     "random_codeword",
     "random_codebook",
-    "cyclic_gaps",
     "transmit_codeword",
     "transmit",
 ]
@@ -372,13 +371,6 @@ def _cut_rows(packed: np.ndarray, n: int, count: int) -> np.ndarray:
     if n % 8:
         rows[:, -1] &= _mask(n % 8)
     return rows
-
-
-def cyclic_gaps(sorted_starts: np.ndarray, n: int) -> np.ndarray:
-    """Forward distance from each sorted start to the next one, the last
-    wrapping round to the first.  A single start gets the gap ``n``."""
-    starts = np.asarray(sorted_starts)
-    return _gaps_around(starts, n, slice(0, len(starts)))[1:]
 
 
 def _gaps_around(sorted_starts: np.ndarray, n: int, rows: slice) -> np.ndarray:

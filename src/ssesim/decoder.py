@@ -63,7 +63,10 @@ _HARD_READ_CAP = 8
 
 
 class SearchSpaceError(DomainError):
-    """Raised when the claim enumeration would be too large to attempt."""
+    """Raised when a decode is given more reads than the search cap of 8.
+
+    The cap bounds reads, not claims: a decode within it can still have
+    too many claims to finish (README, ``ssesim.decoder``)."""
 
 
 @dataclass(frozen=True)

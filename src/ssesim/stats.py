@@ -29,6 +29,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from collections import Counter
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -51,7 +52,6 @@ from .channel import (
     _row_blocks,
     _shift_down,
     child_seed,
-    cyclic_gaps,
     random_codeword,
     stage_rng,
     transmit_codeword,
@@ -66,7 +66,6 @@ __all__ = [
     "TrialStats",
     "ConcentrationSummary",
     "coverage",
-    "forward_successor_distances",
     "chain_island_count",
     "suffix_size_histogram",
     "expected_suffix_size_counts",
@@ -150,28 +149,6 @@ def _visible_positions(output: ChannelOutput) -> int:
     return visible + int(np.bitwise_count(ring[max(0, -base) : (n >> 6) - base + 1]).sum())
 
 
-def forward_successor_distances(starts: np.ndarray, n: int) -> np.ndarray:
-    """Per read, the smallest forward cyclic distance to another read start.
-
-    Coincident starts give distance 0.  A single read gets distance ``n``.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    order = np.argsort(starts)
-    out = np.empty_like(starts)
-    out[order] = _successor_distances(cyclic_gaps(starts[order], n))
-    return out
-
-
-def _successor_distances(gaps: np.ndarray) -> np.ndarray:
-    """Successor distances in start order, in place of the ``gaps`` between
-    consecutive sorted starts: each gap after the first becomes the
-    distance of the read it leads out of, or 0 where the gap into that read
-    is 0.  A read that shares its start with the one before it is at
-    distance 0 from it, so the order within a tie is free."""
-    gaps[1:][gaps[:-1] == 0] = 0
-    return gaps
-
-
 def chain_island_count(output: ChannelOutput) -> int:
     """Number of islands in the true cyclic ordering: one per gap >= L.
 
@@ -198,11 +175,16 @@ def _suffix_size_blocks(output: ChannelOutput):
     word_starts = 64 * np.arange((width + 7) // 8)
     all_ones = np.uint64(2**64 - 1)
     for reads, gaps in _gap_blocks(output):
+        # Each gap out of a read becomes its successor distance, or 0 where
+        # the gap into it is 0.  A read that shares its start with the one
+        # before it is at distance 0 from it, so the order within a tie is
+        # free.
+        gaps[1:][gaps[:-1] == 0] = 0
         # Each read's overlap-length suffix begins at position L - overlap =
         # min(distance, L); each little-endian word of a row, zero-padded to
         # whole words, keeps its bits from there on through one uint64
         # shift, which gives 0 for a shift by 64.
-        begin = np.minimum(_successor_distances(gaps)[1:], L)
+        begin = np.minimum(gaps[1:], L)
         shift = np.clip(begin[:, None] - word_starts, 0, 64).astype(np.uint64)
         rows = np.zeros((len(reads), 8 * len(word_starts)), dtype=np.uint8)
         rows[:, :width] = np.take(output.known, reads, axis=0)
@@ -225,11 +207,12 @@ def expected_suffix_size_counts(params: ChannelParams) -> list:
     Its entries are floats for a float ``delta`` and Fractions for a
     Fraction ``delta``.
     """
-    from fractions import Fraction  # only here, to test for an exact delta; 0.3 MB
-
+    # A Fraction delta exists only once ``fractions`` (0.3 MB, with
+    # ``decimal``) is loaded, so a float run never imports it.
+    fractions = sys.modules.get("fractions")
+    exact = fractions is not None and isinstance(params.delta, fractions.Fraction)
+    one = fractions.Fraction(1) if exact else 1.0
     n, L, K = params.n, params.L, params.K
-    exact = isinstance(params.delta, Fraction)
-    one = Fraction(1) if exact else 1.0
     delta = params.delta if exact else float(params.delta)
     # P(D >= g) for g = 0..L; K = 1 has no other reads, so the empty product
     # is 1.  The overlap is L - D when D < L, else 0.

@@ -14,9 +14,12 @@ from ssesim.channel import ChannelOutput, ChannelParams, Codebook, Truth
 from ssesim.stats import chain_island_count
 
 
-def loaded_by_cli_import(module: str) -> bool:
-    """Whether a fresh ``import ssesim.cli`` loads ``module``."""
-    code = f"import sys, ssesim.cli; print({module!r} in sys.modules)"
+def loaded_by_cli_import(module: str, argv=None) -> bool:
+    """Whether a fresh ``import ssesim.cli`` loads ``module``; with ``argv``,
+    whether it is loaded once ``ssesim.cli.main(argv)`` has also run, which
+    must succeed."""
+    run = "" if argv is None else f"assert ssesim.cli.main({list(argv)!r}) == 0; "
+    code = f"import sys, ssesim.cli; {run}print({module!r} in sys.modules)"
     # The child imports the same package as this process, whether or not
     # PYTHONPATH is set: pytest's ``pythonpath`` does not reach children.
     path = [str(Path(ssesim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
@@ -24,7 +27,8 @@ def loaded_by_cli_import(module: str) -> bool:
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
-    return out.stdout.strip() == "True"
+    # The answer is the last line, after anything the command wrote.
+    return out.stdout.splitlines()[-1] == "True"
 
 
 def make_output(

@@ -1,6 +1,7 @@
 """Ground-truth ordering of reads and their islands, the reference that the
-decoder and coverage tests compare against, and a plain enumerator of the
-decoder's claims.
+decoder and coverage tests compare against, the read-order gaps and
+successor distances that the trial's start-order stages are checked
+against, and a plain enumerator of the decoder's claims.
 
 Against ground truth, reads are ordered cyclically by start position and
 consecutive reads overlap by ``max(0, L - gap)`` symbols.  Maximal runs of
@@ -17,7 +18,6 @@ import itertools
 
 import numpy as np
 
-from ssesim.channel import cyclic_gaps
 from ssesim.stats import TypicalityThresholds
 from ssesim.tritstring import (
     MergeError,
@@ -28,6 +28,30 @@ from ssesim.tritstring import (
     is_l_compatible,
     merge,
 )
+
+
+def cyclic_gaps(sorted_starts, n):
+    """Forward distance from each sorted start to the next one, the last
+    wrapping round to the first, as int64.  A single start gets the gap
+    ``n``."""
+    starts = np.asarray(sorted_starts, dtype=np.int64)
+    return np.diff(starts, append=starts[:1] + n)
+
+
+def forward_successor_distances(starts, n):
+    """Per read, in read order, the smallest forward cyclic distance to
+    another read start.  Coincident starts give distance 0.  A single read
+    gets distance ``n``."""
+    starts = np.asarray(starts, dtype=np.int64)
+    order = np.argsort(starts)
+    gaps = cyclic_gaps(starts[order], n)
+    # The gap out of a read is its distance, unless the gap into it is 0:
+    # then the read before it shares its start.
+    tied = np.roll(gaps, 1) == 0
+    gaps[tied] = 0
+    out = np.empty_like(starts)
+    out[order] = gaps
+    return out
 
 
 def true_ordering(output):

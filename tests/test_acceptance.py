@@ -26,12 +26,12 @@ from ssesim.stats import (
     concentration_experiment,
     coverage,
     expected_suffix_size_counts,
-    forward_successor_distances,
 )
 from ssesim.tritstring import MergeError, TritString, compatible, merge
 from ssesim.tritstring import compatible_substring_positions as positions
 
 from conftest import exact_counts_by_enumeration, island_ratio_by_enumeration
+from ground_truth import forward_successor_distances
 
 
 def report(num: int, ok: bool, detail: str) -> str:

@@ -17,7 +17,6 @@ from ssesim.channel import (
     _MAX_SYMBOLS,
     _ROW_BLOCK,
     _gaps_around,
-    cyclic_gaps,
     random_codebook,
     random_codeword,
     stage_rng,
@@ -26,6 +25,8 @@ from ssesim.channel import (
 )
 from ssesim.errors import DomainError
 from ssesim.tritstring import TritString
+
+from ground_truth import cyclic_gaps
 
 
 def test_params_validation():

@@ -18,7 +18,6 @@ from ssesim.stats import (
     concentration_experiment,
     coverage,
     expected_suffix_size_counts,
-    forward_successor_distances,
     suffix_size_histogram,
 )
 
@@ -28,7 +27,7 @@ from conftest import (
     loaded_by_cli_import,
     make_output,
 )
-from ground_truth import true_islands, visible_symbols
+from ground_truth import forward_successor_distances, true_islands, visible_symbols
 
 
 def test_coverage_hand_case():
@@ -289,9 +288,14 @@ def test_import_leaves_the_thread_pool_unloaded():
 
 @pytest.mark.parametrize("module", ["fractions", "decimal"])
 def test_import_leaves_exact_arithmetic_unloaded(module):
-    """``Fraction`` (which loads ``decimal``) is imported only by
-    ``expected_suffix_size_counts``, which tests a delta for it."""
+    """``Fraction`` (which loads ``decimal``) is never imported by the CLI,
+    nor by a float-delta ``concentration`` run, whose
+    ``expected_suffix_size_counts`` tests its delta for a Fraction."""
     assert not loaded_by_cli_import(module)
+    run = ["concentration", "--n", "2000", "--lbar", "2", "--coverage", "2"]
+    run += ["--delta", "0.2", "--trials", "2", "--seed", "3"]
+    assert not loaded_by_cli_import(module, run)
+    assert not loaded_by_cli_import(module, run + ["--format", "csv"])
 
 
 def test_concentration_fields():

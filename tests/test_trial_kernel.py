@@ -30,10 +30,9 @@ from ssesim.stats import (
     _suffix_size_blocks,
     chain_island_count,
     coverage,
-    forward_successor_distances,
 )
 
-from ground_truth import true_islands
+from ground_truth import forward_successor_distances, true_islands
 
 # (n, L, K, delta): tied starts and windows across the wrap are common at
 # these sizes; L = n, L = 1, K = 1 and delta at 0 and 1 are edge cases.
