@@ -14,6 +14,7 @@ call order or thread count.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from collections.abc import Sequence
@@ -218,7 +219,8 @@ class ChannelOutput:
     ``known`` marks the unerased symbols in a (K, ceil(L/8)) uint8 bit-plane
     with no bit set past L: bit j (LSB first) of row i is symbol j of read
     i, as ``np.packbits(a, axis=1, bitorder="little")`` packs a (K, L) array
-    ``a``.  ``values``, each read's window in that layout, is not stored."""
+    ``a``.  ``values``, each read's window in that layout but with the
+    ring's next symbols past L, is not stored.  Starts lie in [1, n]."""
 
     params: ChannelParams
     known: np.ndarray
@@ -232,15 +234,23 @@ class ChannelOutput:
             raise ValueError(f"known must be a uint8 array of shape {(p.K, _plane_width(p.L))}")
         if p.L % 8 and self.known[:, -1].max() >> (p.L % 8):
             raise ValueError(f"known has bits set past the read length {p.L}")
+        if truth.sorted_starts[0] < 1 or truth.sorted_starts[-1] > p.n:
+            raise ValueError(f"the truth's starts must lie in [1, n={p.n}]")
         self.known.setflags(write=False)
 
     @property
     def values(self) -> np.ndarray:
-        """Each read's pre-erasure window, erased symbols included, gathered
-        from the truth's codeword at its starts, in read order, on every
-        access into a fresh read-only plane.  The decoder's ``reads`` are
-        built from it; no concentration trial stage reads it."""
-        return _read_windows(self.truth.codeword, self.truth.starts, self.params.L)
+        """Each read's pre-erasure window, erased symbols included, in read
+        order, on every access into a fresh read-only plane: the blocks of
+        ``_start_windows`` scattered to their reads' rows, bits past L and
+        all.  The decoder's ``reads`` are built from it; no concentration
+        trial stage reads it."""
+        order, width = self.truth.order, _plane_width(self.params.L)
+        values = np.empty((len(order), width), dtype=np.uint8)
+        for blk, span in _start_windows(self.truth, self.params.L):
+            values[order[blk]] = span.view(np.uint8)[:, :width]
+        values.setflags(write=False)
+        return values
 
     @cached_property
     def reads(self) -> tuple[TritString, ...]:
@@ -365,9 +375,10 @@ def _cut_rows(packed: np.ndarray, n: int, count: int) -> np.ndarray:
     if n % 8 == 0 or count == 1:
         rows = packed[: count * width].reshape(count, width)
     else:
-        rows = _gather_bits(
-            packed, n, count, lambda blk: n * np.arange(blk.start, blk.stop, dtype=np.int64)
-        )
+        rows = np.empty((count, width), dtype=np.uint8)
+        first = lambda blk: n * np.arange(blk.start, blk.stop, dtype=np.int64)
+        for blk, span in _bit_windows(packed, n, count, first):
+            rows[blk] = span.view(np.uint8)[:, :width]
     if n % 8:
         rows[:, -1] &= _mask(n % 8)
     return rows
@@ -389,28 +400,15 @@ def _gaps_around(sorted_starts: np.ndarray, n: int, rows: slice) -> np.ndarray:
     return np.subtract(edges[1:], edges[:-1], dtype=np.int64)
 
 
-def _gather_bits(packed: np.ndarray, L: int, count: int, first) -> np.ndarray:
-    """``count`` rows of ``_plane_width(L)`` bytes, each the L bits of the
-    packed bytes ``packed``, which holds 8 zero bytes past its last bit,
-    from a given first bit on: ``first(blk)`` gives the first bits of the
-    rows in the slice ``blk``.  The bits past L of a row's last byte are
-    the ones that follow in ``packed``.  The rows are the bytes of
-    ``_bit_windows``' words."""
-    width = _plane_width(L)
-    rows = np.empty((count, width), dtype=np.uint8)
-    for blk, span in _bit_windows(packed, L, count, first):
-        rows[blk] = span.view(np.uint8)[:, :width]
-    return rows
-
-
 def _bit_windows(packed: np.ndarray, L: int, count: int, first):
-    """The windows of ``_gather_bits``, one ``_ROW_BLOCK`` block of rows at
-    a time, as each block's slice and its rows of little-endian uint64
-    words: each row's span of unaligned words from its first bit's byte on,
-    the ``_plane_width(L) // 8 + 1`` that hold L bits from any bit of a
-    byte, shifted down by the bit's offset in that byte; no byte per
-    symbol is built.  Bit j of a row is bit ``first + j`` of ``packed``,
-    up to the words' end, which is at least L."""
+    """``count`` L-bit windows of the packed bytes ``packed``, one
+    ``_ROW_BLOCK`` block of rows at a time, as each block's slice and its
+    rows of little-endian uint64 words: ``first(blk)`` gives the block's
+    first bits, and each row is the span of unaligned words from its first
+    bit's byte on, the ``_plane_width(L) // 8 + 1`` that hold L bits from
+    any bit of a byte, shifted down by the bit's offset in that byte; no
+    byte per symbol is built.  Bit j of a row is bit ``first + j`` of
+    ``packed``, up to the words' end, which is at least L."""
     words = np.ndarray((len(packed) - 7,), dtype="<u8", buffer=packed, strides=(1,))
     apart = 8 * np.arange(_plane_width(L) // 8 + 1)
     for blk in _row_blocks(count, L):
@@ -423,8 +421,8 @@ def _bit_windows(packed: np.ndarray, L: int, count: int, first):
 def _packed_extension(row: np.ndarray, n: int, L: int, a: int) -> np.ndarray:
     """The bytes from byte ``a`` <= n / 8 on of the n bits of the packed
     ``row`` followed by its first L - 1, and 8 zero bytes: ring position
-    (p + j) mod n is bit p + j - 8a, for 8a <= p < n, 0 <= j < L.  A trial
-    cuts only the reads whose words pass the row's whole bytes from it."""
+    (p + j) mod n is bit p + j - 8a, for 8a <= p < n, 0 <= j < L.  Only
+    reads whose words pass the row's whole bytes are cut from it."""
     ext = np.zeros(_plane_width(n + L - 1) - a + 8, dtype=np.uint8)
     ext[: len(row) - a] = row[a:]
     # The head, the row's first L - 1 bits, is ORed in at bit n: its bytes
@@ -440,14 +438,23 @@ def _packed_extension(row: np.ndarray, n: int, L: int, a: int) -> np.ndarray:
     return ext
 
 
-def _read_windows(x: Codebook, starts: np.ndarray, L: int) -> np.ndarray:
-    """The read-only (K, ceil(L/8)) plane of the L-symbol windows of the
-    one-row codebook ``x`` at the 1-based cyclic ``starts``: each read's L
-    bits of the codeword's cyclic extension from bit start - 1 on."""
-    ext = _packed_extension(x.rows[0], x.n, L, 0)
-    values = _gather_bits(ext, L, len(starts), lambda blk: starts[blk] - 1)
-    values.setflags(write=False)
-    return values
+def _start_windows(truth: Truth, L: int):
+    """The L-symbol windows of the truth's codeword at its starts, as
+    ``_bit_windows`` yields them but in start order: each block's slice of
+    slots in ``truth.order`` and its rows of words.  Past L a row holds the
+    codeword's next bits, then its first L - 1, then zeros.  The windows
+    are cut from the codeword's row while a read's words lie in its whole
+    bytes, then from a short tail of the packed cyclic extension."""
+    row, n, starts = truth.codeword.rows[0], truth.codeword.n, truth.sorted_starts
+    # Reads before slot m start before byte a: their words lie in the row's whole bytes.
+    a = max(0, (n >> 3) - 8 * (_plane_width(L) // 8 + 1) + 1)
+    m = bisect.bisect_right(starts, 8 * a)  # np.searchsorted copies the strided starts
+    if m:
+        yield from _bit_windows(row[: n >> 3], L, m, lambda blk: starts[blk] - 1)
+    tail = _packed_extension(row, n, L, a)
+    shifted = lambda blk: starts[m + blk.start : m + blk.stop] - (1 + 8 * a)
+    for blk, span in _bit_windows(tail, L, len(starts) - m, shifted):
+        yield slice(m + blk.start, m + blk.stop), span
 
 
 def _row_blocks(K: int, L: int, symbols: int = _ROW_BLOCK) -> list[slice]:

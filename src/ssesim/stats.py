@@ -19,13 +19,14 @@ Every trial stage streams over the reads one block in start order at a
 time.  ``coverage`` ORs each block's erasure masks at their starts onto a
 window of uint64 ring words, one bit per position, that slides with the
 blocks, and counts the words no later block reaches with
-``np.bitwise_count`` (numpy >= 2.0).
+``np.bitwise_count`` (numpy >= 2.0).  The m_z counts read the blocks of
+windows of ``channel._start_windows``, which ``ChannelOutput.values`` also
+scatters into read order.
 """
 
 from __future__ import annotations
 
 import bisect
-import itertools
 import json
 import math
 import os
@@ -44,13 +45,12 @@ from .channel import (
     ChannelOutput,
     ChannelParams,
     _ROW_BLOCK,
-    _bit_windows,
     _gaps_around,
-    _packed_extension,
     _plane_width,
     _round_finite,
     _row_blocks,
     _shift_down,
+    _start_windows,
     child_seed,
     random_codeword,
     stage_rng,
@@ -500,11 +500,9 @@ def _prefix_matches(output: ChannelOutput, probes) -> list[int]:
 
     The windows are the whole ones, so a read at an independent start
     agrees with probability exactly 2**-len(keep).  They are cut one block
-    of reads in start order at a time, as ``channel._bit_windows``' rows of
-    uint64 words, and every probe is counted on each block: from the
-    codeword's row while a read's words lie in its whole bytes, then from
-    a short tail of the packed cyclic extension.  No plane of every read's
-    window and no whole extension is built.  Read ``r``'s own symbols are
+    of reads in start order at a time by ``channel._start_windows``, as
+    rows of uint64 words, and every probe is counted on each block; no
+    plane of every read's window is built.  Read ``r``'s own symbols are
     read off the row from its start, found at its slot in ``Truth.order``
     a block of slots at a time.  A probe's kept positions make one word
     mask: each block's rows are tested on the word that holds the most kept
@@ -528,16 +526,8 @@ def _prefix_matches(output: ChannelOutput, probes) -> list[int]:
         by_bits = np.argsort(-np.bitwise_count(mask).astype(np.int64), kind="stable")
         want = np.packbits(marked, bitorder="little").view("<u8")
         tests.append((mask, want, by_bits[: max(1, np.count_nonzero(mask))]))
-    # Reads before slot m start before byte a: their words lie in the row's whole bytes.
-    a = max(0, (n >> 3) - 8 * words + 1)
-    m = bisect.bisect_right(starts, 8 * a)
-    tail = _packed_extension(row, n, L, a)
-    spans = itertools.chain(
-        _bit_windows(row[: n >> 3], L, m, lambda blk: starts[blk] - 1) if m else (),
-        _bit_windows(tail, L, K - m, lambda b: starts[m + b.start : m + b.stop] - (1 + 8 * a)),
-    )
     counts = [0] * len(tests)
-    for _, span in spans:
+    for _, span in _start_windows(truth, L):
         for i, (mask, want, by_bits) in enumerate(tests):
             first, *later = by_bits
             alive = np.flatnonzero((span[:, first] & mask[first]) == want[first])

@@ -17,6 +17,7 @@ from ssesim.channel import (
     _MAX_SYMBOLS,
     _ROW_BLOCK,
     _gaps_around,
+    _start_windows,
     random_codebook,
     random_codeword,
     stage_rng,
@@ -115,6 +116,47 @@ def test_value_plane_matches_window_index(n, L):
     assert len(np.unique(out.truth.starts)) == n
     got = np.unpackbits(out.values, axis=1, bitorder="little")
     assert np.array_equal(got, _value_rows(x, out.truth.starts, L))
+
+
+def test_value_plane_across_blocks_and_the_row_tail_split():
+    """At n = 4099 (n % 8 = 3), L = 70 (two words per window) and K = 5000
+    the windows in start order run over several ``_ROW_BLOCK`` blocks of
+    1872 reads: those whose words lie in the codeword's whole bytes, at
+    starts up to 3976, are cut from its row, the rest, wrapped windows
+    among them, from a tail of its cyclic extension.  Every value row, pad
+    bits included, is its window on both sides of that split."""
+    n, L, K = 4099, 70, 5000
+    p = ChannelParams(n=n, L=L, K=K, delta=0.3)
+    x = random_codeword(n, 11)
+    out = transmit_codeword(x, p, 11)
+    starts = out.truth.starts
+    assert (starts <= 3976).sum() > 2 * (_ROW_BLOCK // L)
+    assert (starts > 3976).sum() > 1 and (starts > n - L + 1).any()
+    blocks = [blk for blk, _ in _start_windows(out.truth, L)]
+    assert len(blocks) >= 4 and blocks[0].start == 0 and blocks[-1].stop == K
+    assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+    got = np.unpackbits(out.values, axis=1, bitorder="little")
+    assert np.array_equal(got, _value_rows(x, starts, L))
+
+
+def test_values_build_no_whole_extension():
+    """At n = 2^20 (L = 40, K = 52,429) the value plane is K * 5 bytes,
+    0.25 n, and gathering it peaks at 0.368 n: the plane plus one block of
+    windows and the short tail of the cyclic extension.  The whole packed
+    extension (0.125 n) or the read-order starts (0.2 n) built beside it
+    break the bound."""
+    n = 2**20
+    p = ChannelParams.resolve(n, 0.2, lbar=2, c=2)
+    out = transmit_codeword(random_codeword(n, 1), p, 1)
+    out.values  # first-call caches out of the count
+    tracemalloc.start()
+    try:
+        values = out.values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert values.nbytes == p.K * 5
+    assert peak <= 0.45 * n
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
@@ -486,6 +528,19 @@ def test_truth_sorts_tied_starts_by_index():
     for a in (truth.order, truth.sorted_starts):
         with pytest.raises(ValueError):
             a[0] = 0
+
+
+def test_output_refuses_starts_off_the_ring():
+    """A truth record takes any int32 starts, but an output needs them on
+    its ring, in [1, n]: a start of 0, past n or negative would give wrong
+    values and phi_v, and one far past n an index error."""
+    p = ChannelParams(n=16, L=4, K=2, delta=0.0)
+    known = _pack(np.ones((2, 4)))
+    for bad in ([0, 5], [17, 5], [-3, 5], [1000, 5]):
+        with pytest.raises(ValueError, match=r"in \[1, n=16\]"):
+            ChannelOutput(p, known.copy(), _ones_truth(16, bad))
+    for edge in ([1, 5], [16, 5], [16, 1]):
+        ChannelOutput(p, known.copy(), _ones_truth(16, edge))
 
 
 def test_truth_refuses_starts_past_int32():

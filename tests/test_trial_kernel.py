@@ -217,7 +217,7 @@ def test_trial_counts_mz_without_the_value_plane(monkeypatch):
 
     p = ChannelParams.resolve(4096, 0.2, lbar=2, c=2)
     want = _run_trial(p, 5, 0, [6, 12], 2)
-    monkeypatch.setattr(channel, "_read_windows", refuse)
+    monkeypatch.setattr(channel.ChannelOutput, "values", property(refuse))
     monkeypatch.setattr(channel.Truth, "starts", property(refuse))
     assert _run_trial(p, 5, 0, [6, 12], 2) == want
     assert all(len(counts) == 2 for counts in want.mz)
