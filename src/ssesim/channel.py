@@ -242,9 +242,10 @@ class ChannelOutput:
     def values(self) -> np.ndarray:
         """Each read's pre-erasure window, erased symbols included, in read
         order, on every access into a fresh read-only plane: the blocks of
-        ``_start_windows`` scattered to their reads' rows, bits past L and
-        all.  The decoder's ``reads`` are built from it; no concentration
-        trial stage reads it."""
+        ``_start_windows`` scattered to their reads' rows.  A row's bits
+        past L are not cleared: they hold the ring's next symbols, up to the
+        end of the cyclic extension, then zeros.  The decoder's ``reads``
+        are built from it; no concentration trial stage reads it."""
         order, width = self.truth.order, _plane_width(self.params.L)
         values = np.empty((len(order), width), dtype=np.uint8)
         for blk, span in _start_windows(self.truth, self.params.L):
