@@ -3,9 +3,9 @@
 A length-``n`` binary codeword is read ``K`` times.  Each read starts at a
 uniformly random position (1-based, wrapping around the end), spans ``L``
 symbols, and then every symbol is independently erased with probability
-``delta``.  The decoder sees the multiset of reads only, through
-``ChannelOutput.reads``; start positions and the codeword stay in a
-separate ground-truth record.
+``delta``.  Reads are numbered in start order.  The decoder sees the
+multiset of reads only, through ``ChannelOutput.reads``; start positions and
+the codeword stay in a separate ground-truth record.
 
 Randomness follows a splittable scheme: every consumer derives its stream
 from a master seed plus a fixed integer path, so results never depend on
@@ -159,57 +159,27 @@ def _round_finite(x: float, what: str) -> int:
 
 class Truth:
     """Ground truth sealed away from the decoder.  ``codeword`` is the
-    channel input, a one-row ``Codebook`` (n / 8 bytes).
+    channel input, a one-row ``Codebook`` (n / 8 bytes), and ``starts`` the
+    reads' 1-based starts, a read-only (K,) int32 array in ascending order:
+    read i is the read with the i-th smallest start.  It is the record's
+    one per-read array, which the trial stages go over a block of reads at
+    a time.  An int32 ``starts`` is held as a view, not copied."""
 
-    The starts are held once, as one sorted int64 key per read, start *
-    2^32 + index: its low int32 half is ``order``, the read indices in
-    start order (tied starts by index), and its high half
-    ``sorted_starts``, the starts in that order.  They are the one sort of
-    the starts that the trial stages share.  ``starts``, in read order, is
-    rebuilt from them on each access."""
-
-    __slots__ = ("message", "codeword", "order", "sorted_starts")
+    __slots__ = ("message", "codeword", "starts")
 
     def __init__(self, message: int | None, codeword: Codebook, starts) -> None:
         s = np.asarray(starts)
-        if s.dtype != np.int32 and len(s):
+        if s.dtype != np.int32:
             info = np.iinfo(np.int32)
-            if s.min() < info.min or s.max() > info.max:
-                raise ValueError("starts must fit in int32")
-        key = np.arange(len(s), dtype="<i8")
-        _key_halves(key)[:, 1] = s
-        self._hold(message, codeword, key)
-
-    @classmethod
-    def _of_key(cls, message: int | None, codeword: Codebook, key: np.ndarray) -> "Truth":
-        """The record of ``key``, start * 2^32 + index per read in read
-        order, which is sorted in place."""
-        truth = cls.__new__(cls)
-        truth._hold(message, codeword, key)
-        return truth
-
-    def _hold(self, message: int | None, codeword: Codebook, key: np.ndarray) -> None:
-        # Sorting values is about three times faster than ``argsort`` here.
-        key.sort()
-        halves = _key_halves(key)
-        halves.setflags(write=False)
-        self.message, self.codeword = message, codeword
-        self.order, self.sorted_starts = halves[:, 0], halves[:, 1]
-
-    @property
-    def starts(self) -> np.ndarray:
-        """The (K,) int32 1-based starts in read order: a fresh read-only
-        array, scattered from the key on every access."""
-        starts = np.empty(len(self.order), dtype=np.int32)
-        starts[self.order] = self.sorted_starts
-        starts.setflags(write=False)
-        return starts
-
-
-def _key_halves(key: np.ndarray) -> np.ndarray:
-    """The (K, 2) int32 view of the little-endian int64 keys: column 0 is
-    each key's low half, column 1 its high half."""
-    return key.view("<i4").reshape(len(key), 2)
+            if s.dtype.kind not in "iu" or len(s) and (s.min() < info.min or s.max() > info.max):
+                raise ValueError("starts must be integers that fit in int32")
+        s = s.astype(np.int32, copy=False).view()
+        # Checked a block at a time, with no K-long temporary.
+        blocks = (s[i : i + _ROW_BLOCK + 1] for i in range(0, len(s), _ROW_BLOCK))
+        if any(np.count_nonzero(b[1:] < b[:-1]) for b in blocks):
+            raise ValueError("starts must be in ascending order")
+        s.setflags(write=False)
+        self.message, self.codeword, self.starts = message, codeword, s
 
 
 @dataclass(eq=False)
@@ -220,7 +190,8 @@ class ChannelOutput:
     with no bit set past L: bit j (LSB first) of row i is symbol j of read
     i, as ``np.packbits(a, axis=1, bitorder="little")`` packs a (K, L) array
     ``a``.  ``values``, each read's window in that layout but with the
-    ring's next symbols past L, is not stored.  Starts lie in [1, n]."""
+    ring's next symbols past L, is not stored.  Starts lie in [1, n], and
+    read i is the one with the truth's i-th smallest start."""
 
     params: ChannelParams
     known: np.ndarray
@@ -228,28 +199,28 @@ class ChannelOutput:
 
     def __post_init__(self) -> None:
         p, truth = self.params, self.truth
-        if not isinstance(truth, Truth) or (len(truth.order), truth.codeword.n) != (p.K, p.n):
+        if not isinstance(truth, Truth) or (len(truth.starts), truth.codeword.n) != (p.K, p.n):
             raise ValueError(f"a channel output needs the truth record of its {p.K} reads")
         if self.known.shape != (p.K, _plane_width(p.L)) or self.known.dtype != np.uint8:
             raise ValueError(f"known must be a uint8 array of shape {(p.K, _plane_width(p.L))}")
         if p.L % 8 and self.known[:, -1].max() >> (p.L % 8):
             raise ValueError(f"known has bits set past the read length {p.L}")
-        if truth.sorted_starts[0] < 1 or truth.sorted_starts[-1] > p.n:
+        if truth.starts[0] < 1 or truth.starts[-1] > p.n:
             raise ValueError(f"the truth's starts must lie in [1, n={p.n}]")
         self.known.setflags(write=False)
 
     @property
     def values(self) -> np.ndarray:
-        """Each read's pre-erasure window, erased symbols included, in read
-        order, on every access into a fresh read-only plane: the blocks of
-        ``_start_windows`` scattered to their reads' rows.  A row's bits
-        past L are not cleared: they hold the ring's next symbols, up to the
-        end of the cyclic extension, then zeros.  The decoder's ``reads``
-        are built from it; no concentration trial stage reads it."""
-        order, width = self.truth.order, _plane_width(self.params.L)
-        values = np.empty((len(order), width), dtype=np.uint8)
+        """Each read's pre-erasure window, erased symbols included, on
+        every access into a fresh read-only plane: the blocks of
+        ``_start_windows`` laid one after another.  A row's bits past L are
+        not cleared: they hold the ring's next symbols, up to the end of
+        the cyclic extension, then zeros.  The decoder's ``reads`` are
+        built from it; no concentration trial stage reads it."""
+        width = _plane_width(self.params.L)
+        values = np.empty((self.params.K, width), dtype=np.uint8)
         for blk, span in _start_windows(self.truth, self.params.L):
-            values[order[blk]] = span.view(np.uint8)[:, :width]
+            values[blk] = span.view(np.uint8)[:, :width]
         values.setflags(write=False)
         return values
 
@@ -264,9 +235,12 @@ class ChannelOutput:
         )
 
     def to_json(self, include_truth: bool = True) -> str:
+        texts = [s.text for s in self.reads]
+        # Read order is start order, so the decoder's view lists the reads
+        # by text: in read order they would give the order of the starts away.
         doc: dict = {
             "params": {**asdict(self.params), "delta": float(self.params.delta)},
-            "reads": [{"symbols": s.text} for s in self.reads],
+            "reads": [{"symbols": t} for t in (texts if include_truth else sorted(texts))],
         }
         if include_truth:
             doc["truth"] = {
@@ -441,15 +415,15 @@ def _packed_extension(row: np.ndarray, n: int, L: int, a: int) -> np.ndarray:
 
 def _start_windows(truth: Truth, L: int):
     """The L-symbol windows of the truth's codeword at its starts, as
-    ``_bit_windows`` yields them but in start order: each block's slice of
-    slots in ``truth.order`` and its rows of words.  Past L a row holds the
-    codeword's next bits, then its first L - 1, then zeros.  The windows
-    are cut from the codeword's row while a read's words lie in its whole
-    bytes, then from a short tail of the packed cyclic extension."""
-    row, n, starts = truth.codeword.rows[0], truth.codeword.n, truth.sorted_starts
-    # Reads before slot m start before byte a: their words lie in the row's whole bytes.
+    ``_bit_windows`` yields them: each block's slice of reads and its rows
+    of words.  Past L a row holds the codeword's next bits, then its first
+    L - 1, then zeros.  The windows are cut from the codeword's row while a
+    read's words lie in its whole bytes, then from a short tail of the
+    packed cyclic extension."""
+    row, n, starts = truth.codeword.rows[0], truth.codeword.n, truth.starts
+    # Reads before m start before byte a: their words lie in the row's whole bytes.
     a = max(0, (n >> 3) - 8 * (_plane_width(L) // 8 + 1) + 1)
-    m = bisect.bisect_right(starts, 8 * a)  # np.searchsorted copies the strided starts
+    m = bisect.bisect_right(starts, 8 * a)  # np.searchsorted would copy the starts to int64
     if m:
         yield from _bit_windows(row[: n >> 3], L, m, lambda blk: starts[blk] - 1)
     tail = _packed_extension(row, n, L, a)
@@ -552,8 +526,11 @@ def transmit_codeword(
     (with replacement), then every read symbol erased independently with
     probability delta.  Starts and erasures draw from separate substreams
     of ``seed``.  Only the known plane and the starts are drawn: the truth
-    record holds ``x`` itself and the starts as its one sorted key, and
-    the output's ``values`` are gathered from them when read.
+    record holds ``x`` itself and the sorted starts, and the output's
+    ``values`` are gathered from them when read.  Read i is the read with
+    the i-th smallest start, and its erasures are row i of the known plane:
+    the erasures do not depend on the starts, so this pairing leaves the
+    channel's law unchanged.
 
     The erasures are drawn by ``_kept_lanes`` over the read symbols laid
     end to end in row order, one chunk of ``_ERASURE_CHUNK`` symbols' whole
@@ -577,17 +554,16 @@ def transmit_codeword(
         kept = _kept_lanes(raw, r * L, threshold)
         known[blk] = _cut_rows(kept.view(np.uint8), L, r)
     # The starts, drawn after the erasures so that no start is alive beside
-    # their state, go a block at a time straight into the high halves of
-    # the truth record's key.  For n < 2^32 numpy draws int32 and int64,
-    # whole or in blocks, from the same 32-bit stream, and the 1-based
-    # starts as the draw from [0, n) plus 1.
-    key = np.arange(K, dtype="<i8")
-    halves = _key_halves(key)
+    # their state, go a block at a time into one array, sorted in place.
+    # For n < 2^32 numpy draws int32 and int64, whole or in blocks, from the
+    # same 32-bit stream, and the 1-based starts as the draw from [0, n)
+    # plus 1.
+    starts = np.empty(K, dtype=np.int32)
     draw = stage_rng(seed, STAGE_STARTS)
     for blk in _row_blocks(K, L):
-        halves[blk, 1] = draw.integers(1, params.n + 1, size=blk.stop - blk.start, dtype=np.int32)
-    truth = Truth._of_key(message, x, key)
-    return ChannelOutput(params=params, known=known, truth=truth)
+        starts[blk] = draw.integers(1, params.n + 1, size=blk.stop - blk.start, dtype=np.int32)
+    starts.sort()
+    return ChannelOutput(params=params, known=known, truth=Truth(message, x, starts))
 
 
 def transmit(codebook: Codebook, w: int, params: ChannelParams, seed) -> ChannelOutput:

@@ -18,15 +18,16 @@ codewords of one length n, and any other codebook is refused.
 codewords that contain every read individually as a compatible cyclic
 substring.
 
-``typicality_decode`` enumerates all assemblable claims (the first read is
-pinned to position zero, which costs nothing by rotation invariance), keeps
-those whose suffix-size tuple and island coverage pass the two-sided tests
-of ``stats.TypicalityThresholds``, and keeps each codeword of
-``oracle_decode`` that cyclically holds every island of some surviving
-claim.  A message is decoded only when exactly one codeword survives.  The
-search is exponential in the number of reads, so it refuses more than
-``_HARD_READ_CAP`` (8) of them.  With thresholds disabled
-(``epsilon = inf``) the two agree exactly.
+``typicality_decode`` sorts the reads by their raw triples, so that its
+result depends only on their multiset, enumerates all assemblable claims
+(the first read is pinned to position zero, which costs nothing by
+rotation invariance), keeps those whose suffix-size tuple and island
+coverage pass the two-sided tests of ``stats.TypicalityThresholds``, and
+keeps each codeword of ``oracle_decode`` that cyclically holds every
+island of some surviving claim.  A message is decoded only when exactly
+one codeword survives.  The search is exponential in the number of reads,
+so it refuses more than ``_HARD_READ_CAP`` (8) of them.  With thresholds
+disabled (``epsilon = inf``) the two agree exactly.
 
 Every codeword test, of reads and of islands alike, is a lane-packed
 shift-and pass (``_holds_every_read``) on the codebook's packed uint8
@@ -200,9 +201,12 @@ def typicality_decode(
     config: DecoderConfig = DecoderConfig(),
 ) -> DecodeResult:
     """Run the claim-enumeration decoder against a codebook."""
-    # The search works on raw (bits, known, length) triples; texts are
-    # rendered only when ``candidate_islands`` is read.
-    trip = _needles(reads)
+    # The search works on raw (bits, known, length) triples, sorted so that
+    # it, and the order in which it meets the island sets, depend only on
+    # the multiset of reads; texts are rendered only when
+    # ``candidate_islands`` is read.
+    trip = sorted(_needles(reads))
+    reads = [TritString(*t) for t in trip]
     K = len(trip)
     if K == 0:
         raise DomainError("cannot decode from zero reads")
@@ -268,6 +272,7 @@ def typicality_decode(
                     walk(j, merged, islands, omega + [w], others)
 
     walk(0, trip[0], [], [], tuple(range(1, K)))
+    del walk  # it refers to itself, so it would leave a cycle for the collector
     survivors = [
         islands
         for islands in seen

@@ -15,13 +15,13 @@ and the expected count at size ``s`` is ``K * sum_l P(overlap = l) *
 P(Binomial(l, 1 - delta) = s)``.  Passing a ``Fraction`` delta keeps the
 whole computation in exact rational arithmetic.
 
-Every trial stage streams over the reads one block in start order at a
-time.  ``coverage`` ORs each block's erasure masks at their starts onto a
-window of uint64 ring words, one bit per position, that slides with the
-blocks, and counts the words no later block reaches with
-``np.bitwise_count`` (numpy >= 2.0).  The m_z counts read the blocks of
-windows of ``channel._start_windows``, which ``ChannelOutput.values`` also
-scatters into read order.
+Reads are numbered in start order, and every trial stage streams over
+them one block of reads at a time.  ``coverage`` ORs each block's erasure
+masks at their starts onto a window of uint64 ring words, one bit per
+position, that slides with the blocks, and counts the words no later block
+reaches with ``np.bitwise_count`` (numpy >= 2.0).  The m_z counts read the
+blocks of windows of ``channel._start_windows``, which
+``ChannelOutput.values`` also lays out.
 """
 
 from __future__ import annotations
@@ -87,13 +87,11 @@ class CoverageReport:
 
 
 def _gap_blocks(output: ChannelOutput):
-    """Each block of reads in start order, as its read indices with the
-    cyclic gaps into and out of them: gap entry i + 1 is the gap after the
-    block's read i, and entry i the gap before it.  No stage holds a gap per
-    read."""
-    truth = output.truth
+    """Each block of reads, as its slice with the cyclic gaps into and out
+    of them: gap entry i + 1 is the gap after the block's read i, and entry
+    i the gap before it.  No stage holds a gap per read."""
     for blk in _row_blocks(output.params.K, output.params.L):
-        yield truth.order[blk], _gaps_around(truth.sorted_starts, output.params.n, blk)
+        yield blk, _gaps_around(output.truth.starts, output.params.n, blk)
 
 
 def coverage(output: ChannelOutput) -> CoverageReport:
@@ -101,7 +99,7 @@ def coverage(output: ChannelOutput) -> CoverageReport:
     n, L = output.params.n, output.params.L
     visible = _visible_positions(output)
     # phi sums the positions each read covers up to the next start, at most
-    # L of them, one block of reads in start order at a time.
+    # L of them, one block of reads at a time.
     covered = sum(
         int(np.minimum(gaps[1:], L).sum()) for _, gaps in _gap_blocks(output)
     )
@@ -111,9 +109,9 @@ def coverage(output: ChannelOutput) -> CoverageReport:
 def _visible_positions(output: ChannelOutput) -> int:
     """Codeword positions that an unerased read symbol covers.
 
-    The unerased symbols of one block of reads at a time, in start order,
-    are ORed onto a window of the unrolled ring's little-endian uint64
-    words (``ufunc.at`` applies every row of a repeated word): a row
+    The unerased symbols of one block of reads at a time are ORed onto a
+    window of the unrolled ring's little-endian uint64 words
+    (``ufunc.at`` applies every row of a repeated word): a row
     shifted up by its start's bit offset fills ``words`` words from its
     start's word on.  A block past the window's end slides it on to the
     block's first word, counting and dropping the final words below, with
@@ -121,13 +119,13 @@ def _visible_positions(output: ChannelOutput) -> int:
     whose windows pass n are ORed once before the first block, moved back
     by n, and only bits in [0, n) are counted."""
     n, K, L = output.params.n, output.params.K, output.params.L
-    truth, width = output.truth, output.known.shape[1]
+    starts, width = output.truth.starts, output.known.shape[1]
     words = (width + 7) // 8 + 1
-    wrap = bisect.bisect_right(truth.sorted_starts, n - L + 1)
+    wrap = bisect.bisect_right(starts, n - L + 1)
     passes = [(slice(wrap + b.start, wrap + b.stop), n) for b in _row_blocks(K - wrap, L)]
     visible, base, ring = 0, 0, np.zeros(0, dtype="<u8")  # ring words from word base on
     for blk, back in passes + [(b, 0) for b in _row_blocks(K, L)]:
-        pos = truth.sorted_starts[blk] - np.int64(1 + back)  # 0-based, less n in a first pass
+        pos = starts[blk] - np.int64(1 + back)  # 0-based, less n in a first pass
         word = pos >> 6
         lo, hi = int(word[0]), int(word[-1]) + words
         if hi - base > len(ring):
@@ -139,7 +137,7 @@ def _visible_positions(output: ChannelOutput) -> int:
         span = np.zeros((len(pos), words), dtype="<u8")
         # Shifting a row up by its bit offset s is placing it one word in
         # and shifting it down by 64 - s.
-        span.view(np.uint8)[:, 8 : 8 + width] = np.take(output.known, truth.order[blk], axis=0)
+        span.view(np.uint8)[:, 8 : 8 + width] = output.known[blk]
         _shift_down(span, 64 - (pos & 63))
         for j in range(words):
             np.bitwise_or.at(ring, word, span[:, j])
@@ -168,13 +166,12 @@ def _popcount_rows(plane: np.ndarray) -> np.ndarray:
 
 
 def _suffix_size_blocks(output: ChannelOutput):
-    """Each read's true merging-suffix size, one block of rows in start
-    order at a time."""
+    """Each read's true merging-suffix size, one block of rows at a time."""
     L = output.params.L
     width = output.known.shape[1]
     word_starts = 64 * np.arange((width + 7) // 8)
     all_ones = np.uint64(2**64 - 1)
-    for reads, gaps in _gap_blocks(output):
+    for blk, gaps in _gap_blocks(output):
         # Each gap out of a read becomes its successor distance, or 0 where
         # the gap into it is 0.  A read that shares its start with the one
         # before it is at distance 0 from it, so the order within a tie is
@@ -186,8 +183,8 @@ def _suffix_size_blocks(output: ChannelOutput):
         # shift, which gives 0 for a shift by 64.
         begin = np.minimum(gaps[1:], L)
         shift = np.clip(begin[:, None] - word_starts, 0, 64).astype(np.uint64)
-        rows = np.zeros((len(reads), 8 * len(word_starts)), dtype=np.uint8)
-        rows[:, :width] = np.take(output.known, reads, axis=0)
+        rows = np.zeros((len(begin), 8 * len(word_starts)), dtype=np.uint8)
+        rows[:, :width] = output.known[blk]
         words = rows.view("<u8")
         words &= all_ones << shift
         yield _popcount_rows(words)
@@ -500,23 +497,19 @@ def _prefix_matches(output: ChannelOutput, probes) -> list[int]:
 
     The windows are the whole ones, so a read at an independent start
     agrees with probability exactly 2**-len(keep).  They are cut one block
-    of reads in start order at a time by ``channel._start_windows``, as
-    rows of uint64 words, and every probe is counted on each block; no
-    plane of every read's window is built.  Read ``r``'s own symbols are
-    read off the row from its start, found at its slot in ``Truth.order``
-    a block of slots at a time.  A probe's kept positions make one word
+    of reads at a time by ``channel._start_windows``, as rows of uint64
+    words, and every probe is counted on each block; no plane of every
+    read's window is built.  Read ``r``'s own symbols are read off the
+    codeword's row from its start.  A probe's kept positions make one word
     mask: each block's rows are tested on the word that holds the most kept
     bits, and each further word keeps only the rows that still agree."""
     if not probes:
         return []
-    truth, n, K, L = output.truth, output.params.n, output.params.K, output.params.L
-    row, starts, words = truth.codeword.rows[0], truth.sorted_starts, _plane_width(L) // 8 + 1
+    truth, n, L = output.truth, output.params.n, output.params.L
+    row, words = truth.codeword.rows[0], _plane_width(L) // 8 + 1
     tests = []
     for r, keep in probes:
-        slot = next(
-            b.start + i for b in _row_blocks(K, 1) for i in np.flatnonzero(truth.order[b] == r)
-        )
-        at = (int(starts[slot]) - 1 + keep) % n
+        at = (int(truth.starts[r]) - 1 + keep) % n
         marked = np.zeros(64 * words, dtype=np.uint8)
         marked[keep] = 1
         mask = np.packbits(marked, bitorder="little").view("<u8")

@@ -40,20 +40,24 @@ def make_output(
 ) -> ChannelOutput:
     """Channel output with hand-picked starts (1-based) and erasures.
 
-    ``erased`` holds (read index, 0-based position within the read) pairs.
-    The hand-built (K, L) erasure array is packed into the output's
-    ``known`` plane; as in the channel's outputs, ``values`` is gathered
-    from the codeword at the starts.
+    ``erased`` holds (index into ``starts``, 0-based position within the
+    read) pairs.  As in the channel's outputs, the reads are numbered in
+    start order (tied starts by their index), so each erasure is moved to
+    its read's row of the (K, L) erasure array, which is packed into the
+    output's ``known`` plane; ``values`` is gathered from the codeword at
+    the starts.
     """
     n = len(x_text)
     params = ChannelParams(n=n, L=L, K=len(starts), delta=delta)
+    order = np.argsort(starts, kind="stable")
+    row = np.argsort(order)  # the read that starts[i] becomes
     known = np.ones((len(starts), L), dtype=bool)
     for i, j in erased:
-        known[i, j] = False
+        known[row[i], j] = False
     truth = Truth(
         message=None,
         codeword=Codebook(np.packbits([[int(c) for c in x_text]], axis=1, bitorder="little"), n),
-        starts=np.asarray(starts, dtype=np.int64),
+        starts=np.asarray(starts, dtype=np.int64)[order],
     )
     return ChannelOutput(
         params=params, known=np.packbits(known, axis=1, bitorder="little"), truth=truth

@@ -15,9 +15,14 @@ def test_true_ordering_hand_case():
     assert omega == (1, 0, 0)
 
 
-def test_true_ordering_sorts_stably():
-    out = make_output("010011", [5, 1, 2], L=2)
-    assert true_ordering(out)[0] == (1, 2, 0)
+def test_make_output_numbers_reads_in_start_order():
+    """Reads are numbered in start order, tied starts by their index, and
+    each erasure moves with its start: the read at start 5, index 0 of the
+    starts given, becomes read 2."""
+    out = make_output("010011", [5, 1, 2], L=2, erased={(0, 1)})
+    assert list(out.truth.starts) == [1, 2, 5]
+    assert true_ordering(out)[0] == (0, 1, 2)
+    assert [r.text for r in out.reads] == ["01", "10", "1*"]
 
 
 def test_equal_starts_full_overlap():

@@ -143,8 +143,8 @@ def test_values_build_no_whole_extension():
     """At n = 2^20 (L = 40, K = 52,429) the value plane is K * 5 bytes,
     0.25 n, and gathering it peaks at 0.368 n: the plane plus one block of
     windows and the short tail of the cyclic extension.  The whole packed
-    extension (0.125 n) or the read-order starts (0.2 n) built beside it
-    break the bound."""
+    extension (0.125 n) or a copy of the starts (0.2 n, or 0.4 n in int64)
+    built beside it break the bound."""
     n = 2**20
     p = ChannelParams.resolve(n, 0.2, lbar=2, c=2)
     out = transmit_codeword(random_codeword(n, 1), p, 1)
@@ -176,12 +176,12 @@ def test_values_are_the_windows_at_the_truth_starts(L, extra, delta, seed, raw_s
     """``values`` is gathered from the truth record on every read: each row
     is its start's window of the codeword, pad bits included, in a fresh
     read-only plane, and the reads are those windows masked by ``known``.
-    Starts come from the strategy, so windows across the wrap of rings with
-    n % 8 != 0 and lone reads are drawn directly."""
+    Starts come from the strategy, sorted, so windows across the wrap of
+    rings with n % 8 != 0 and lone reads are drawn directly."""
     n = L + extra
     p = ChannelParams(n=n, L=L, K=len(raw_starts), delta=delta)
     x = random_codeword(n, seed)
-    starts = np.array([s % n + 1 for s in raw_starts], dtype=np.int32)
+    starts = np.sort(np.array([s % n + 1 for s in raw_starts], dtype=np.int32))
     known = transmit_codeword(x, p, seed).known
     out = ChannelOutput(p, known, Truth(None, x, starts))
     values = out.values
@@ -315,46 +315,46 @@ def test_starts_are_the_int64_draw(n):
     )
 
 
-def test_transmit_holds_int32_starts_and_one_sort_key():
-    p = ChannelParams(n=1000, L=9, K=300, delta=0.2)
-    out = transmit_codeword(random_codeword(p.n, 4), p, 4)
-    truth = out.truth
-    assert truth.starts.dtype == np.int32
-    want = stage_rng(4, STAGE_STARTS).integers(0, p.n, size=p.K) + 1
-    assert np.array_equal(truth.starts, want)
-    # ``order`` and ``sorted_starts`` are the interleaved int32 halves of
-    # one int64 key array, so they share its buffer but no byte of it.
-    key = truth.order.base
-    assert key is truth.sorted_starts.base and key.nbytes == 8 * p.K
-    assert np.may_share_memory(truth.order, truth.sorted_starts)
-    assert np.array_equal(truth.order, np.argsort(want, kind="stable"))
-    assert np.array_equal(truth.sorted_starts, np.sort(want))
-
-
-def test_truth_starts_are_rebuilt_from_the_one_key():
-    """``starts`` is the whole int32 draw plus 1, in read order, scattered
-    from the sorted key into a fresh read-only array on every access; it
-    does not change when the key's halves are read, and the record holds
-    no per-read array besides the 8K-byte key."""
+def test_transmit_holds_one_sorted_int32_starts_array():
+    """The truth record holds the message, the codeword and one per-read
+    array: the whole int32 draw of the starts plus 1, sorted, read-only,
+    and the very array ``transmit_codeword`` sorted (a view of it, not a
+    copy).  ``test_reads_match_codeword_windows`` checks that read i is
+    the window at the i-th of them."""
     p = ChannelParams(n=1000, L=9, K=300, delta=0.2)
     x = random_codeword(p.n, 4)
+    truth = transmit_codeword(x, p, 4).truth
     want = stage_rng(4, STAGE_STARTS).integers(0, p.n, size=p.K, dtype=np.int32) + 1
-    for truth in (transmit_codeword(x, p, 4).truth, Truth(None, x, want.copy())):
-        first = truth.starts
-        assert first.dtype == np.int32 and np.array_equal(first, want)
-        with pytest.raises(ValueError):
-            first[0] = 1
-        second = truth.starts
-        assert second is not first and not np.may_share_memory(first, second)
-        assert np.array_equal(truth.order, np.argsort(want, kind="stable"))
-        assert np.array_equal(truth.sorted_starts, np.sort(want))
-        assert np.array_equal(first, want) and np.array_equal(truth.starts, want)
-        key = truth.order.base
-        assert key.dtype == np.int64 and key.nbytes == 8 * p.K
-        assert not hasattr(truth, "__dict__")
-        held = [getattr(truth, name) for name in Truth.__slots__]
-        arrays = [a for a in held if isinstance(a, np.ndarray)]
-        assert len(arrays) == 2 and all(a.base is key for a in arrays)
+    assert truth.starts.dtype == np.int32 and truth.starts.shape == (p.K,)
+    assert np.array_equal(truth.starts, np.sort(want))
+    assert truth.starts.base is not None and truth.starts.base.nbytes == 4 * p.K
+    with pytest.raises(ValueError):
+        truth.starts[0] = 1
+    assert Truth.__slots__ == ("message", "codeword", "starts")
+    assert not hasattr(truth, "__dict__") and truth.codeword is x
+    held = [getattr(truth, name) for name in Truth.__slots__]
+    assert [a for a in held if isinstance(a, np.ndarray)] == [truth.starts]
+
+
+def test_truth_refuses_decreasing_starts():
+    """Starts must not decrease; tied starts are accepted.  The check runs
+    a block at a time, so a decrease across a block edge is caught too.
+    An int32 array is held as a read-only view that leaves the caller's
+    array writeable; any other integer array is copied to int32."""
+    x = random_codeword(8, 0)
+    for bad in ([5, 5, 1, 5], [2, 1], [1, 3, 2]):
+        with pytest.raises(ValueError, match="ascending"):
+            Truth(None, x, np.array(bad))
+    edge = np.arange(_ROW_BLOCK + 5, dtype=np.int32)
+    edge[_ROW_BLOCK] = 0
+    with pytest.raises(ValueError, match="ascending"):
+        Truth(None, x, edge)
+    mine = np.array([1, 5, 5, 5], dtype=np.int32)
+    truth = Truth(None, x, mine)
+    assert np.shares_memory(truth.starts, mine) and mine.flags.writeable
+    assert not truth.starts.flags.writeable
+    wide = Truth(None, x, [1, 5, 5, 5])
+    assert wide.starts.dtype == np.int32 and list(wide.starts) == [1, 5, 5, 5]
 
 
 def test_transmit_refuses_codewords_past_int32_starts():
@@ -450,9 +450,10 @@ def test_json_round_trip():
     assert doc["truth"]["x"] == "".join(map(str, symbols))
     assert doc["truth"]["starts"] == [int(s) for s in out.truth.starts]
 
+    # Without the truth the reads are listed by text, not in start order.
     view_only = json.loads(out.to_json(include_truth=False))
     assert "truth" not in view_only
-    assert view_only["reads"] == doc["reads"]
+    assert view_only["reads"] == sorted(doc["reads"], key=lambda r: r["symbols"])
 
 
 def _pack(rows) -> np.ndarray:
@@ -521,25 +522,16 @@ def test_output_arrays_read_only():
         out.truth.starts[0] = 5
 
 
-def test_truth_sorts_tied_starts_by_index():
-    truth = Truth(None, random_codeword(8, 0), np.array([5, 5, 1, 5]))
-    assert list(truth.order) == [2, 0, 1, 3]
-    assert list(truth.sorted_starts) == [1, 5, 5, 5]
-    for a in (truth.order, truth.sorted_starts):
-        with pytest.raises(ValueError):
-            a[0] = 0
-
-
 def test_output_refuses_starts_off_the_ring():
-    """A truth record takes any int32 starts, but an output needs them on
-    its ring, in [1, n]: a start of 0, past n or negative would give wrong
-    values and phi_v, and one far past n an index error."""
+    """A truth record takes any ascending int32 starts, but an output needs
+    them on its ring, in [1, n]: a start of 0, past n or negative would
+    give wrong values and phi_v, and one far past n an index error."""
     p = ChannelParams(n=16, L=4, K=2, delta=0.0)
     known = _pack(np.ones((2, 4)))
-    for bad in ([0, 5], [17, 5], [-3, 5], [1000, 5]):
+    for bad in ([0, 5], [5, 17], [-3, 5], [5, 1000]):
         with pytest.raises(ValueError, match=r"in \[1, n=16\]"):
             ChannelOutput(p, known.copy(), _ones_truth(16, bad))
-    for edge in ([1, 5], [16, 5], [16, 1]):
+    for edge in ([1, 5], [5, 16], [1, 16]):
         ChannelOutput(p, known.copy(), _ones_truth(16, edge))
 
 
@@ -548,10 +540,13 @@ def test_truth_refuses_starts_past_int32():
     for bad in ([1, 2**31], [-(2**31) - 1, 3]):
         with pytest.raises(ValueError, match="int32"):
             Truth(None, x, np.array(bad, dtype=np.int64))
-    edge = np.array([2**31 - 1, -(2**31), 7], dtype=np.int64)
+    for bad in (np.array([1.0, 2.0]), np.array([True, True])):
+        with pytest.raises(ValueError, match="int32"):
+            Truth(None, x, bad)
+    edge = np.array([-(2**31), 7, 2**31 - 1], dtype=np.int64)
     truth = Truth(None, x, edge)
-    assert list(truth.sorted_starts) == [-(2**31), 7, 2**31 - 1]
-    assert list(truth.order) == [1, 2, 0]
+    assert truth.starts.dtype == np.int32
+    assert list(truth.starts) == [-(2**31), 7, 2**31 - 1]
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -366,10 +367,60 @@ def test_decoder_matches_the_claim_enumerator(n, L, K, delta, epsilon, omega_mod
     codebook = random_codebook(n, size, seed)
     reads = transmit(codebook, seed % size, params, seed).reads
     result = typicality_decode(codebook, reads, params, config)
-    visited, island_sets, candidates = enumerate_claims(codebook, reads, params, config)
+    # The decoder searches its reads sorted by raw triple, which fixes the
+    # rotation of a ring island: the enumerator gets them in that order.
+    ordered = sorted(reads, key=lambda r: (r.bits, r.known, r.length))
+    visited, island_sets, candidates = enumerate_claims(codebook, ordered, params, config)
     assert result.tuples_visited == visited
     assert set(result.island_sets) == island_sets
     assert result.candidate_codewords == candidates
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    n=st.integers(4, 16),
+    L=st.integers(2, 6),
+    K=st.integers(2, 5),
+    delta=st.sampled_from([0.0, 0.2, 0.5]),
+    epsilon=st.sampled_from([math.inf, 0.5, 2.0]),
+    size=st.integers(1, 6),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+# Reads 110, 101, 011, 001 of 100110: ring islands, whose rotation
+# followed the first read before the decoder sorted its reads.
+@example(n=6, L=3, K=4, delta=0.0, epsilon=math.inf, size=2, seed=0, data=None)
+def test_decode_depends_only_on_the_read_multiset(n, L, K, delta, epsilon, size, seed, data):
+    """Shuffling the reads changes neither the oracle's codewords nor any
+    field of the decode, the raw order of ``island_sets`` included."""
+    params = ChannelParams(n, min(L, n), K, delta)
+    config = DecoderConfig(epsilon)
+    codebook = random_codebook(n, size, seed)
+    reads = list(transmit(codebook, seed % size, params, seed).reads)
+    order = list(reversed(range(K))) if data is None else data.draw(st.permutations(range(K)))
+    shuffled = [reads[i] for i in order]
+    assert oracle_decode(codebook, shuffled) == oracle_decode(codebook, reads)
+    a = typicality_decode(codebook, reads, params, config)
+    b = typicality_decode(codebook, shuffled, params, config)
+    assert a == b and a.candidate_islands == b.candidate_islands
+
+
+def test_decode_leaves_no_cycle_for_the_collector():
+    """A decode frees what it built on return: with the cyclic collector
+    off, a decode of decode-bigbook's shape (n 32, L 8, K 4, 1024
+    codewords) leaves nothing for it to find, at epsilon = inf and 0.5."""
+    params = ChannelParams(32, 8, 4, 0.1)
+    codebook = random_codebook(32, 1024, 17)
+    reads = transmit(codebook, 17, params, 17).reads
+    typicality_decode(codebook, reads, params)  # first-call caches out of the count
+    gc.collect()
+    gc.disable()
+    try:
+        for epsilon in (math.inf, 0.5):
+            typicality_decode(codebook, reads, params, DecoderConfig(epsilon))
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_candidates_monotone_in_epsilon():

@@ -25,15 +25,15 @@ from ssesim.cli import main
 GOLDEN = {
     # Both views of a channel use pin the start and erasure streams.
     "simulate --n 48 --length 8 --reads 5 --delta 0.2 --seed 7 --view full":
-        "10b09b5aebbb9672b88cb13d520bfdcee13d0deeb1a9c3603a5d41d8f33c40be",
+        "0a6dbea9c62bdaf1c32644e0e88ba4ce1e7947598207800c6f7adfdebe0074d6",
     "simulate --n 500 --length 40 --reads 30 --delta 0.3 --seed 99 --view full":
-        "5c85ba320e673010cff362bcee0bd7633b926472afae61c33d45a8e7e94efe20",
+        "09f099378812de3b399cac3a4d060c45667a24a6d499904cd5b0731b068aa5d7",
     "concentration --n 4096 --lbar 2 --coverage 2 --delta 0.2 --trials 8"
     " --seed 3 --threads 2":
-        "3685fef4ea449d864c240dc3242348623e0525d2e48d1632ae0ed80306fae826",
+        "57072769c199962437973b582622850d2f95d86a54dda99f145efe25f918e823",
     "concentration --n 4096 --lbar 2 --coverage 2 --delta 0.2 --trials 8"
     " --seed 3 --threads 2 --format csv":
-        "b1e4915a66b720e819f37237a696b7e28862f51e80c3293c39814b811203550b",
+        "2b8edeb270af9914ec30eb70eb53d74e9ecc5374495839e26bf1555fff54d3c9",
     "decode-demo --n 24 --length 6 --reads 5 --delta 0.1 --codebook-size 6"
     " --seed 6":
         "3e8592a07b7dc814eda958e19e1646932b71104fef4238cf3b1c2cb67fffd966",
@@ -46,7 +46,7 @@ GOLDEN = {
     # coverage target, so the coverage test alone prunes (1350 of 4705).
     "decode-demo --n 10 --length 7 --reads 6 --delta 0.0 --codebook-size 6"
     " --seed 2 --epsilon 2 --omega-mode all-tuples":
-        "5b6fa5c2f9fe007316e7db573cf8242ebafae2e3f0ad814d5285f9f773be5f0e",
+        "db67bf52d060836766f971d85b901f639a8002b03b41b2b32e1244169aa2b93b",
     "gtau-table --n 1024 --lbar 2 --coverage 2 --delta 0.2":
         "5db3b014b8ad7f126c96889c56bc5528f80d17b0637a5eaf6445a9e917c6e1c3",
     # The float suffix-size law past the l = 1030 switch to log space in
@@ -61,74 +61,74 @@ GOLDEN = {
     # erasure draw spans several blocks; the concentration runs also probe
     # at two suffix sizes.
     "simulate --n 8192 --length 64 --reads 17000 --delta 0.25 --seed 5 --view full":
-        "f7938b174b436454dc27f0dfda4f4dcf15a543c2cb0736a7c67fd7cd388795e7",
+        "9de925c9f802ab95ce87b6a941dc4514d6d135230e2aa6bd139894d0ba7bdcc2",
     "concentration --n 2097152 --lbar 2 --coverage 2 --delta 0.2 --mz-tau 0.5"
     " --mz-tau 0.85 --trials 2 --seed 11":
-        "947b77239eae68e7c674c66bc9263248c089234197423df1dc6044774e9696bd",
+        "aca72dd75fceac5e4a19003ad397df45efc3dfc961c01e1e9d7ef124f46e8649",
     "concentration --n 2097152 --lbar 2 --coverage 2 --delta 0.2 --mz-tau 0.5"
     " --mz-tau 0.85 --trials 2 --seed 11 --format csv":
-        "d98029d2d0d1e706c4b74df795ed2f4bf6da672a24a045080c55ab84b4d1f828",
+        "84e31cdd3d078ddc450c3d915e2cdd2183b8731a1ad4d72bbcd6e8dd904f7e6e",
     # Windows of length 60 on a ring of 64 wrap almost the whole codeword.
     "concentration --n 64 --length 60 --reads 5 --delta 0.3 --mz-tau 0.5"
     " --trials 3 --seed 4":
-        "25437f4dd1632483755056a39a5967afcad8de1e30f0c88fa9699d46080af336",
+        "6c33d40353a6f5551a6639b96e38611faf28145afff44be291e4956476f77709",
     # n and L not multiples of 8, so read windows start at every bit offset
     # of a byte and the ring's overhang past n is not byte-aligned; the last
     # argv packs 40 reads of length 35 on a ring of 37, so tied starts and
     # windows across the wrap are dense.
     "concentration --n 4099 --lbar 2.3 --coverage 3 --delta 0.35 --mz-tau 0.5"
     " --mz-tau 0.85 --trials 4 --seed 21":
-        "b23e55619bb2b4b9069f0196ba1db97c1e2a3a448a6f062899db05d73416d35b",
+        "0f93aa711a06c2f280e7e06b7c27d0ee374353fb2c85de9e39628a2513b1a7e0",
     "concentration --n 4099 --lbar 2.3 --coverage 3 --delta 0.35 --mz-tau 0.5"
     " --mz-tau 0.85 --trials 4 --seed 21 --format csv":
-        "ce9ca48904b480ef700955c5cf0c0ba7b61cb4f42c34200872fe40c0289ed01c",
+        "09315516295b2fb3942d5b26cd317b3ae36d7ba69d9fab758d58ae317d90366b",
     # One trial: every standard error is 0.0.
     "concentration --n 4099 --lbar 2.3 --coverage 3 --delta 0.35 --mz-tau 0.5"
     " --mz-tau 0.85 --trials 1 --seed 21":
-        "dda0189f32f0069e4452406ef16adca7bdf1b11ea341100e6b95538e74e6eefa",
+        "9c6570078fed9e227abf3f53564aacd640899da144dab4f4bd67cc29cf2c0660",
     "concentration --n 4099 --lbar 2.3 --coverage 3 --delta 0.35 --mz-tau 0.5"
     " --mz-tau 0.85 --trials 1 --seed 21 --format csv":
-        "c3566af48f47e9777c013e57694200e46b0d88e26ff62ae11272f15fb936ac5f",
+        "a9f01fa29f24f394589cf0ffc4edf62137064e74d249585c0362cd145538213b",
     "concentration --n 37 --length 35 --reads 40 --delta 0.5 --trials 5 --seed 8":
-        "806f6c9449036b4475834df447f6400c0b550d20214b9645d5be43ce8359fb32",
+        "c0d7c6c360c32f3e7015a2f9ded8a046c94cd0dddca09c15ff2acf805810aa2b",
     # The m_z probe's eligible-read fallback: at delta = 0.85 two of the 205
     # reads keep 5 of their 10 symbols visible, and seed 1 misses both in
     # 64 uniform draws, so the first trial's probe draws among them; so do
     # the probes of all three trials below (2, 2 and 4 eligible reads).
     "concentration --n 1024 --length 10 --reads 205 --delta 0.85 --trials 1"
     " --mz-per-trial 1 --seed 1":
-        "5d1b977b2390181b3980ad51a40cc22a4228c4ea8d9fa0cef4e8ea5dda3955b4",
+        "e2cdb05f2afbae301538710fdd625a24d19638bf00bd156f930948e2cca4d435",
     "concentration --n 1024 --length 10 --reads 205 --delta 0.85 --trials 3"
     " --mz-per-trial 4 --seed 1 --format csv":
-        "3ce2010e42511de284048d384fa73c64caa06709992ad115bd81256c65864ea0",
+        "9d72a7f94371e328ae63f288a1f5b9ce7a9125dc97bbea619ef48e03e59eb632",
     # Reads of length 190 on a ring of 200, over five row blocks: nearly
     # every window wraps past n, so phi_v ORs most reads twice and the m_z
     # count cuts every window from the extension's tail.
     "concentration --n 200 --length 190 --reads 3000 --delta 0.3 --trials 2 --seed 12":
-        "afa17c92bcc36706f0fb4e1187065ffc0b1b947e050158bb586798d36790a9ab",
+        "d14d7b0d6da9f2ac9b79593eb27b6c429d8bddd3faa67d5400d1ef73ba99724a",
     "concentration --n 200 --length 190 --reads 3000 --delta 0.3 --trials 2 --seed 12"
     " --format csv":
-        "71bb8562574f634299e20a0496d71fb31a3c05d2e077d1fca72d718d855a61c4",
+        "00e834eb66fc3cefd22546765d132fa87bade6a1150efc154b90c290bf32c380",
     # n not a multiple of 64 (nor of 8), over several row blocks: the last
     # ring word is partial and the row's last byte is not whole.
     "concentration --n 1000003 --lbar 2 --coverage 2 --delta 0.2 --mz-tau 0.5"
     " --mz-tau 0.85 --trials 2 --seed 13":
-        "49c10a2857caef8ef15406084b7427b9ba75771935c8ff57ca9293539abb088b",
+        "2c98f46893c3500950777a4bde913033b08e67ae02b87229aa1a066d0b646932",
     "concentration --n 1000003 --lbar 2 --coverage 2 --delta 0.2 --mz-tau 0.5"
     " --mz-tau 0.85 --trials 2 --seed 13 --format csv":
-        "110095592bc60f7ea308bed7dece0321dd45351499e1e52dcba15dc8f6e15072",
+        "82a996d4e22636cc55c8bbf5b2debb3577891e9533eee3fbe64527d5e35b5c88",
     # Codeword matching on large codebooks: the decode-bigbook geometry
     # (1024 codewords of length 32), then n and codebook size that are not
-    # multiples of 8, where 22 codewords hold every read.
+    # multiples of 8, where 33 codewords hold every read.
     "decode-demo --n 32 --length 8 --reads 4 --delta 0.1 --codebook-size 1024"
     " --seed 17":
-        "0bd905c1c520b26af748951d92629227c5b3077c986071195272b88447fcca4c",
+        "99d511273944152b97be028d1df7bb8b7ae9a020ef99dbf3c740338a397c7884",
     "decode-demo --n 30 --length 7 --reads 5 --delta 0.2 --codebook-size 1000"
     " --seed 3":
-        "866bea1187c40ea0b4c5a95f8a47722360ecf76601b40a3952f9313edf861857",
+        "3313bc982b0eb4f11ac81ada13f999557815ae77186bdc77a9f4148946ab0c67",
     "decode-demo --n 30 --length 7 --reads 5 --delta 0.2 --codebook-size 1000"
     " --seed 3 --epsilon 2":
-        "42166ec0b6d9bb2becbfa93186ae9ff4d4b4e4fb414f96d6944681b3173591a0",
+        "974eacab30158477ea6d0ad495709d112e661057e52a9b3f2ecd5c9b45a6a17c",
     # The trace's edge cases: an "empty" outcome with no island sets, no
     # candidates and a null message, then decode-bigbook's delta = 0 cell,
     # whose 47 island sets hold only fully visible islands.

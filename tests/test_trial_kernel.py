@@ -124,10 +124,10 @@ def test_kernels_match_whole_array_formulas(n, L, K, delta):
         # the whole circle form one circular island and count 0.
         islands, _, circular = true_islands(out)
         assert chain_island_count(out) == (0 if circular else len(islands))
-        # Suffix sizes come in start order: the read-order reference, taken
-        # in the trial's one sort order of the starts.
+        # Reads are numbered in start order, so the read-order reference is
+        # in the order the stage yields its blocks.
         dist = forward_successor_distances(starts0, n)
-        reference = _reference_suffix_sizes(out, dist)[out.truth.order]
+        reference = _reference_suffix_sizes(out, dist)
         sizes = np.concatenate(list(_suffix_size_blocks(out)))
         assert np.array_equal(sizes, reference)
 
@@ -175,12 +175,12 @@ def _check_probes(out, reads, keeps):
 @pytest.mark.parametrize("n,L,K", [(40, 5, 30), (300, 47, 200), (200, 64, 50), (500, 131, 40)])
 def test_count_matches_edge_probes(n, L, K):
     """The edge probes of ``_edge_keeps`` on the first, the last and a
-    random read, and on the reads first and last in start order."""
+    random read, which are the first and the last in start order and one
+    between them."""
     p = ChannelParams(n=n, L=L, K=K, delta=0.3)
     out = transmit_codeword(random_codeword(n, 4), p, 4)
     rng = np.random.default_rng(L)
-    order = out.truth.order
-    reads = (0, K - 1, int(rng.integers(K)), int(order[0]), int(order[-1]))
+    reads = (0, K - 1, int(rng.integers(K)))
     want = _check_probes(out, reads, _edge_keeps(L, rng))
     assert want[0] == K
 
@@ -190,17 +190,16 @@ def test_count_matches_edge_probes(n, L, K):
     (23, 23, 1, [5]),  # K = 1, L = n
     (100, 70, 5, [37] * 5),  # every start tied
     (97, 40, 7000, [97] * 7000),  # tied at the last start, over three blocks
-    (200, 17, 6, [1, 200, 1, 100, 200, 3]),  # first and last starts tied
+    (200, 17, 6, [1, 1, 3, 100, 200, 200]),  # first and last starts tied
 ])
 def test_prefix_matches_on_placed_starts(n, L, K, starts):
-    """Probe reads at the first and last slots of the start order, with
-    every start tied and with one read, on hand-placed starts."""
+    """Probe reads first and last in start order, with every start tied
+    and with one read, on hand-placed starts."""
     p = ChannelParams(n=n, L=L, K=K, delta=0.3)
     x = random_codeword(n, K)
     known = transmit_codeword(x, p, K).known
     out = channel.ChannelOutput(p, known, channel.Truth(None, x, np.array(starts)))
-    order = out.truth.order
-    reads = sorted({0, K - 1, int(order[0]), int(order[-1])})
+    reads = sorted({0, K - 1})
     want = _check_probes(out, reads, _edge_keeps(L, np.random.default_rng(n)))
     if len(set(starts)) == 1:
         # Every window is the same, so every read agrees with every probe.
@@ -208,17 +207,14 @@ def test_prefix_matches_on_placed_starts(n, L, K, starts):
 
 
 def test_trial_counts_mz_without_the_value_plane(monkeypatch):
-    """A trial with m_z targets gathers no read window plane and never
-    rebuilds the read-order starts: it reads the truth only as its one
-    sorted key."""
+    """A trial with m_z targets gathers no plane of every read's window."""
 
     def refuse(*args):
-        raise AssertionError("a trial stage built read-order windows or starts")
+        raise AssertionError("a trial stage built the value plane")
 
     p = ChannelParams.resolve(4096, 0.2, lbar=2, c=2)
     want = _run_trial(p, 5, 0, [6, 12], 2)
     monkeypatch.setattr(channel.ChannelOutput, "values", property(refuse))
-    monkeypatch.setattr(channel.Truth, "starts", property(refuse))
     assert _run_trial(p, 5, 0, [6, 12], 2) == want
     assert all(len(counts) == 2 for counts in want.mz)
 
@@ -372,43 +368,44 @@ def test_erasure_rates_at_delta_0_2():
 def test_trial_memory_is_a_few_bytes_per_symbol():
     """One trial peaks at most at an eighth of a byte per read symbol plus
     0.80 bytes per codeword position at n = 2^20 (L = 40, K = 52,429), and
-    plus 0.55 at n = 2^23 (L = 46, K = 364,722).
+    plus 0.38 at n = 2^23 (L = 46, K = 364,722).
 
     The bound comes from what a trial has to hold.  The reads' ``known`` is
     a bit-plane of K ceil(L/8) bytes, K L / 8 when 8 divides L (0.011 n
     more at L = 46).  Per codeword position there is only the codeword's
-    packed row, n / 8 bytes, held all trial.  Per read only the 8-byte key
-    is held (8 c / L bytes per position: 0.4 n at L = 40, 0.348 n at
-    L = 46): start * 2^32 + index, drawn after the erasures a block at a
-    time and sorted once, whose int32 halves are the sort order and the
-    sorted starts that the stages share.  So a trial holds 0.529 n past
-    K L / 8 at 2^20 and 0.484 n at 2^23.  Every stage goes over the reads
-    in start order a block of ``_ROW_BLOCK`` symbols at a time, so its
-    temporaries are a fixed size: the rows it takes and their cyclic gaps,
-    the window of phi_v's ring words that slides with the blocks, and the
-    m_z count's windows, cut from the codeword row and, for the last few
-    reads, from a tail of its cyclic extension.  No plane of the reads'
-    windows, no whole ring and no whole extension is built.  The erasures
-    are drawn a chunk of ``_ERASURE_CHUNK`` symbols (2^20) at a time, in
-    four arrays of one uint64 per 64 symbols, 512 KiB: 0.5 n at 2^20,
-    where the erasure draw comes to 0.769 n (the codeword, the known plane
-    and one chunk's erasure state).  The peak, measured at 0.780 n there,
-    is in the phi_v stage, whose window keeps 2^18 bits of room beside one
-    block's words; the m_z count comes to 0.650 n and the suffix stage to
-    0.734 n.  At 2^23 the chunk is 0.0625 n, and the peak, measured at
-    0.514 n, again in the phi_v stage, is within 0.030 n of what the trial
-    holds.  The bounds leave 0.020 n (21 KB) and 0.036 n (300 KB) over the
-    peaks.  A whole phi_v ring or cyclic extension rebuilt (0.125 n)
-    breaks the bound at 2^23; the value plane alive beside the key (0.25 n), int32 read-order
-    starts kept beside it (0.2 n), the codeword held as two n-bit integer
-    planes (0.27 n), a whole int64 array of gaps or distances (0.4 n), an
-    n-byte phi_v line, the reads held as two (K, L) byte arrays
-    (2 K L = 4 n), an int64 index over all K L symbols, or a float64
-    erasure uniform per symbol of one block (1.0 n) break both.
-    tracemalloc sees numpy's allocations, so the peak is a count of bytes,
-    not a timing.
+    packed row, n / 8 bytes, held all trial.  Per read only its int32
+    start is held (4 c / L bytes per position: 0.2 n at L = 40, 0.174 n at
+    L = 46), drawn after the erasures a block at a time and sorted in
+    place, so that read i is the read with the i-th smallest start and no
+    stage needs a sort order.  So a trial holds 0.325 n past K L / 8 at
+    2^20 and 0.310 n at 2^23.  Every stage goes over the reads a block of
+    ``_ROW_BLOCK`` symbols at a time, so its temporaries are a fixed size:
+    the rows it slices and their cyclic gaps, the window of phi_v's ring
+    words that slides with the blocks, and the m_z count's windows, cut
+    from the codeword row and, for the last few reads, from a tail of its
+    cyclic extension.  No plane of the reads' windows, no whole ring and no
+    whole extension is built.  The erasures are drawn a chunk of
+    ``_ERASURE_CHUNK`` symbols (2^20) at a time, in four arrays of one
+    uint64 per 64 symbols, 512 KiB: 0.5 n at 2^20, where the peak, measured
+    at 0.768 n, is in the erasure draw (the codeword, the known plane and
+    one chunk's erasure state); phi_v comes to 0.579 n, the suffix stage to
+    0.533 n and the m_z count to 0.450 n.  At 2^23 the chunk is 0.0625 n,
+    and the peak, measured at 0.340 n, is in the phi_v stage, whose window
+    keeps 2^18 bits of room beside one block's words, within 0.030 n of
+    what the trial holds.  The bounds leave 0.032 n (33 KB) and 0.040 n
+    (335 KB) over the peaks.  An 8-byte sort key per read (0.174 n more at
+    2^23), a second per-read int32 array such as a read-order copy of the
+    starts or a sort order, a whole phi_v ring or cyclic extension rebuilt
+    (0.125 n), or a K-long temporary of int32 or wider break the bound at
+    2^23; the value plane alive beside the starts (0.25 n), the codeword
+    held as two n-bit integer planes (0.27 n), a whole int64 array of gaps
+    or distances (0.4 n), an n-byte phi_v line, the reads held as two
+    (K, L) byte arrays (2 K L = 4 n), an int64 index over all K L symbols,
+    or a float64 erasure uniform per symbol of one block (1.0 n) break
+    both.  tracemalloc sees numpy's allocations, so the peak is a count of
+    bytes, not a timing.
     """
-    for n, bound in ((2**20, 0.80), (2**23, 0.55)):
+    for n, bound in ((2**20, 0.80), (2**23, 0.38)):
         p = ChannelParams.resolve(n, 0.2, lbar=2, c=2)
         _run_trial(p, 7, 0, [10, 17], 2)  # first-call caches out of the count
         tracemalloc.start()
