@@ -175,7 +175,7 @@ class Truth:
                 raise ValueError("starts must be integers that fit in int32")
         s = s.astype(np.int32, copy=False).view()
         # Checked a block at a time, with no K-long temporary.
-        blocks = (s[i : i + _ROW_BLOCK + 1] for i in range(0, len(s), _ROW_BLOCK))
+        blocks = (s[b.start : b.stop + 1] for b in _row_blocks(len(s), 1))
         if any(np.count_nonzero(b[1:] < b[:-1]) for b in blocks):
             raise ValueError("starts must be in ascending order")
         s.setflags(write=False)
@@ -331,11 +331,10 @@ def random_codebook(n: int, count: int, seed) -> Codebook:
     size = (count * n + 7) // 8
     packed = np.empty(size + 8, dtype=np.uint8)
     packed[size:] = 0
-    for i in range(0, size, _ROW_BLOCK // 8):
-        k = min(_ROW_BLOCK // 8, size - i)
-        draw = raw.random_raw(k).astype("<u8", copy=False).view(np.uint8)
+    for blk in _row_blocks(size, 8):
+        draw = raw.random_raw(blk.stop - blk.start).astype("<u8", copy=False).view(np.uint8)
         draw >>= 7
-        packed[i : i + k] = np.packbits(draw, bitorder="little")
+        packed[blk] = np.packbits(draw, bitorder="little")
         del draw  # released before the next block is drawn
     return Codebook(_cut_rows(packed, n, count), n)
 
@@ -357,22 +356,6 @@ def _cut_rows(packed: np.ndarray, n: int, count: int) -> np.ndarray:
     if n % 8:
         rows[:, -1] &= _mask(n % 8)
     return rows
-
-
-def _gaps_around(sorted_starts: np.ndarray, n: int, rows: slice) -> np.ndarray:
-    """The cyclic gaps into and out of the sorted starts in ``rows``: entry
-    i is the forward distance from start ``rows.start + i - 1`` to the next
-    one, wrapping round the ring at both ends.  A block of rows is measured
-    from its own starts and the two beside it."""
-    lo, hi = rows.start, rows.stop
-    edges = sorted_starts[max(lo - 1, 0) : hi + 1]
-    # The wrapped edges and the gaps are int64: an int32 start plus n can
-    # pass 2^31 - 1.
-    if lo == 0:
-        edges = np.concatenate((sorted_starts[-1:] - np.int64(n), edges))
-    if hi == len(sorted_starts):
-        edges = np.concatenate((edges, sorted_starts[:1] + np.int64(n)))
-    return np.subtract(edges[1:], edges[:-1], dtype=np.int64)
 
 
 def _bit_windows(packed: np.ndarray, L: int, count: int, first):
@@ -554,14 +537,10 @@ def transmit_codeword(
         kept = _kept_lanes(raw, r * L, threshold)
         known[blk] = _cut_rows(kept.view(np.uint8), L, r)
     # The starts, drawn after the erasures so that no start is alive beside
-    # their state, go a block at a time into one array, sorted in place.
-    # For n < 2^32 numpy draws int32 and int64, whole or in blocks, from the
-    # same 32-bit stream, and the 1-based starts as the draw from [0, n)
-    # plus 1.
-    starts = np.empty(K, dtype=np.int32)
-    draw = stage_rng(seed, STAGE_STARTS)
-    for blk in _row_blocks(K, L):
-        starts[blk] = draw.integers(1, params.n + 1, size=blk.stop - blk.start, dtype=np.int32)
+    # their state, are one int32 draw, sorted in place.  For n < 2^32 numpy
+    # draws int32 and int64 from the same 32-bit stream, and the 1-based
+    # starts as the draw from [0, n) plus 1.
+    starts = stage_rng(seed, STAGE_STARTS).integers(1, params.n + 1, size=K, dtype=np.int32)
     starts.sort()
     return ChannelOutput(params=params, known=known, truth=Truth(message, x, starts))
 

@@ -45,7 +45,6 @@ from .channel import (
     ChannelOutput,
     ChannelParams,
     _ROW_BLOCK,
-    _gaps_around,
     _plane_width,
     _round_finite,
     _row_blocks,
@@ -84,6 +83,22 @@ class CoverageReport:
     def __post_init__(self) -> None:
         if not 0 <= self.phi_v <= self.phi <= 1:
             raise ValueError("need 0 <= phi_v <= phi <= 1")
+
+
+def _gaps_around(sorted_starts: np.ndarray, n: int, rows: slice) -> np.ndarray:
+    """The cyclic gaps into and out of the sorted starts in ``rows``: entry
+    i is the forward distance from start ``rows.start + i - 1`` to the next
+    one, wrapping round the ring at both ends.  A block of rows is measured
+    from its own starts and the two beside it."""
+    lo, hi = rows.start, rows.stop
+    edges = sorted_starts[max(lo - 1, 0) : hi + 1]
+    # The wrapped edges and the gaps are int64: an int32 start plus n can
+    # pass 2^31 - 1.
+    if lo == 0:
+        edges = np.concatenate((sorted_starts[-1:] - np.int64(n), edges))
+    if hi == len(sorted_starts):
+        edges = np.concatenate((edges, sorted_starts[:1] + np.int64(n)))
+    return np.subtract(edges[1:], edges[:-1], dtype=np.int64)
 
 
 def _gap_blocks(output: ChannelOutput):

@@ -16,7 +16,6 @@ from ssesim.channel import (
     Truth,
     _MAX_SYMBOLS,
     _ROW_BLOCK,
-    _gaps_around,
     _start_windows,
     random_codebook,
     random_codeword,
@@ -25,6 +24,7 @@ from ssesim.channel import (
     transmit_codeword,
 )
 from ssesim.errors import DomainError
+from ssesim.stats import _gaps_around
 from ssesim.tritstring import TritString
 
 from ground_truth import cyclic_gaps
@@ -299,10 +299,10 @@ def test_codebook_is_the_uint8_draw(n, count):
 
 @pytest.mark.parametrize("n", [1, 2, 1000, 10**7, 2**30])
 def test_starts_are_the_int64_draw(n):
-    """The channel draws its starts as int32, which for any n below 2^32
-    numpy serves from the same 32-bit stream as the int64 draw, also when
-    the draw is split into blocks of odd sizes, as the channel's blocks of
-    rows are."""
+    """The channel draws its starts as one int32 call, which for any n
+    below 2^32 numpy serves from the same 32-bit stream as the int64 draw.
+    A draw split into blocks of odd sizes gives the same stream too, so a
+    numpy that buffers the 32-bit words differently is caught here."""
     K = 5000
     want = stage_rng(n, STAGE_STARTS).integers(0, n, size=K)
     whole = stage_rng(n, STAGE_STARTS).integers(0, n, size=K, dtype=np.int32)

@@ -375,10 +375,10 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
     more at L = 46).  Per codeword position there is only the codeword's
     packed row, n / 8 bytes, held all trial.  Per read only its int32
     start is held (4 c / L bytes per position: 0.2 n at L = 40, 0.174 n at
-    L = 46), drawn after the erasures a block at a time and sorted in
-    place, so that read i is the read with the i-th smallest start and no
-    stage needs a sort order.  So a trial holds 0.325 n past K L / 8 at
-    2^20 and 0.310 n at 2^23.  Every stage goes over the reads a block of
+    L = 46), drawn after the erasures in one int32 call, which needs no
+    temporary, and sorted in place, so that read i is the read with the
+    i-th smallest start and no stage needs a sort order.  So a trial
+    holds 0.325 n past K L / 8 at 2^20 and 0.310 n at 2^23.  Every stage goes over the reads a block of
     ``_ROW_BLOCK`` symbols at a time, so its temporaries are a fixed size:
     the rows it slices and their cyclic gaps, the window of phi_v's ring
     words that slides with the blocks, and the m_z count's windows, cut
