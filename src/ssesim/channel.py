@@ -450,10 +450,11 @@ def _kept_lanes(raw: np.random.BitGenerator, size: int, threshold: int) -> np.nd
     rounds stop.  So threshold 0 keeps every symbol and 2^53 erases every
     one, and neither draws a word.
 
-    The word arrays are cut down to the undecided words once fewer than
-    half of them are undecided; until then a round's draws are spread onto
-    the undecided words in order, and a decided word, with no live lane,
-    is left as it is."""
+    Each lane's decision lives only in the returned words, an erased lane
+    cleared there in place.  The tied lanes are cut down to the undecided
+    words, and their indices, once fewer than half of them are undecided;
+    until then a round's draws are spread onto the undecided words in
+    order, and a decided word, with no live lane, is left as it is."""
     words = -(-size // 64)
     out = np.zeros(words + 1, dtype="<u8")
     if threshold >> _U_BITS:
@@ -464,7 +465,7 @@ def _kept_lanes(raw: np.random.BitGenerator, size: int, threshold: int) -> np.nd
     if not threshold:
         return out
     live = keep.copy()  # lanes still tied with the threshold
-    index = None  # the words in ``keep`` and ``live``, once compacted
+    index = None  # the words of ``keep`` that ``live`` holds, once compacted
     undecided = None  # the words of ``live`` with a live lane, if not all
     m = words  # raw words in the next round
     last = (threshold & -threshold).bit_length() - 1
@@ -479,7 +480,10 @@ def _kept_lanes(raw: np.random.BitGenerator, size: int, threshold: int) -> np.nd
         live ^= u  # the tied lanes whose bit is 0
         if threshold >> b & 1:
             # The threshold's bit is 1: a 0 puts a lane below it, erased.
-            keep ^= live
+            if index is None:
+                keep ^= live
+            else:
+                keep[index] ^= live
             live = u
         # Otherwise a 1 puts a lane above it, kept, and a 0 keeps it tied.
         del u
@@ -490,14 +494,8 @@ def _kept_lanes(raw: np.random.BitGenerator, size: int, threshold: int) -> np.nd
             break
         undecided = live != 0
         if 2 * m < len(live):
-            if index is None:
-                index = np.flatnonzero(undecided)
-            else:
-                out[index] = keep
-                index = index[undecided]
-            keep, live, undecided = keep[undecided], live[undecided], None
-    if index is not None:
-        out[index] = keep
+            index = np.flatnonzero(undecided) if index is None else index[undecided]
+            live, undecided = live[undecided], None
     return out
 
 

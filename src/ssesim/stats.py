@@ -483,7 +483,9 @@ def _probe_z(
     """A probe: a random read ``r`` re-erased down to exactly
     ``suffix_size`` visible symbols, returned as ``r`` and its sorted kept
     positions.  ``known`` is the reads' packed plane; only row r is
-    unpacked."""
+    unpacked.  If 64 rejection draws find no read with that many visible
+    symbols, r is drawn among those reads directly, which are counted and
+    then found again one ``_row_blocks`` block of rows at a time."""
     k_reads = known.shape[0]
     for _ in range(64):
         r = int(rng.integers(k_reads))
@@ -492,14 +494,18 @@ def _probe_z(
     else:
         # Rejection gave up, so draw among the eligible reads directly: both
         # are uniform over them, and the draws of a run that ends in the
-        # loop do not change.
-        eligible = np.flatnonzero(_popcount_rows(known) >= suffix_size)
-        if not len(eligible):
+        # loop do not change.  ``before[b]`` eligible reads precede block b.
+        eligible = lambda blk: np.flatnonzero(_popcount_rows(known[blk]) >= suffix_size)
+        blocks = _row_blocks(k_reads, L)
+        before = np.cumsum([0] + [len(eligible(blk)) for blk in blocks])
+        if not before[-1]:
             raise DomainError(
                 f"no read with {suffix_size} visible symbols found; "
                 "delta too high for this probe"
             )
-        r = int(eligible[rng.integers(len(eligible))])
+        j = int(rng.integers(before[-1]))
+        b = int(np.searchsorted(before, j, side="right")) - 1
+        r = blocks[b].start + int(eligible(blocks[b])[j - before[b]])
     visible = np.unpackbits(known[r], count=L, bitorder="little")
     keep = rng.choice(np.flatnonzero(visible), size=suffix_size, replace=False)
     return r, np.sort(keep)

@@ -24,8 +24,10 @@ from ssesim.channel import (
     stage_rng,
     transmit_codeword,
 )
+from ssesim.errors import DomainError
 from ssesim.stats import (
     _prefix_matches,
+    _probe_z,
     _run_trial,
     _suffix_size_blocks,
     chain_island_count,
@@ -253,7 +255,7 @@ def test_shift_down_matches_integer_shifts(words):
 def _reference_kept(K, L, delta, seed):
     """Every read symbol's erasure decision, rebuilt lane by lane in plain
     Python from the raw words of the erasure substream, as a (K, L) bool
-    array.
+    array, with the substream's bit-generator state after the last round.
 
     The rows' symbols are laid end to end one chunk of ``_ERASURE_CHUNK``
     symbols' whole rows at a time, and symbol i of a chunk is lane i % 64
@@ -291,7 +293,7 @@ def _reference_kept(K, L, delta, seed):
                         decided[i] = bool(u_bit)
                 lanes[:] = still
         kept += [d is not False for d in decided]
-    return np.array(kept, dtype=bool).reshape(K, L)
+    return np.array(kept, dtype=bool).reshape(K, L), raw.state
 
 
 # (K, L, delta, chunk): K * L not a multiple of 64, down to one partial
@@ -317,11 +319,24 @@ ERASURE_CASES = [
 
 @pytest.mark.parametrize("K,L,delta,chunk", ERASURE_CASES)
 def test_erasures_match_lane_by_lane_reference(monkeypatch, K, L, delta, chunk):
+    """The lanes match the reference's, and the chunks draw exactly the
+    reference's raw words: a stray or missing draw in the last chunk
+    changes no lane, only the substream's state after it."""
     if chunk is not None:
         monkeypatch.setattr(channel, "_ERASURE_CHUNK", chunk)
+    raws = []
+    kept_lanes = channel._kept_lanes
+
+    def recording(raw, size, threshold):
+        raws.append(raw)
+        return kept_lanes(raw, size, threshold)
+
+    monkeypatch.setattr(channel, "_kept_lanes", recording)
     p = ChannelParams(n=max(L, 64), L=L, K=K, delta=delta)
     out = transmit_codeword(random_codeword(p.n, 11), p, 11)
-    assert np.array_equal(_unpacked(out.known, L), _reference_kept(K, L, delta, 11))
+    kept, state = _reference_kept(K, L, delta, 11)
+    assert np.array_equal(_unpacked(out.known, L), kept)
+    assert raws[-1].state == state
     if L % 8:
         assert not np.any(out.known[:, -1] >> (L % 8))
 
@@ -402,19 +417,71 @@ def test_trial_memory_is_a_few_bytes_per_symbol():
     or distances (0.4 n), an n-byte phi_v line, the reads held as two
     (K, L) byte arrays (2 K L = 4 n), an int64 index over all K L symbols,
     or a float64 erasure uniform per symbol of one block (1.0 n) break
-    both.  tracemalloc sees numpy's allocations, so the peak is a count of
-    bytes, not a timing.
+    both.  So does an m_z probe whose rejection draws give up counting
+    every read's visible symbols at once (2.98 n at 2^20 and 3.01 n at
+    2^23, at delta = 0.8 and tau = 0.85): it counts them a block of rows at
+    a time, and that trial peaks where the delta = 0.2 one does.
+    tracemalloc sees numpy's allocations, so the peak is a count of bytes,
+    not a timing.
     """
     for n, bound in ((2**20, 0.80), (2**23, 0.38)):
-        p = ChannelParams.resolve(n, 0.2, lbar=2, c=2)
-        _run_trial(p, 7, 0, [10, 17], 2)  # first-call caches out of the count
-        tracemalloc.start()
-        try:
-            _run_trial(p, 7, 0, [10, 17], 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= p.K * p.L / 8 + bound * p.n, n
+        # At delta = 0.8 few reads keep tau = 0.85 of log2 n symbols, so
+        # the m_z probes' rejection draws give up.
+        for delta, sizes in ((0.2, [10, 17]), (0.8, [round(0.85 * math.log2(n))])):
+            p = ChannelParams.resolve(n, delta, lbar=2, c=2)
+            _run_trial(p, 7, 0, sizes, 2)  # first-call caches out of the count
+            tracemalloc.start()
+            try:
+                _run_trial(p, 7, 0, sizes, 2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= p.K * p.L / 8 + bound * p.n, (n, delta)
+
+
+def _whole_plane_probe(rng, known, L, suffix_size):
+    """``stats._probe_z`` with its fallback drawn among the whole plane's
+    eligible reads at once, and whether the fallback ran."""
+    visible = np.bitwise_count(known).sum(axis=1)
+    fallback = False
+    for _ in range(64):
+        r = int(rng.integers(len(known)))
+        if visible[r] >= suffix_size:
+            break
+    else:
+        fallback = True
+        eligible = np.flatnonzero(visible >= suffix_size)
+        if not len(eligible):
+            raise DomainError("no eligible read")
+        r = int(eligible[rng.integers(len(eligible))])
+    positions = np.flatnonzero(np.unpackbits(known[r], count=L, bitorder="little"))
+    return (r, np.sort(rng.choice(positions, size=suffix_size, replace=False))), fallback
+
+
+def test_probe_fallback_matches_whole_plane_draw():
+    """When 64 rejection draws miss, ``_probe_z`` walks the plane one row
+    block at a time and still draws the whole-plane reference's read, kept
+    positions and generator state.  Five reads over four row blocks show 24
+    symbols and the rest fewer than 20, first and last rows of blocks among
+    the five, so the draw lands on each side of a block boundary; at 25 no
+    read is eligible, and it raises."""
+    L = 40
+    rows = _ROW_BLOCK // L
+    K = 3 * rows + 5
+    known = np.packbits(np.random.default_rng(2).random((K, L)) < 0.3, axis=1, bitorder="little")
+    known[np.bitwise_count(known).sum(axis=1) >= 20] = 0
+    known[[0, rows - 1, rows, 3 * rows + 1, K - 1]] = [255, 255, 255, 0, 0]
+    fallbacks = 0
+    for seed in range(40):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        r, keep = _probe_z(rng, known, L, 20)
+        (r_ref, keep_ref), fallback = _whole_plane_probe(ref, known, L, 20)
+        assert (r, keep.tolist()) == (r_ref, keep_ref.tolist())
+        assert rng.bit_generator.state == ref.bit_generator.state
+        fallbacks += fallback
+    assert fallbacks >= 30
+    with pytest.raises(DomainError):
+        _probe_z(np.random.default_rng(0), known, L, 25)
 
 
 def test_random_codeword_memory_is_bounded():
